@@ -16,17 +16,10 @@ from .core import (
     FoldPlan,
     InvalidPopulationError,
     MatchLtrError,
-    MissingItemError,
-    PairObservation,
     PreferenceMatrix,
     RankedList,
-    Side,
     SideAssignment,
     UndefinedAverageError,
-    UserId,
-    proactive,
-    rank_of,
-    reactive,
 )
 from .metrics import (
     EstimatorKind,
@@ -40,12 +33,8 @@ from .metrics import (
     gain_ipw,
     gain_surrogate,
     gain_true,
-    lambda_weight,
     load_eval_report,
     metric_ground_truth,
-    metric_ipw1,
-    metric_ipw2,
-    metric_naive,
     rank_candidates,
     save_eval_report,
 )

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import MatchLtrError, SideAssignment
+from .core import DataFormatError, MatchLtrError, SideAssignment
 from .metrics import EvalRecord, load_eval_report, save_eval_report
 from .ranker import LossKind, load_model, save_model
 from .simulate import (
@@ -37,7 +37,7 @@ from .train import (
     test_dcg_records,
     train_model,
 )
-from .util import atomic_open, derive_seed, format_float
+from .util import atomic_open, derive_seed, format_float, read_json
 from .verify import load_instance, run_verification, save_instance, check_instance
 from .metrics import EstimatorKind
 
@@ -194,11 +194,13 @@ def _resolve_eta(args, data: Path) -> float:
         return args.eta
     run_file = data / "run.json"
     if run_file.exists():
-        with open(run_file) as fh:
-            payload = json.load(fh)
-        eta = payload.get("config", {}).get("eta")
+        config = read_json(run_file, "run.json").get("config")
+        eta = config.get("eta") if isinstance(config, dict) else None
         if eta is not None:
-            return float(eta)
+            try:
+                return float(eta)
+            except (TypeError, ValueError):
+                raise DataFormatError(f"run.json: eta must be a number, got {eta!r}") from None
     raise MatchLtrError(
         "eta is needed to label report rows; pass --eta or keep the "
         "run.json written by gen-data next to the dataset"

@@ -7,8 +7,7 @@ simulation, estimators, rankers -- is expressed over these types.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +18,6 @@ class MatchLtrError(Exception):
 
 class ContractViolation(MatchLtrError):
     """An argument violated a documented precondition."""
-
-
-class MissingItemError(MatchLtrError, KeyError):
-    """A user id was looked up in a ranked list that does not contain it."""
 
 
 class InvalidPopulationError(MatchLtrError, ValueError):
@@ -47,31 +42,6 @@ class DataFormatError(MatchLtrError, ValueError):
 
 class DivergenceError(MatchLtrError, RuntimeError):
     """Training produced a non-finite loss."""
-
-
-class Side(enum.Enum):
-    PROACTIVE = "proactive"
-    REACTIVE = "reactive"
-
-
-@dataclass(frozen=True)
-class UserId:
-    """A user on one side of the market, identified by a dense per-side index."""
-
-    side: Side
-    index: int
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ContractViolation(f"user index must be non-negative, got {self.index}")
-
-
-def proactive(index: int) -> UserId:
-    return UserId(Side.PROACTIVE, index)
-
-
-def reactive(index: int) -> UserId:
-    return UserId(Side.REACTIVE, index)
 
 
 @dataclass(frozen=True)
@@ -264,92 +234,30 @@ class FoldPlan:
 
 
 @dataclass(frozen=True)
-class PairObservation:
-    """One sampled (relevance, exposure, feedback) realization for a pair.
-
-    Feedback composes as ``y_forward = o_forward * r_forward`` and
-    ``y_backward = y_forward * o_backward * r_backward``: the reactive side can
-    only respond to a proactive selection it was actually exposed to.
-    """
-
-    u: UserId
-    v: UserId
-    r_forward: int
-    r_backward: int
-    o_forward: int
-    o_backward: int
-    y_forward: int
-    y_backward: int
-    theta_forward: float
-    theta_backward: float
-
-    def __post_init__(self):
-        if self.u.side is not Side.PROACTIVE or self.v.side is not Side.REACTIVE:
-            raise ContractViolation("u must be proactive and v reactive")
-        bits = {
-            "r_forward": self.r_forward,
-            "r_backward": self.r_backward,
-            "o_forward": self.o_forward,
-            "o_backward": self.o_backward,
-            "y_forward": self.y_forward,
-            "y_backward": self.y_backward,
-        }
-        for name, b in bits.items():
-            if b not in (0, 1):
-                raise ContractViolation(f"{name} must be a bit, got {b!r}")
-        if self.y_forward != self.o_forward * self.r_forward:
-            raise ContractViolation("y_forward must equal o_forward * r_forward")
-        if self.y_backward != self.y_forward * self.o_backward * self.r_backward:
-            raise ContractViolation(
-                "y_backward must equal y_forward * o_backward * r_backward"
-            )
-        for name, t in (("theta_forward", self.theta_forward), ("theta_backward", self.theta_backward)):
-            if not (0.0 < t <= 1.0):
-                raise AssumptionViolationError(f"{name} must lie in (0, 1], got {t}")
-
-
-@dataclass(frozen=True)
 class RankedList:
-    """A full ranking of reactive users shown to one proactive user.
+    """A ranking of reactive users shown to one proactive user, by side-local index.
 
     Positions are 1-based; ``entries[0]`` is rank 1.
     """
 
-    owner: UserId
-    entries: tuple[UserId, ...] = field(default_factory=tuple)
+    owner: int
+    entries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.owner.side is not Side.PROACTIVE:
-            raise ContractViolation("ranked-list owner must be a proactive user")
-        indices = [e.index for e in self.entries]
-        for e in self.entries:
-            if e.side is not Side.REACTIVE:
-                raise ContractViolation("ranked-list entries must be reactive users")
-        if len(set(indices)) != len(indices):
+        object.__setattr__(self, "owner", int(self.owner))
+        object.__setattr__(self, "entries", tuple(int(j) for j in self.entries))
+        if self.owner < 0 or any(j < 0 for j in self.entries):
+            raise ContractViolation("ranked-list indices must be non-negative")
+        if len(set(self.entries)) != len(self.entries):
             raise ContractViolation("ranked list contains duplicate entries")
 
     @staticmethod
     def from_indices(owner_index: int, entry_indices) -> "RankedList":
-        return RankedList(
-            owner=proactive(owner_index),
-            entries=tuple(reactive(int(j)) for j in entry_indices),
-        )
+        return RankedList(owner=owner_index, entries=tuple(entry_indices))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def entry_indices(self) -> np.ndarray:
         """Reactive indices in rank order, as an array."""
-        return np.fromiter((e.index for e in self.entries), dtype=np.intp, count=len(self.entries))
-
-
-def rank_of(ranked: RankedList, v: UserId) -> int:
-    """1-based position of ``v`` in a ranked list.
-
-    Raises :class:`MissingItemError` if ``v`` is not listed.
-    """
-    for pos, entry in enumerate(ranked.entries, start=1):
-        if entry == v:
-            return pos
-    raise MissingItemError(f"user {v} does not appear in the list shown to {ranked.owner}")
+        return np.array(self.entries, dtype=np.intp)

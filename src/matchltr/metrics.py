@@ -36,10 +36,6 @@ class EstimatorKind(enum.Enum):
     IPW2 = "ipw2"
 
 
-class WeightKind(enum.Enum):
-    DCG_CUTOFF = "dcg_cutoff"
-
-
 @dataclass(frozen=True)
 class LambdaWeight:
     """Rank-discount weight: ``1 / log2(rank + 1)`` up to a cutoff, 0 beyond.
@@ -48,7 +44,6 @@ class LambdaWeight:
     """
 
     k: int
-    kind: WeightKind = WeightKind.DCG_CUTOFF
 
     def __post_init__(self):
         if self.k < 1:
@@ -61,15 +56,8 @@ class LambdaWeight:
         return np.where(ranks <= self.k, 1.0 / np.log2(ranks + 1.0), 0.0)
 
 
-def lambda_weight(w: LambdaWeight, rank: int) -> float:
-    """Discount applied to a single 1-based rank."""
-    if rank < 1:
-        raise ContractViolation(f"rank must be >= 1, got {rank}")
-    return float(w.weights(np.asarray([rank]))[0])
-
-
 # ---------------------------------------------------------------------------
-# gain functions
+# per-pair gains: one coefficient table for every estimator and loss
 # ---------------------------------------------------------------------------
 
 def _as_bits(name: str, x) -> np.ndarray:
@@ -83,25 +71,6 @@ def _maybe_scalar(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def gain_true(r_fwd, r_bwd):
-    """Gain of true relevance: ``2**(r_fwd * (1 + r_bwd)) - 1`` (0, 1 or 3)."""
-    rf = _as_bits("r_fwd", r_fwd)
-    rb = _as_bits("r_bwd", r_bwd)
-    return _maybe_scalar(np.exp2(rf * (1.0 + rb)) - 1.0)
-
-
-def gain_surrogate(y_fwd, y_bwd):
-    """Observable gain ``2**(y_fwd + y_bwd) - 1`` built from implicit feedback.
-
-    Requires feasible feedback: backward feedback implies forward feedback.
-    """
-    yf = _as_bits("y_fwd", y_fwd)
-    yb = _as_bits("y_bwd", y_bwd)
-    if np.any(yb > yf):
-        raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
-    return _maybe_scalar(np.exp2(yf + yb) - 1.0)
-
-
 def _check_theta(name: str, t, floor: float = 0.0) -> np.ndarray:
     arr = np.asarray(t, dtype=np.float64)
     if arr.size and (not np.all(np.isfinite(arr)) or arr.min() <= 0.0):
@@ -109,6 +78,62 @@ def _check_theta(name: str, t, floor: float = 0.0) -> np.ndarray:
     if floor > 0.0:
         arr = np.maximum(arr, floor)
     return arr
+
+
+def feedback_coefficients(
+    kind: EstimatorKind,
+    y_fwd: np.ndarray,
+    y_bwd: np.ndarray,
+    theta_fwd=None,
+    theta_bwd=None,
+    theta_floor: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (forward, backward) feedback weights of one method.
+
+        naive   y_fwd              y_bwd
+        ipw1    y_fwd / theta_fwd  y_bwd / theta_fwd
+        ipw2    y_fwd / theta_fwd  y_bwd / (theta_fwd * theta_bwd)
+
+    The training losses use the pair as cross-entropy weights.  For feasible
+    feedback bits the reweighted gain ``2**(y_fwd + y_bwd) - 1`` is
+    ``forward + 2 * backward`` (see :func:`_gain`).  Propensities are read
+    only by the rows that use them; ``theta_floor`` optionally clips them
+    from below.
+    """
+    y_fwd = _as_bits("y_fwd", y_fwd)
+    y_bwd = _as_bits("y_bwd", y_bwd)
+    if np.any(y_bwd > y_fwd):
+        raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
+    if kind is EstimatorKind.NAIVE:
+        return y_fwd, y_bwd
+    tf = _check_theta("theta_fwd", theta_fwd, theta_floor)
+    if kind is EstimatorKind.IPW1:
+        return y_fwd / tf, y_bwd / tf
+    if kind is EstimatorKind.IPW2:
+        return y_fwd / tf, y_bwd / (tf * _check_theta("theta_bwd", theta_bwd, theta_floor))
+    raise ContractViolation(f"unknown estimator kind {kind!r}")
+
+
+def _gain(c_fwd: np.ndarray, c_bwd: np.ndarray) -> np.ndarray:
+    return c_fwd + 2.0 * c_bwd
+
+
+def gain_true(r_fwd, r_bwd):
+    """Gain of true relevance: ``2**(r_fwd * (1 + r_bwd)) - 1`` (0, 1 or 3).
+
+    This is the naive row applied to fully exposed feedback ``(r_fwd, r_fwd * r_bwd)``.
+    """
+    rf = _as_bits("r_fwd", r_fwd)
+    rb = _as_bits("r_bwd", r_bwd)
+    return _maybe_scalar(_gain(*feedback_coefficients(EstimatorKind.NAIVE, rf, rf * rb)))
+
+
+def gain_surrogate(y_fwd, y_bwd):
+    """Observable gain ``2**(y_fwd + y_bwd) - 1`` built from implicit feedback.
+
+    Requires feasible feedback: backward feedback implies forward feedback.
+    """
+    return _maybe_scalar(_gain(*feedback_coefficients(EstimatorKind.NAIVE, y_fwd, y_bwd)))
 
 
 def gain_ipw(y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor: float = 0.0):
@@ -120,20 +145,14 @@ def gain_ipw(y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor: float = 0.0):
     ``theta_floor`` optionally clips propensities from below (variance control;
     off by default).
     """
-    yf = _as_bits("y_fwd", y_fwd)
-    yb = _as_bits("y_bwd", y_bwd)
-    if np.any(yb > yf):
-        raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
-    tf = _check_theta("theta_fwd", theta_fwd, theta_floor)
-    tb = _check_theta("theta_bwd", theta_bwd, theta_floor)
-    two_yf = np.exp2(yf)
-    mutual = two_yf * (np.exp2(yb) - 1.0) / (tf * tb)
-    one_sided = (two_yf - 1.0) / tf
-    return _maybe_scalar(mutual + one_sided)
+    coef = feedback_coefficients(
+        EstimatorKind.IPW2, y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor
+    )
+    return _maybe_scalar(_gain(*coef))
 
 
 # ---------------------------------------------------------------------------
-# list metrics
+# the discounted-gain kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -147,116 +166,71 @@ class MetricValue:
         return self.value
 
 
-def _gather(pair_values: np.ndarray, ranked: RankedList, what: str) -> np.ndarray:
+def _top_pairs(rankings, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Label rows and rank-ordered label columns of the top ``min(k, depth)`` pairs.
+
+    ``rankings`` is either an ``(n_users, depth)`` index array whose row ``i``
+    ranks user ``i``'s candidates, or a sequence of equally long
+    :class:`RankedList` objects, each naming its owner's row.
+    """
+    if isinstance(rankings, np.ndarray):
+        if rankings.ndim != 2 or not np.issubdtype(rankings.dtype, np.integer):
+            raise ContractViolation("a ranking array must be 2-d and hold integer indices")
+        rows, cols = np.arange(rankings.shape[0]), rankings
+    else:
+        if len({len(ranked) for ranked in rankings}) > 1:
+            raise ContractViolation("ranked lists of different lengths cannot be averaged")
+        rows = np.array([ranked.owner for ranked in rankings], dtype=np.intp)
+        cols = np.array([ranked.entries for ranked in rankings], dtype=np.intp)
+    if cols.size == 0:
+        raise UndefinedAverageError("metric is an average over users; got no ranked pairs")
+    cols = cols[:, :k]
+    if cols.min() < 0:
+        raise ContractViolation("rankings hold negative candidate indices")
+    if np.any(np.diff(np.sort(cols, axis=1), axis=1) == 0):
+        raise ContractViolation("a ranking lists some candidate twice")
+    return rows, cols
+
+
+def _pick(pair_values, pairs: tuple[np.ndarray, np.ndarray], what: str) -> np.ndarray:
+    """``pair_values`` at the ranked pairs, shape ``(n_users, depth)``, in rank order."""
+    rows, cols = pairs
     values = np.asarray(pair_values, dtype=np.float64)
     if values.ndim != 2:
         raise ContractViolation(f"{what} must be a 2-d (proactive x reactive) array")
-    idx = ranked.entry_indices()
-    u = ranked.owner.index
-    if u >= values.shape[0] or (idx.size and idx.max() >= values.shape[1]):
-        raise ContractViolation(f"{what} does not cover the ranked pairs of user {u}")
-    picked = values[u, idx]
+    if rows.max() >= values.shape[0] or cols.max() >= values.shape[1]:
+        raise ContractViolation(f"{what} does not cover the ranked pairs")
+    picked = values[rows[:, None], cols]
     if not np.all(np.isfinite(picked)):
-        raise ContractViolation(f"{what} has no value for some pair ranked for user {u}")
+        raise ContractViolation(f"{what} has no value for some ranked pair")
     return picked
 
 
-def _user_average(rankings: Sequence[RankedList], per_user) -> MetricValue:
-    if len(rankings) == 0:
-        raise UndefinedAverageError("metric is an average over users; got no users")
-    totals = np.empty(len(rankings))
-    for i, ranked in enumerate(rankings):
-        if len(ranked) == 0:
-            raise UndefinedAverageError(
-                f"user {ranked.owner.index} has an empty candidate list"
-            )
-        totals[i] = per_user(ranked)
-    return MetricValue(value=float(totals.sum() / len(rankings)), n_users=len(rankings))
+def _discounted(top: np.ndarray) -> np.ndarray:
+    """Per-user sum of rank-ordered gains times ``1 / log2(rank + 1)``."""
+    return top @ (1.0 / np.log2(np.arange(2, top.shape[1] + 2, dtype=np.float64)))
 
 
-def _ranks(n: int) -> np.ndarray:
-    return np.arange(1, n + 1, dtype=np.float64)
+def _user_mean(per_user: np.ndarray) -> MetricValue:
+    n = per_user.shape[0]
+    return MetricValue(value=float(per_user.sum() / n), n_users=n)
 
 
 def metric_ground_truth(
-    rankings: Sequence[RankedList],
+    rankings: np.ndarray | Sequence[RankedList],
     r_fwd: np.ndarray,
     r_bwd: np.ndarray,
     weight: LambdaWeight,
 ) -> MetricValue:
     """Position-discounted true mutual gain, averaged over users."""
-
-    def one(ranked: RankedList) -> float:
-        lam = weight.weights(_ranks(len(ranked)))
-        g = gain_true(_gather(r_fwd, ranked, "r_fwd"), _gather(r_bwd, ranked, "r_bwd"))
-        return float(lam @ g)
-
-    return _user_average(rankings, one)
-
-
-def metric_naive(
-    rankings: Sequence[RankedList],
-    y_fwd: np.ndarray,
-    y_bwd: np.ndarray,
-    weight: LambdaWeight,
-) -> MetricValue:
-    """Plug-in estimate that treats implicit feedback as if it were relevance."""
-
-    def one(ranked: RankedList) -> float:
-        lam = weight.weights(_ranks(len(ranked)))
-        g = gain_surrogate(_gather(y_fwd, ranked, "y_fwd"), _gather(y_bwd, ranked, "y_bwd"))
-        return float(lam @ g)
-
-    return _user_average(rankings, one)
-
-
-def metric_ipw1(
-    rankings: Sequence[RankedList],
-    y_fwd: np.ndarray,
-    y_bwd: np.ndarray,
-    theta_fwd: np.ndarray,
-    weight: LambdaWeight,
-    theta_floor: float = 0.0,
-) -> MetricValue:
-    """One-sided correction: the surrogate gain divided by forward exposure only."""
-
-    def one(ranked: RankedList) -> float:
-        lam = weight.weights(_ranks(len(ranked)))
-        g = gain_surrogate(_gather(y_fwd, ranked, "y_fwd"), _gather(y_bwd, ranked, "y_bwd"))
-        tf = _check_theta("theta_fwd", _gather(theta_fwd, ranked, "theta_fwd"), theta_floor)
-        return float(lam @ (g / tf))
-
-    return _user_average(rankings, one)
-
-
-def metric_ipw2(
-    rankings: Sequence[RankedList],
-    y_fwd: np.ndarray,
-    y_bwd: np.ndarray,
-    theta_fwd: np.ndarray,
-    theta_bwd: np.ndarray,
-    weight: LambdaWeight,
-    theta_floor: float = 0.0,
-) -> MetricValue:
-    """Two-sided correction: unbiased for the ground-truth metric."""
-
-    def one(ranked: RankedList) -> float:
-        lam = weight.weights(_ranks(len(ranked)))
-        g = gain_ipw(
-            _gather(y_fwd, ranked, "y_fwd"),
-            _gather(y_bwd, ranked, "y_bwd"),
-            _gather(theta_fwd, ranked, "theta_fwd"),
-            _gather(theta_bwd, ranked, "theta_bwd"),
-            theta_floor,
-        )
-        return float(lam @ g)
-
-    return _user_average(rankings, one)
+    pairs = _top_pairs(rankings, weight.k)
+    gains = gain_true(_pick(r_fwd, pairs, "r_fwd"), _pick(r_bwd, pairs, "r_bwd"))
+    return _user_mean(_discounted(gains))
 
 
 def estimate_metric(
     kind: EstimatorKind,
-    rankings: Sequence[RankedList],
+    rankings: np.ndarray | Sequence[RankedList],
     y_fwd: np.ndarray,
     y_bwd: np.ndarray,
     theta_fwd: np.ndarray,
@@ -264,14 +238,18 @@ def estimate_metric(
     weight: LambdaWeight,
     theta_floor: float = 0.0,
 ) -> MetricValue:
-    """Dispatch to one of the three estimators with a uniform signature."""
-    if kind is EstimatorKind.NAIVE:
-        return metric_naive(rankings, y_fwd, y_bwd, weight)
-    if kind is EstimatorKind.IPW1:
-        return metric_ipw1(rankings, y_fwd, y_bwd, theta_fwd, weight, theta_floor)
-    if kind is EstimatorKind.IPW2:
-        return metric_ipw2(rankings, y_fwd, y_bwd, theta_fwd, theta_bwd, weight, theta_floor)
-    raise ContractViolation(f"unknown estimator kind {kind!r}")
+    """Naive, one-sided or two-sided estimate of the ground-truth metric.
+
+    ``rankings`` is an ``(n_users, depth)`` index array or a sequence of
+    :class:`RankedList`; propensities are read only by the estimators that
+    use them.  The two-sided estimate is unbiased for the ground truth.
+    """
+    pairs = _top_pairs(rankings, weight.k)
+    yf, yb = _pick(y_fwd, pairs, "y_fwd"), _pick(y_bwd, pairs, "y_bwd")
+    tf = None if kind is EstimatorKind.NAIVE else _pick(theta_fwd, pairs, "theta_fwd")
+    tb = _pick(theta_bwd, pairs, "theta_bwd") if kind is EstimatorKind.IPW2 else None
+    coef = feedback_coefficients(kind, yf, yb, tf, tb, theta_floor)
+    return _user_mean(_discounted(_gain(*coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +257,7 @@ def estimate_metric(
 # ---------------------------------------------------------------------------
 
 def expected_metric_exact(
-    rankings: Sequence[RankedList],
+    rankings: np.ndarray | Sequence[RankedList],
     r_fwd: np.ndarray,
     r_bwd: np.ndarray,
     theta_fwd: np.ndarray,
@@ -290,43 +268,26 @@ def expected_metric_exact(
     """Exact expectation of an estimator over the exposure randomness.
 
     Relevance labels are held fixed; the two exposure bits of every pair are
-    independent, so the expectation decomposes into a per-pair sum over the
-    four (o_fwd, o_bwd) outcomes.  This is the reference against which
-    (un)biasedness is checked.
+    independent, so the expectation is a per-pair sum over the four
+    (o_fwd, o_bwd) outcomes of probability times gain.  This is the reference
+    against which (un)biasedness is checked.
     """
-    if len(rankings) == 0:
-        raise UndefinedAverageError("metric is an average over users; got no users")
-    total = 0.0
-    for ranked in rankings:
-        if len(ranked) == 0:
-            raise UndefinedAverageError(
-                f"user {ranked.owner.index} has an empty candidate list"
-            )
-        rf = _as_bits("r_fwd", _gather(r_fwd, ranked, "r_fwd"))
-        rb = _as_bits("r_bwd", _gather(r_bwd, ranked, "r_bwd"))
-        tf = _check_theta("theta_fwd", _gather(theta_fwd, ranked, "theta_fwd"))
-        tb = _check_theta("theta_bwd", _gather(theta_bwd, ranked, "theta_bwd"))
-        if tf.max() > 1.0 or tb.max() > 1.0:
-            raise AssumptionViolationError("exposure probabilities must lie in (0, 1]")
-        expected = np.zeros_like(rf)
-        for o_f in (0.0, 1.0):
-            p_f = tf if o_f else 1.0 - tf
-            y_f = o_f * rf
-            for o_b in (0.0, 1.0):
-                p_b = tb if o_b else 1.0 - tb
-                y_b = y_f * o_b * rb
-                if which is EstimatorKind.NAIVE:
-                    g = gain_surrogate(y_f, y_b)
-                elif which is EstimatorKind.IPW1:
-                    g = gain_surrogate(y_f, y_b) / tf
-                elif which is EstimatorKind.IPW2:
-                    g = gain_ipw(y_f, y_b, tf, tb)
-                else:
-                    raise ContractViolation(f"unknown estimator kind {which!r}")
-                expected += p_f * p_b * np.asarray(g, dtype=np.float64)
-        lam = weight.weights(_ranks(len(ranked)))
-        total += float(lam @ expected)
-    return total / len(rankings)
+    pairs = _top_pairs(rankings, weight.k)
+    rf = _as_bits("r_fwd", _pick(r_fwd, pairs, "r_fwd"))
+    rb = _as_bits("r_bwd", _pick(r_bwd, pairs, "r_bwd"))
+    tf = _check_theta("theta_fwd", _pick(theta_fwd, pairs, "theta_fwd"))
+    tb = _check_theta("theta_bwd", _pick(theta_bwd, pairs, "theta_bwd"))
+    if tf.max() > 1.0 or tb.max() > 1.0:
+        raise AssumptionViolationError("exposure probabilities must lie in (0, 1]")
+    expected = np.zeros_like(rf)
+    for o_f in (0.0, 1.0):
+        p_f = tf if o_f else 1.0 - tf
+        y_f = o_f * rf
+        for o_b in (0.0, 1.0):
+            p_b = tb if o_b else 1.0 - tb
+            y_b = y_f * o_b * rb
+            expected += p_f * p_b * _gain(*feedback_coefficients(which, y_f, y_b, tf, tb))
+    return _user_mean(_discounted(expected)).value
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +313,9 @@ def dcg_from_gains(scores: np.ndarray, gains: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ContractViolation(f"cutoff must be a positive integer, got {k}")
     order = rank_candidates(scores)
-    gains = np.asarray(gains, dtype=np.float64)
-    if gains.shape != order.shape:
+    if np.shape(gains) != order.shape:
         raise ContractViolation("gains must have the same shape as scores")
-    depth = min(k, order.shape[1])
-    top = np.take_along_axis(gains, order[:, :depth], axis=1)
-    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
-    return top @ discounts
+    return _discounted(_pick(gains, _top_pairs(order, k), "gains"))
 
 
 def dcg_at_k(scores: np.ndarray, r_fwd: np.ndarray, r_bwd: np.ndarray, k: int) -> np.ndarray:
@@ -368,9 +325,7 @@ def dcg_at_k(scores: np.ndarray, r_fwd: np.ndarray, r_bwd: np.ndarray, k: int) -
     contributes ``1/log2(rank+1)``), unlike the ``2**x - 1`` gain used by the
     estimator suite; this is the form used for test-set evaluation reports.
     """
-    rf = _as_bits("r_fwd", r_fwd)
-    rb = _as_bits("r_bwd", r_bwd)
-    return dcg_from_gains(scores, np.exp2(rf * (1.0 + rb)), k)
+    return dcg_from_gains(scores, 1.0 + gain_true(r_fwd, r_bwd), k)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .core import (
     ContractViolation,
     DataFormatError,
 )
-from .metrics import EstimatorKind
+from .metrics import EstimatorKind, feedback_coefficients
 from .util import atomic_open
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
@@ -160,40 +160,24 @@ def _loss_inputs(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     yb = np.asarray(y_bwd, dtype=np.float64)
     if yf.shape != candidates.shape or yb.shape != candidates.shape:
         raise ContractViolation("feedback vectors must align with the candidate list")
-    if not np.isin(yf, (0.0, 1.0)).all() or not np.isin(yb, (0.0, 1.0)).all():
-        raise ContractViolation("feedback must be bits")
-    if np.any(yb > yf):
-        raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
-
-    # per-candidate cross-entropy weights for each loss variant
-    if kind is LossKind.CONVENTIONAL:
-        coef_fwd, coef_bwd = yf, yb
-    else:
-        tf = np.asarray(theta_fwd, dtype=np.float64)
-        if tf.shape != candidates.shape or np.any(tf <= 0.0) or not np.all(np.isfinite(tf)):
-            raise AssumptionViolationError(
-                "theta_fwd must be strictly positive and aligned with candidates"
-            )
-        if kind is LossKind.IPW1:
-            coef_fwd, coef_bwd = yf / tf, yb / tf
-        elif kind is LossKind.IPW2:
-            tb = np.asarray(theta_bwd, dtype=np.float64)
-            if tb.shape != candidates.shape or np.any(tb <= 0.0) or not np.all(np.isfinite(tb)):
-                raise AssumptionViolationError(
-                    "theta_bwd must be strictly positive and aligned with candidates"
-                )
-            coef_fwd, coef_bwd = yf / tf, yb / (tf * tb)
-        else:
-            raise ContractViolation(f"unknown loss kind {kind!r}")
+    # per-candidate cross-entropy weights: the row of the paired estimator
+    for name, theta, used in (
+        ("theta_fwd", theta_fwd, kind is not LossKind.CONVENTIONAL),
+        ("theta_bwd", theta_bwd, kind is LossKind.IPW2),
+    ):
+        if used and np.shape(theta) != candidates.shape:
+            raise AssumptionViolationError(f"{name} must be aligned with candidates")
+    coef_fwd, coef_bwd = feedback_coefficients(kind.paired_metric, yf, yb, theta_fwd, theta_bwd)
     return candidates, coef_fwd, coef_bwd
 
 
-def _space_loss(w_actor: np.ndarray, w_targets: np.ndarray, coef: np.ndarray) -> float:
+def _space_forward(w_actor: np.ndarray, w_targets: np.ndarray, coef: np.ndarray):
+    """Scores ``s = sigmoid(z)``, ratios ``p = s / sum(s)`` and the loss ``-sum(coef * log p)``."""
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
         s = expit(w_targets @ w_actor)
         p = s / s.sum()
-        return float(-(coef @ np.log(np.maximum(p, PROB_FLOOR))))
+        return s, p, float(-(coef @ np.log(np.maximum(p, PROB_FLOOR))))
 
 
 def loss_terms(
@@ -210,8 +194,8 @@ def loss_terms(
     cands, coef_fwd, coef_bwd = _loss_inputs(
         model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
     )
-    fwd = _space_loss(model.w_pro_fwd[u], model.w_rea_fwd[cands], coef_fwd)
-    bwd = _space_loss(model.w_pro_bwd[u], model.w_rea_bwd[cands], coef_bwd)
+    _, _, fwd = _space_forward(model.w_pro_fwd[u], model.w_rea_fwd[cands], coef_fwd)
+    _, _, bwd = _space_forward(model.w_pro_bwd[u], model.w_rea_bwd[cands], coef_bwd)
     return fwd, bwd
 
 
@@ -268,10 +252,8 @@ def _space_gradient(
     probability floor inside the log is ignored by the gradient; it only
     binds at p <= 1e-12, far outside normal operation.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = expit(w_targets @ w_actor)
-        p = s / s.sum()
-        loss = float(-(coef @ np.log(np.maximum(p, PROB_FLOOR))))
+    s, p, loss = _space_forward(w_actor, w_targets, coef)
+    with np.errstate(invalid="ignore"):
         dz = (coef.sum() * p - coef) * (1.0 - s)
     grad_actor += dz @ w_targets
     grad_targets[target_rows] += dz[:, None] * w_actor[None, :]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 from scipy.special import expit
@@ -24,13 +23,10 @@ from .core import (
     FoldInfeasibleError,
     FoldPlan,
     InvalidPopulationError,
-    PairObservation,
     PreferenceMatrix,
     SideAssignment,
-    proactive,
-    reactive,
 )
-from .util import atomic_open, format_float
+from .util import atomic_open, format_float, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -424,22 +420,6 @@ class FeedbackDataset:
     def n_reactive(self) -> int:
         return self.fold_plan.n_reactive
 
-    def observations(self) -> Iterator[PairObservation]:
-        """Yield typed observations (validated one by one)."""
-        for i in range(len(self)):
-            yield PairObservation(
-                u=proactive(int(self.u[i])),
-                v=reactive(int(self.v[i])),
-                r_forward=int(self.r_fwd[i]),
-                r_backward=int(self.r_bwd[i]),
-                o_forward=int(self.o_fwd[i]),
-                o_backward=int(self.o_bwd[i]),
-                y_forward=int(self.y_fwd[i]),
-                y_backward=int(self.y_bwd[i]),
-                theta_forward=float(self.theta_fwd[i]),
-                theta_backward=float(self.theta_bwd[i]),
-            )
-
     def dense(self, field: str) -> np.ndarray:
         """Full (n_proactive, n_reactive) matrix of one column, NaN where unobserved."""
         if field not in _DATASET_COLUMNS[4:]:
@@ -607,11 +587,7 @@ def save_fold_plan(plan: FoldPlan, path) -> None:
 
 
 def load_fold_plan(path) -> FoldPlan:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"fold-plan JSON: {exc}") from None
+    payload = read_json(path, "fold-plan JSON")
     try:
         return FoldPlan(
             k=payload["k"],
@@ -635,11 +611,7 @@ def save_exposure(exposure: ExposureModel, path) -> None:
 
 
 def load_exposure(path) -> ExposureModel:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"exposure JSON: {exc}") from None
+    payload = read_json(path, "exposure JSON")
     try:
         return ExposureModel(
             eta=payload["eta"],
@@ -661,11 +633,7 @@ def save_side_assignment(assignment: SideAssignment, path) -> None:
 
 
 def load_side_assignment(path) -> SideAssignment:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"side-assignment JSON: {exc}") from None
+    payload = read_json(path, "side-assignment JSON")
     try:
         return SideAssignment(
             proactive_ids=tuple(payload["proactive_ids"]),

@@ -23,7 +23,6 @@ from .core import (
     DivergenceError,
     FoldPlan,
     PreferenceMatrix,
-    RankedList,
     SideAssignment,
 )
 from .metrics import (
@@ -44,7 +43,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import atomic_open, derive_seed, format_float
+from .util import atomic_open, derive_seed, format_float, read_json
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,13 @@ def _per_user_training_data(dataset: FeedbackDataset):
 
 
 def _validation_context(dataset: FeedbackDataset):
+    """Validation users and candidates, and the block's feedback and propensities."""
     plan = dataset.fold_plan
     val_users = np.asarray(plan.proactive_folds[plan.validation_fold], dtype=np.intp)
     val_cands = np.asarray(plan.reactive_folds[plan.validation_fold], dtype=np.intp)
-    return (
-        val_users,
-        val_cands,
-        dataset.dense("y_fwd"),
-        dataset.dense("y_bwd"),
-        dataset.dense("theta_fwd"),
-        dataset.dense("theta_bwd"),
-    )
+    block = np.ix_(val_users, val_cands)
+    columns = ("y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
+    return (val_users, val_cands, *(dataset.dense(name)[block] for name in columns))
 
 
 def validation_metric(
@@ -177,15 +172,9 @@ def validation_metric(
     _ctx=None,
 ) -> float:
     """Estimator value on the validation block, ranking candidates by mutual score."""
-    val_users, val_cands, y_fwd, y_bwd, t_fwd, t_bwd = _ctx or _validation_context(dataset)
-    scores = score_matrix(model, val_users, val_cands)
-    order = rank_candidates(scores)
-    rankings = [
-        RankedList.from_indices(int(u), val_cands[order[i]])
-        for i, u in enumerate(val_users)
-    ]
-    weight = LambdaWeight(k=k)
-    return estimate_metric(kind, rankings, y_fwd, y_bwd, t_fwd, t_bwd, weight).value
+    val_users, val_cands, *block = _ctx or _validation_context(dataset)
+    ranking = rank_candidates(score_matrix(model, val_users, val_cands))
+    return estimate_metric(kind, ranking, *block, LambdaWeight(k=k)).value
 
 
 def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel, TrainingLog]:
@@ -431,11 +420,7 @@ def save_experiment_config(
 
 
 def load_experiment_config(path) -> tuple[ExperimentPlan, dict[LossKind, TrainConfig]]:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"experiment config JSON: {exc}") from None
+    payload = read_json(path, "experiment config JSON")
     try:
         test_folds = payload.get("test_folds")
         plan = ExperimentPlan(

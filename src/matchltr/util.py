@@ -1,11 +1,14 @@
-"""Small shared helpers: seed derivation, atomic file writes, float formatting."""
+"""Small shared helpers: seed derivation, atomic file writes, JSON reads, float formatting."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 from contextlib import contextmanager
+
+from .core import DataFormatError
 
 _SEED_MOD = 2**32
 
@@ -43,3 +46,19 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path: str | os.PathLike, what: str) -> dict:
+    """Load a file holding one JSON object.
+
+    A file that does not decode as text, does not parse, or holds anything
+    but an object raises :class:`DataFormatError` naming ``what``.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataFormatError(f"{what}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{what}: expected a JSON object, got {type(payload).__name__}")
+    return payload

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, DataFormatError, RankedList
+from .core import ContractViolation, DataFormatError
 from .metrics import (
     EstimatorKind,
     LambdaWeight,
     expected_metric_exact,
     metric_ground_truth,
 )
-from .util import atomic_open
+from .util import atomic_open, read_json
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,6 @@ class OracleInstance:
     def n_candidates(self) -> int:
         return self.r_fwd.shape[1]
 
-    def rankings(self) -> list[RankedList]:
-        return [RankedList.from_indices(u, row) for u, row in enumerate(self.ranking)]
-
     def to_dict(self) -> dict:
         return {
             "r_fwd": self.r_fwd.tolist(),
@@ -102,12 +99,7 @@ def save_instance(inst: OracleInstance, path) -> None:
 
 
 def load_instance(path) -> OracleInstance:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"oracle instance: {exc}") from None
-    return OracleInstance.from_dict(payload)
+    return OracleInstance.from_dict(read_json(path, "oracle instance"))
 
 
 def single_pair_witness() -> OracleInstance:
@@ -163,12 +155,11 @@ class InstanceCheck:
 
 def check_instance(inst: OracleInstance) -> InstanceCheck:
     """Evaluate the exact expectation of all three estimators on one instance."""
-    rankings = inst.rankings()
     weight = LambdaWeight(k=inst.k)
-    truth = metric_ground_truth(rankings, inst.r_fwd, inst.r_bwd, weight).value
+    truth = metric_ground_truth(inst.ranking, inst.r_fwd, inst.r_bwd, weight).value
     expected = {
         kind.value: expected_metric_exact(
-            rankings, inst.r_fwd, inst.r_bwd, inst.theta_fwd, inst.theta_bwd, weight, kind
+            inst.ranking, inst.r_fwd, inst.r_bwd, inst.theta_fwd, inst.theta_bwd, weight, kind
         )
         for kind in EstimatorKind
     }
@@ -177,17 +168,8 @@ def check_instance(inst: OracleInstance) -> InstanceCheck:
 
 def _has_weighted_mutual_pair(inst: OracleInstance) -> bool:
     """True if some mutually relevant pair with backward exposure < 1 gets weight."""
-    for u in range(inst.n_users):
-        for pos, v in enumerate(inst.ranking[u], start=1):
-            if pos > inst.k:
-                break
-            if (
-                inst.r_fwd[u, v] == 1
-                and inst.r_bwd[u, v] == 1
-                and inst.theta_bwd[u, v] < 1.0
-            ):
-                return True
-    return False
+    eligible = (inst.r_fwd == 1) & (inst.r_bwd == 1) & (inst.theta_bwd < 1.0)
+    return bool(eligible[np.arange(inst.n_users)[:, None], inst.ranking[:, :inst.k]].any())
 
 
 @dataclass

@@ -139,6 +139,28 @@ class TestTrainEvaluateReport:
         assert (outs[0] / "eval.csv").read_bytes() == (outs[1] / "eval.csv").read_bytes()
 
 
+class TestCorruptJsonInputs:
+    @pytest.mark.parametrize("name", ["run.json", "folds.json"])
+    @pytest.mark.parametrize("content", [
+        b'{"command": "gen-data", "config": {"eta"',  # truncated
+        b"\x89PNG\r\n\x1a\n\xff\xfe\x00",  # binary
+        b"[1]",  # valid JSON, not an object
+    ], ids=["truncated", "binary", "non-object"])
+    def test_evaluate_reports_error_and_exits_one(self, data_dir, tmp_path, capsys,
+                                                  name, content):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2",
+                       "--epochs", "1", "--dim", "2", "--out", str(run_dir)) == 0
+        (data_dir / name).write_bytes(content)
+        capsys.readouterr()
+        code = run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(run_dir / "checkpoint.bin"), "--loss", "ipw2",
+                       "--out", str(tmp_path / "eval"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_default_passes(self, capsys):
         assert run_cli("verify", "--trials", "50", "--seed", "0") == 0

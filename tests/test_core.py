@@ -1,4 +1,4 @@
-"""Domain-type contracts: ranked lists, observations, matrices, folds."""
+"""Domain-type contracts: ranked lists, observed pairs, matrices, folds."""
 
 import numpy as np
 import pytest
@@ -6,49 +6,56 @@ import pytest
 from matchltr import (
     ContractViolation,
     AssumptionViolationError,
+    FeedbackDataset,
     FoldPlan,
-    MissingItemError,
-    PairObservation,
+    LambdaWeight,
     PreferenceMatrix,
     RankedList,
-    Side,
     SideAssignment,
-    proactive,
-    rank_of,
-    reactive,
+    metric_ground_truth,
+    rank_candidates,
 )
+
+
+def rank_of(entries, v, n_candidates=10):
+    """1-based rank of candidate ``v`` in one ranking, as the metric kernel reads it.
+
+    With ``v`` the only relevant candidate the metric is ``1 / log2(rank + 1)``;
+    a candidate the ranking does not list contributes nothing.
+    """
+    r_fwd = np.zeros((1, n_candidates))
+    r_fwd[0, v] = 1.0
+    value = metric_ground_truth(np.array([entries]), r_fwd, np.zeros_like(r_fwd),
+                                LambdaWeight(k=len(entries))).value
+    return None if value == 0.0 else round(2.0 ** (1.0 / value) - 1.0)
 
 
 class TestRankOf:
     def setup_method(self):
-        self.lst = RankedList.from_indices(0, [3, 1, 2])
+        self.entries = [3, 1, 2]
 
     def test_head_of_list(self):
-        assert rank_of(self.lst, reactive(3)) == 1
+        assert rank_of(self.entries, 3) == 1
 
     def test_tail_of_list(self):
-        assert rank_of(self.lst, reactive(2)) == 3
+        assert rank_of(self.entries, 2) == 3
 
     def test_absent_item(self):
-        with pytest.raises(MissingItemError):
-            rank_of(self.lst, reactive(9))
+        assert rank_of(self.entries, 9) is None
 
     def test_ranks_are_a_bijection(self):
-        ranks = [rank_of(self.lst, e) for e in self.lst.entries]
+        ranks = [rank_of(self.entries, v) for v in self.entries]
         assert ranks == [1, 2, 3]
 
     def test_consistent_with_score_sorting(self):
         # sorting candidates by score and reading ranks back gives 1..n
-        from matchltr import rank_candidates
-
         rng = np.random.default_rng(3)
         scores = rng.random((1, 6))
         order = rank_candidates(scores)[0]
-        lst = RankedList.from_indices(0, order)
-        ranks = sorted(rank_of(lst, reactive(int(v))) for v in order)
+        ranks = sorted(rank_of(order, int(v), 6) for v in order)
         assert ranks == list(range(1, 7))
         best = int(np.argmax(scores[0]))
-        assert rank_of(lst, reactive(best)) == 1
+        assert rank_of(order, best, 6) == 1
 
 
 class TestRankedList:
@@ -57,61 +64,76 @@ class TestRankedList:
             RankedList.from_indices(0, [1, 1, 2])
 
     def test_owner_must_be_proactive(self):
+        # the owner is a proactive index: a row of the (proactive x reactive) labels
         with pytest.raises(ContractViolation):
-            RankedList(owner=reactive(0), entries=(reactive(1),))
+            RankedList.from_indices(-1, [0])
+        labels = np.ones((2, 3))
+        with pytest.raises(ContractViolation):
+            metric_ground_truth([RankedList.from_indices(2, [0])], labels, labels,
+                                LambdaWeight(k=1))
 
     def test_entries_must_be_reactive(self):
+        # entries are reactive indices: columns of the (proactive x reactive) labels
         with pytest.raises(ContractViolation):
-            RankedList(owner=proactive(0), entries=(proactive(1),))
+            RankedList.from_indices(0, [1, -2])
+        labels = np.ones((2, 3))
+        with pytest.raises(ContractViolation):
+            metric_ground_truth([RankedList.from_indices(0, [3])], labels, labels,
+                                LambdaWeight(k=1))
 
     def test_entry_indices(self):
-        lst = RankedList.from_indices(2, [5, 0, 3])
+        lst = RankedList.from_indices(2, np.array([5, 0, 3]))
         assert lst.entry_indices().tolist() == [5, 0, 3]
+        assert lst.owner == 2 and lst.entries == (5, 0, 3)
         assert len(lst) == 3
 
 
 class TestPairObservation:
-    def _make(self, **kwargs):
-        base = dict(
-            u=proactive(0), v=reactive(1),
-            r_forward=1, r_backward=1,
-            o_forward=1, o_backward=0,
-            y_forward=1, y_backward=0,
-            theta_forward=0.5, theta_backward=0.5,
+    """One observed pair is one row of a FeedbackDataset, which checks its columns."""
+
+    def _make(self, u=0, v=1, **kwargs):
+        # one proactive and two reactive users; the test block is empty
+        plan = FoldPlan(k=2, proactive_folds=((0,), ()), reactive_folds=((), (0, 1)))
+        row = dict(
+            r_fwd=1, r_bwd=1, o_fwd=1, o_bwd=0, y_fwd=1, y_bwd=0,
+            theta_fwd=0.5, theta_bwd=0.5,
         )
-        base.update(kwargs)
-        return PairObservation(**base)
+        row.update(kwargs)
+        return FeedbackDataset(fold_plan=plan, u=[u], v=[v],
+                               **{name: [value] for name, value in row.items()})
 
     def test_valid_observation(self):
         obs = self._make()
-        assert obs.y_forward == 1 and obs.y_backward == 0
+        assert obs.y_fwd.tolist() == [1] and obs.y_bwd.tolist() == [0]
 
     def test_forward_composition_enforced(self):
         with pytest.raises(ContractViolation):
-            self._make(o_forward=0, y_forward=1, y_backward=0)
+            self._make(o_fwd=0, y_fwd=1, y_bwd=0)
 
     def test_backward_composition_enforced(self):
         with pytest.raises(ContractViolation):
-            self._make(o_backward=1, y_backward=1, r_backward=0)
+            self._make(o_bwd=1, y_bwd=1, r_bwd=0)
 
     def test_backward_needs_forward(self):
-        # y_backward = 1 with y_forward = 0 is unrepresentable
+        # y_bwd = 1 with y_fwd = 0 is unrepresentable
         with pytest.raises(ContractViolation):
-            self._make(r_forward=0, o_forward=1, y_forward=0, y_backward=1)
+            self._make(r_fwd=0, o_fwd=1, y_fwd=0, y_bwd=1)
 
     def test_theta_must_be_positive(self):
         with pytest.raises(AssumptionViolationError):
-            self._make(theta_forward=0.0)
+            self._make(theta_fwd=0.0)
         with pytest.raises(AssumptionViolationError):
-            self._make(theta_backward=1.5)
+            self._make(theta_bwd=1.5)
 
     def test_sides_enforced(self):
+        # u indexes the proactive side and v the reactive side: index 1 is a
+        # reactive user here, so it cannot own the pair
         with pytest.raises(ContractViolation):
-            self._make(u=reactive(0))
+            self._make(u=1, v=0)
 
     def test_non_bit_rejected(self):
         with pytest.raises(ContractViolation):
-            self._make(r_forward=2, y_forward=2)
+            self._make(r_fwd=2, y_fwd=2)
 
 
 class TestPreferenceMatrix:

@@ -1,0 +1,29 @@
+"""The narrative demo scripts run to completion against the installed package.
+
+``full_experiment.py`` is left out: it runs the whole cross-validated grid
+and takes about a minute.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", [
+    "estimator_bias.py", "simulate_feedback.py", "train_rankers.py",
+])
+def test_demo_exits_zero(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

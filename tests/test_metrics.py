@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matchltr import (
     AssumptionViolationError,
@@ -28,19 +31,17 @@ from matchltr import (
     gain_ipw,
     gain_surrogate,
     gain_true,
-    lambda_weight,
     load_eval_report,
     metric_ground_truth,
-    metric_ipw1,
-    metric_ipw2,
-    metric_naive,
     save_eval_report,
 )
+
+NAIVE, IPW1, IPW2 = EstimatorKind.NAIVE, EstimatorKind.IPW1, EstimatorKind.IPW2
 
 
 def brute_force_expectation(rankings, r_fwd, r_bwd, theta_fwd, theta_bwd, weight, kind):
     """Average an estimator over every joint exposure outcome, exhaustively."""
-    pairs = [(lst.owner.index, e.index) for lst in rankings for e in lst.entries]
+    pairs = [(lst.owner, v) for lst in rankings for v in lst.entries]
     total = 0.0
     for outcome in itertools.product((0, 1), repeat=2 * len(pairs)):
         o_fwd = np.zeros_like(np.asarray(theta_fwd, dtype=float))
@@ -64,22 +65,21 @@ def brute_force_expectation(rankings, r_fwd, r_bwd, theta_fwd, theta_bwd, weight
 
 class TestLambdaWeight:
     def test_rank_one(self):
-        assert lambda_weight(LambdaWeight(k=1), 1) == 1.0
+        assert LambdaWeight(k=1).weights([1]).tolist() == [1.0]
 
     def test_beyond_cutoff(self):
-        assert lambda_weight(LambdaWeight(k=3), 4) == 0.0
+        assert LambdaWeight(k=3).weights([4]).tolist() == [0.0]
 
     def test_rank_three(self):
-        assert lambda_weight(LambdaWeight(k=10), 3) == 0.5
+        assert LambdaWeight(k=10).weights([3]).tolist() == [0.5]
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(ContractViolation):
-            lambda_weight(LambdaWeight(k=3), 0)
+            LambdaWeight(k=3).weights([0])
 
     def test_non_increasing(self):
-        w = LambdaWeight(k=7)
-        values = [lambda_weight(w, r) for r in range(1, 15)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        values = LambdaWeight(k=7).weights(np.arange(1, 15))
+        assert (np.diff(values) <= 0.0).all()
 
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ContractViolation):
@@ -186,7 +186,8 @@ class TestNaiveEstimator:
     def test_all_feedback_zero(self):
         rankings, *_ = _single_pair_setup()
         zero = np.zeros((1, 1))
-        assert metric_naive(rankings, zero, zero, LambdaWeight(k=1)).value == 0.0
+        assert estimate_metric(NAIVE, rankings, zero, zero, None, None,
+                               LambdaWeight(k=1)).value == 0.0
 
     def test_full_exposure_recovers_ground_truth(self):
         rng = np.random.default_rng(1)
@@ -197,7 +198,7 @@ class TestNaiveEstimator:
         # once everything is exposed, feedback equals relevance composition
         y_fwd = r_fwd
         y_bwd = r_fwd * r_bwd
-        assert metric_naive(rankings, y_fwd, y_bwd, w).value == \
+        assert estimate_metric(NAIVE, rankings, y_fwd, y_bwd, None, None, w).value == \
             metric_ground_truth(rankings, r_fwd, r_bwd, w).value
 
     def test_bias_by_enumeration(self):
@@ -238,22 +239,22 @@ class TestIpw1Estimator:
         rankings = [RankedList.from_indices(u, rng.permutation(4)) for u in range(2)]
         w = LambdaWeight(k=3)
         ones = np.ones((2, 4))
-        assert metric_ipw1(rankings, y_fwd, y_bwd, ones, w).value == \
-            metric_naive(rankings, y_fwd, y_bwd, w).value
+        assert estimate_metric(IPW1, rankings, y_fwd, y_bwd, ones, None, w).value == \
+            estimate_metric(NAIVE, rankings, y_fwd, y_bwd, None, None, w).value
 
     def test_single_contribution(self):
         rankings, *_ = _single_pair_setup()
         y_fwd = np.array([[1.0]])
         y_bwd = np.array([[0.0]])
         t_fwd = np.array([[0.5]])
-        got = metric_ipw1(rankings, y_fwd, y_bwd, t_fwd, LambdaWeight(k=1))
+        got = estimate_metric(IPW1, rankings, y_fwd, y_bwd, t_fwd, None, LambdaWeight(k=1))
         assert got.value == 2.0
 
     def test_zero_feedback(self):
         rankings, *_ = _single_pair_setup()
         zero = np.zeros((1, 1))
-        assert metric_ipw1(rankings, zero, zero, np.full((1, 1), 0.4),
-                           LambdaWeight(k=1)).value == 0.0
+        assert estimate_metric(IPW1, rankings, zero, zero, np.full((1, 1), 0.4), None,
+                               LambdaWeight(k=1)).value == 0.0
 
     def test_classic_one_sided_case_is_unbiased(self):
         # full backward exposure and no backward relevance: the one-sided
@@ -290,8 +291,8 @@ class TestIpw2Estimator:
         rankings = [RankedList.from_indices(u, rng.permutation(6)) for u in range(3)]
         w = LambdaWeight(k=4)
         ones = np.ones((3, 6))
-        assert metric_ipw2(rankings, y_fwd, y_bwd, ones, ones, w).value == \
-            metric_naive(rankings, y_fwd, y_bwd, w).value
+        assert estimate_metric(IPW2, rankings, y_fwd, y_bwd, ones, ones, w).value == \
+            estimate_metric(NAIVE, rankings, y_fwd, y_bwd, None, None, w).value
 
     def test_unbiased_single_pair_by_enumeration(self):
         # 0.25 * gain_ipw(1,0) + 0.25 * gain_ipw(1,1) = 0.25*2 + 0.25*10 = 3.0
@@ -307,14 +308,15 @@ class TestIpw2Estimator:
         rankings, *_ = _single_pair_setup()
         zero = np.zeros((1, 1))
         half = np.full((1, 1), 0.5)
-        assert metric_ipw2(rankings, zero, zero, half, half, LambdaWeight(k=1)).value == 0.0
+        assert estimate_metric(IPW2, rankings, zero, zero, half, half,
+                               LambdaWeight(k=1)).value == 0.0
 
     def test_theta_zero_rejected(self):
         rankings, _, _, t_fwd, t_bwd = _single_pair_setup()
         y = np.array([[1.0]])
         with pytest.raises(AssumptionViolationError):
-            metric_ipw2(rankings, y, np.zeros((1, 1)), np.zeros((1, 1)), t_bwd,
-                        LambdaWeight(k=1))
+            estimate_metric(IPW2, rankings, y, np.zeros((1, 1)), np.zeros((1, 1)), t_bwd,
+                            LambdaWeight(k=1))
 
 
 class TestExactOracle:
@@ -399,6 +401,95 @@ class TestExactOracle:
             expected_metric_exact(rankings, r_fwd, r_bwd, np.full((1, 1), 1.5),
                                   np.full((1, 1), 0.5), LambdaWeight(k=1),
                                   EstimatorKind.IPW2)
+
+
+def reference_metric(kind, rankings, y_fwd, y_bwd, theta_fwd, theta_bwd, weight):
+    """The per-list loop the kernel replaced: ``lam @ gain`` per user, then the mean.
+
+    ``kind=None`` gives the ground truth, reading ``(y_fwd, y_bwd)`` as relevance.
+    """
+    totals = np.empty(len(rankings))
+    for i, ranked in enumerate(rankings):
+        u, idx = ranked.owner, ranked.entry_indices()
+        lam = weight.weights(np.arange(1, len(ranked) + 1))
+        yf, yb = y_fwd[u, idx], y_bwd[u, idx]
+        if kind is None:
+            gain = np.exp2(yf * (1.0 + yb)) - 1.0
+        elif kind is NAIVE:
+            gain = np.exp2(yf + yb) - 1.0
+        elif kind is IPW1:
+            gain = (np.exp2(yf + yb) - 1.0) / theta_fwd[u, idx]
+        else:
+            tf, tb = theta_fwd[u, idx], theta_bwd[u, idx]
+            gain = np.exp2(yf) * (np.exp2(yb) - 1.0) / (tf * tb) + (np.exp2(yf) - 1.0) / tf
+        totals[i] = lam @ gain
+    return float(totals.sum() / len(rankings))
+
+
+@st.composite
+def ranked_instances(draw):
+    """Lists of one depth whose owners are label rows in any order, and a cutoff up to depth + 3."""
+    n_rows = draw(st.integers(1, 5))
+    n_cands = draw(st.integers(1, 6))
+    owners = draw(st.permutations(range(n_rows)))[:draw(st.integers(1, n_rows))]
+    depth = draw(st.integers(1, n_cands))
+    rankings = [RankedList.from_indices(u, draw(st.permutations(range(n_cands)))[:depth])
+                for u in owners]
+    shape = (n_rows, n_cands)
+    bits = arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0]))
+    thetas = arrays(np.float64, shape, elements=st.floats(1e-6, 1.0))
+    weight = LambdaWeight(k=draw(st.integers(1, depth + 3)))
+    return rankings, draw(bits), draw(bits), draw(thetas), draw(thetas), weight
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_instances())
+    def test_estimators_and_truth_match_the_loop(self, inst):
+        rankings, r_fwd, r_bwd, t_fwd, t_bwd, w = inst
+        y_fwd, y_bwd = r_fwd, r_fwd * r_bwd
+        for kind in EstimatorKind:
+            got = estimate_metric(kind, rankings, y_fwd, y_bwd, t_fwd, t_bwd, w).value
+            want = reference_metric(kind, rankings, y_fwd, y_bwd, t_fwd, t_bwd, w)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+        got = metric_ground_truth(rankings, r_fwd, r_bwd, w).value
+        assert math.isclose(got, reference_metric(None, rankings, r_fwd, r_bwd, None, None, w),
+                            rel_tol=1e-12, abs_tol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_instances())
+    def test_ranked_lists_and_index_array_agree(self, inst):
+        rankings, r_fwd, r_bwd, t_fwd, t_bwd, w = inst
+        owners = [lst.owner for lst in rankings]
+        ranking = np.array([lst.entries for lst in rankings])
+        lists = (rankings, r_fwd, r_bwd, t_fwd, t_bwd)
+        rows = (ranking, r_fwd[owners], r_bwd[owners], t_fwd[owners], t_bwd[owners])
+        feedback = (r_fwd, r_fwd * r_bwd, t_fwd, t_bwd)
+        for kind in EstimatorKind:
+            assert expected_metric_exact(*lists, w, kind) == expected_metric_exact(*rows, w, kind)
+            assert estimate_metric(kind, rankings, *feedback, w) == \
+                estimate_metric(kind, ranking, *(a[owners] for a in feedback), w)
+        assert metric_ground_truth(*lists[:3], w) == metric_ground_truth(*rows[:3], w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ranked_instances())
+    def test_two_sided_unbiased_for_any_theta(self, inst):
+        rankings, r_fwd, r_bwd, t_fwd, t_bwd, w = inst
+        expect = expected_metric_exact(rankings, r_fwd, r_bwd, t_fwd, t_bwd, w, IPW2)
+        truth = metric_ground_truth(rankings, r_fwd, r_bwd, w).value
+        assert math.isclose(expect, truth, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_ragged_lists_rejected(self):
+        rankings = [RankedList.from_indices(0, [0, 1]), RankedList.from_indices(1, [0])]
+        with pytest.raises(ContractViolation):
+            metric_ground_truth(rankings, np.ones((2, 2)), np.ones((2, 2)), LambdaWeight(k=2))
+
+    def test_bad_index_arrays_rejected(self):
+        ones = np.ones((2, 3))
+        for ranking in (np.array([[0, 1], [2, -1]]), np.array([[0, 0], [1, 2]]),
+                        np.array([0, 1]), np.array([[0.0, 1.0], [1.0, 2.0]])):
+            with pytest.raises(ContractViolation):
+                metric_ground_truth(ranking, ones, ones, LambdaWeight(k=2))
 
 
 class TestDcgAtK:

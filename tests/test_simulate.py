@@ -179,9 +179,6 @@ class TestSampleDataset:
         assert np.array_equal(ds.y_fwd, ds.o_fwd * ds.r_fwd)
         assert np.array_equal(ds.y_bwd, ds.y_fwd * ds.o_bwd * ds.r_bwd)
         assert (ds.y_bwd <= ds.y_fwd).all()
-        # every typed observation validates its own invariants
-        for obs in ds.observations():
-            pass
 
     def test_backward_feedback_rate_quarter(self):
         # all-ones preferences, both exposures 1/2: P(y_bwd=1) = 1/4 exactly;
