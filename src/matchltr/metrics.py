@@ -25,7 +25,7 @@ from .core import (
     RankedList,
     UndefinedAverageError,
 )
-from .util import atomic_open, format_float
+from .util import atomic_open, format_float, open_text
 
 
 class EstimatorKind(enum.Enum):
@@ -62,7 +62,7 @@ class LambdaWeight:
 
 def _as_bits(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.isin(arr, (0.0, 1.0)).all():
+    if not ((arr == 0.0) | (arr == 1.0)).all():
         raise ContractViolation(f"{name} must contain bits (0 or 1)")
     return arr
 
@@ -361,7 +361,7 @@ def save_eval_report(records: Sequence[EvalRecord], path) -> None:
 
 def load_eval_report(path) -> list[EvalRecord]:
     records: list[EvalRecord] = []
-    with open(path, newline="") as fh:
+    with open_text(path, "eval report CSV") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(_REPORT_COLUMNS):

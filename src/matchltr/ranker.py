@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -171,49 +172,6 @@ def _loss_inputs(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     return candidates, coef_fwd, coef_bwd
 
 
-def _space_forward(w_actor: np.ndarray, w_targets: np.ndarray, coef: np.ndarray):
-    """Scores ``s = sigmoid(z)``, ratios ``p = s / sum(s)`` and the loss ``-sum(coef * log p)``."""
-    # NaNs from exploded embeddings propagate to the caller's divergence check
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = expit(w_targets @ w_actor)
-        p = s / s.sum()
-        return s, p, float(-(coef @ np.log(np.maximum(p, PROB_FLOOR))))
-
-
-def loss_terms(
-    model: RankerModel,
-    u: int,
-    candidates,
-    y_fwd,
-    y_bwd,
-    theta_fwd=None,
-    theta_bwd=None,
-    kind: LossKind = LossKind.CONVENTIONAL,
-) -> tuple[float, float]:
-    """(forward, backward) cross-entropy terms of the listwise loss for one user."""
-    cands, coef_fwd, coef_bwd = _loss_inputs(
-        model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
-    )
-    _, _, fwd = _space_forward(model.w_pro_fwd[u], model.w_rea_fwd[cands], coef_fwd)
-    _, _, bwd = _space_forward(model.w_pro_bwd[u], model.w_rea_bwd[cands], coef_bwd)
-    return fwd, bwd
-
-
-def loss_user(
-    model: RankerModel,
-    u: int,
-    candidates,
-    y_fwd,
-    y_bwd,
-    theta_fwd=None,
-    theta_bwd=None,
-    kind: LossKind = LossKind.CONVENTIONAL,
-) -> float:
-    """Listwise loss of one user's candidate list (sum of both directional terms)."""
-    fwd, bwd = loss_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
-    return fwd + bwd
-
-
 @dataclass(eq=False)
 class GradientTables:
     """Gradients with the same shapes as the model's four tables."""
@@ -237,53 +195,113 @@ class GradientTables:
             table *= factor
 
 
-def _space_gradient(
-    w_actor: np.ndarray,
-    w_targets: np.ndarray,
-    coef: np.ndarray,
-    grad_actor: np.ndarray,
-    grad_targets: np.ndarray,
-    target_rows: np.ndarray,
-) -> float:
-    """Accumulate one space's gradient; returns that space's loss value.
-
-    With s = sigmoid(z), p = s / sum(s) and L = -sum(coef * log p), the
-    derivative is dL/dz_v = (sum(coef) * p_v - coef_v) * (1 - s_v).  The
-    probability floor inside the log is ignored by the gradient; it only
-    binds at p <= 1e-12, far outside normal operation.
-    """
-    s, p, loss = _space_forward(w_actor, w_targets, coef)
-    with np.errstate(invalid="ignore"):
-        dz = (coef.sum() * p - coef) * (1.0 - s)
-    grad_actor += dz @ w_targets
-    grad_targets[target_rows] += dz[:, None] * w_actor[None, :]
-    return loss
-
-
 def accumulate_gradient(
+    model: RankerModel,
+    users: np.ndarray,
+    candidate_sets: Sequence[np.ndarray],
+    groups: np.ndarray,
+    coef_fwd: np.ndarray,
+    coef_bwd: np.ndarray,
+    out: GradientTables | None,
+) -> np.ndarray:
+    """Listwise loss of a minibatch; adds its gradient into ``out`` unless None.
+
+    User ``users[i]`` ranks the candidates ``candidate_sets[groups[i]]`` with
+    cross-entropy weights taken from the dense rows ``coef_fwd[i]`` and
+    ``coef_bwd[i]`` (length ``n_reactive``).  Returns the ``(batch, 2)``
+    forward and backward loss terms in batch order.
+
+    In each space, with s = sigmoid(z), p = s / sum(s) and L = -sum(coef *
+    log p), the derivative is dL/dz_v = (sum(coef) * p_v - coef_v) * (1 - s_v).
+    The probability floor inside the log is ignored by the gradient; it only
+    binds at p <= 1e-12, far outside normal operation.
+
+    Every float operation matches a one-user-at-a-time loop: stacked matmuls
+    run one matrix-vector product per user, sums run over each user's own
+    candidates, and reactive rows receive ``dz_i * w_u[i]`` in batch order.
+    The result is therefore bit-identical to summing single-user gradients in
+    batch order, whatever the batch size.
+    """
+    users = np.asarray(users, dtype=np.intp)
+    groups = np.asarray(groups, dtype=np.intp)
+    terms = np.empty((users.size, 2))
+    spaces = (
+        (model.w_pro_fwd, model.w_rea_fwd, coef_fwd),
+        (model.w_pro_bwd, model.w_rea_bwd, coef_bwd),
+    )
+    grads = (None, None) if out is None else (
+        (out.w_pro_fwd, out.w_rea_fwd),
+        (out.w_pro_bwd, out.w_rea_bwd),
+    )
+    # NaNs from exploded embeddings propagate to the caller's divergence check
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for space, ((w_pro, w_rea, coef), grad) in enumerate(zip(spaces, grads)):
+            w_users = w_pro[users]
+            d_users = np.empty_like(w_users)
+            dz_rows = np.zeros((users.size, w_rea.shape[0]))
+            for g, cands in enumerate(candidate_sets):
+                rows = np.flatnonzero(groups == g)
+                if rows.size == 0:
+                    continue
+                w_cands = w_rea[cands]
+                c = coef[np.ix_(rows, cands)]
+                s = expit(np.matmul(w_cands, w_users[rows, :, None])[:, :, 0])
+                p = s / s.sum(axis=1, keepdims=True)
+                log_p = np.log(np.maximum(p, PROB_FLOOR))
+                terms[rows, space] = -np.matmul(c[:, None, :], log_p[:, :, None])[:, 0, 0]
+                if grad is not None:
+                    dz = (c.sum(axis=1, keepdims=True) * p - c) * (1.0 - s)
+                    d_users[rows] = np.matmul(dz[:, None, :], w_cands)[:, 0, :]
+                    dz_rows[np.ix_(rows, cands)] = dz
+            if grad is None:
+                continue
+            grad_pro, grad_rea = grad
+            np.add.at(grad_pro, users, d_users)
+            outer = np.empty_like(grad_rea)
+            for dz_row, w_user in zip(dz_rows, w_users):
+                np.multiply(dz_row[:, None], w_user, out=outer)
+                grad_rea += outer
+    return terms
+
+
+def _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, out=None):
+    """One user's (forward, backward) loss terms through the minibatch kernel."""
+    cands, coef_fwd, coef_bwd = _loss_inputs(
+        model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
+    )
+    coef = np.zeros((2, 1, model.n_reactive))
+    coef[:, 0, cands] = coef_fwd, coef_bwd
+    terms = accumulate_gradient(model, [u], (cands,), [0], coef[0], coef[1], out)
+    return float(terms[0, 0]), float(terms[0, 1])
+
+
+def loss_terms(
     model: RankerModel,
     u: int,
     candidates,
     y_fwd,
     y_bwd,
-    theta_fwd,
-    theta_bwd,
-    kind: LossKind,
-    out: GradientTables,
+    theta_fwd=None,
+    theta_bwd=None,
+    kind: LossKind = LossKind.CONVENTIONAL,
+) -> tuple[float, float]:
+    """(forward, backward) cross-entropy terms of the listwise loss for one user."""
+    return _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+
+
+def loss_user(
+    model: RankerModel,
+    u: int,
+    candidates,
+    y_fwd,
+    y_bwd,
+    theta_fwd=None,
+    theta_bwd=None,
+    kind: LossKind = LossKind.CONVENTIONAL,
 ) -> float:
-    """Add one user's loss gradient into ``out``; returns the user's loss."""
-    cands, coef_fwd, coef_bwd = _loss_inputs(
-        model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
-    )
-    loss_fwd = _space_gradient(
-        model.w_pro_fwd[u], model.w_rea_fwd[cands], coef_fwd,
-        out.w_pro_fwd[u], out.w_rea_fwd, cands,
-    )
-    loss_bwd = _space_gradient(
-        model.w_pro_bwd[u], model.w_rea_bwd[cands], coef_bwd,
-        out.w_pro_bwd[u], out.w_rea_bwd, cands,
-    )
-    return loss_fwd + loss_bwd
+    """Listwise loss of one user's candidate list (sum of both directional terms)."""
+    fwd, bwd = loss_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    return fwd + bwd
 
 
 def loss_gradient(
@@ -301,7 +319,7 @@ def loss_gradient(
     Rows of users not touched by the candidate list are zero.
     """
     out = GradientTables.zeros_like(model)
-    accumulate_gradient(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, out)
+    _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, out)
     return out
 
 

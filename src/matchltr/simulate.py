@@ -26,7 +26,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, read_json
+from .util import atomic_open, format_float, open_text, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
 def _parse_float_csv(path, what: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, newline="") as fh:
+    with open_text(path, what) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -529,7 +529,7 @@ def load_dataset(
     Fold labels stored in the file are cross-checked against the plan.
     """
     columns: dict[str, list] = {name: [] for name in _DATASET_COLUMNS}
-    with open(path, newline="") as fh:
+    with open_text(path, "dataset CSV") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(_DATASET_COLUMNS):

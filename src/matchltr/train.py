@@ -32,6 +32,7 @@ from .metrics import (
     dcg_at_k,
     dcg_from_gains,
     estimate_metric,
+    feedback_coefficients,
     rank_candidates,
 )
 from .ranker import (
@@ -43,7 +44,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import atomic_open, derive_seed, format_float, read_json
+from .util import atomic_open, derive_seed, format_float, open_text, read_json
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def save_training_log(log: TrainingLog, path) -> None:
 
 def load_training_log(path) -> TrainingLog:
     records = []
-    with open(path, newline="") as fh:
+    with open_text(path, "training log CSV") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["epoch", "train_loss", "valid_metric"]:
@@ -154,6 +155,27 @@ def _per_user_training_data(dataset: FeedbackDataset):
     return per_user
 
 
+def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
+    """The minibatch kernel's per-run inputs, built once per training run.
+
+    Users with the same training candidates share one candidate set (a k-fold
+    plan has three: test-fold users, validation-fold users and the rest).
+    Returns the sets, each user's set index, and dense ``(n_proactive,
+    n_reactive)`` forward and backward loss weights, zero off the training block.
+    """
+    per_user = _per_user_training_data(dataset)
+    index: dict[bytes, int] = {}
+    groups = np.empty(len(per_user), dtype=np.intp)
+    coef = np.zeros((2, len(per_user), dataset.n_reactive))
+    for u, (cands, *feedback) in enumerate(per_user):
+        if cands.size == 0:
+            raise ContractViolation(f"user {u} has an empty training candidate list")
+        groups[u] = index.setdefault(cands.tobytes(), len(index))
+        coef[:, u, cands] = feedback_coefficients(kind.paired_metric, *feedback)
+    candidate_sets = tuple(np.frombuffer(key, dtype=np.intp) for key in index)
+    return candidate_sets, groups, coef[0], coef[1]
+
+
 def _validation_context(dataset: FeedbackDataset):
     """Validation users and candidates, and the block's feedback and propensities."""
     plan = dataset.fold_plan
@@ -190,7 +212,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     if cfg.epochs == 0:
         return model, log
 
-    per_user = _per_user_training_data(dataset)
+    candidate_sets, groups, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
     val_ctx = _validation_context(dataset)
     metric_kind = cfg.resolved_validation_kind
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
@@ -204,11 +226,13 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         for start in range(0, order.size, cfg.batch):
             batch = order[start:start + cfg.batch]
             grads = GradientTables.zeros_like(model)
-            for u in batch:
-                cands, yf, yb, tf, tb = per_user[u]
-                loss_sum += accumulate_gradient(
-                    model, int(u), cands, yf, yb, tf, tb, cfg.loss_kind, grads
-                )
+            terms = accumulate_gradient(
+                model, batch, candidate_sets, groups[batch],
+                coef_fwd[batch], coef_bwd[batch], grads,
+            )
+            # one addition per user in batch order, not a (pairwise) array sum
+            for loss in (terms[:, 0] + terms[:, 1]).tolist():
+                loss_sum += loss
             grads.scale(1.0 / batch.size)
             for name in tables:
                 table = getattr(model, name)

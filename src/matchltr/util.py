@@ -1,7 +1,8 @@
-"""Small shared helpers: seed derivation, atomic file writes, JSON reads, float formatting."""
+"""Small shared helpers: seed derivation, atomic writes, text and JSON reads, float formatting."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -46,6 +47,20 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextmanager
+def open_text(path: str | os.PathLike, what: str):
+    """Open a text file for reading, e.g. with :func:`csv.reader`.
+
+    Bytes that do not decode as text, or that the CSV reader rejects, raise
+    :class:`DataFormatError` naming ``what`` and the file.
+    """
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{what} {os.fspath(path)}: {exc}") from None
 
 
 def read_json(path: str | os.PathLike, what: str) -> dict:

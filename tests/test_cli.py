@@ -1,6 +1,10 @@
 """End-to-end command-line flows and their file artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,67 @@ class TestCorruptJsonInputs:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestBinaryCsvInputs:
+    # evaluate reads preferences.csv but never dataset.csv, so that case must succeed
+    @pytest.mark.parametrize("name, command, code", [
+        ("dataset.csv", "train", 1),
+        ("dataset.csv", "evaluate", 0),
+        ("preferences.csv", "evaluate", 1),
+        ("eval.csv", "report", 1),
+    ])
+    def test_error_without_traceback(self, data_dir, tmp_path, capsys, name, command, code):
+        run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2",
+                       "--epochs", "1", "--dim", "2", "--out", str(run_dir)) == 0
+        assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(run_dir / "checkpoint.bin"), "--loss", "ipw2",
+                       "--out", str(eval_dir)) == 0
+        target = eval_dir / name if name == "eval.csv" else data_dir / name
+        target.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        argv = {
+            "train": ["train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "1",
+                      "--dim", "2", "--out", str(tmp_path / "run2")],
+            "evaluate": ["evaluate", "--data", str(data_dir), "--model",
+                         str(run_dir / "checkpoint.bin"), "--loss", "ipw2",
+                         "--out", str(tmp_path / "eval2")],
+            "report": ["report", str(target)],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and name in err
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Training runs one small matrix-vector product per user; at this size
+    the checkpoint bytes must not depend on the BLAS thread count."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+
+    def cli(*argv, threads="1"):
+        result = subprocess.run(
+            [sys.executable, "-m", "matchltr.cli", *argv],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+
+    data = tmp_path / "data"
+    cli("gen-data", "--synth", "200,200,4,0.05", "--eta", "1.0", "--seed", "3", "--out", str(data))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        cli("train", "--data", str(data), "--loss", "ipw2", "--epochs", "2", "--seed", "4",
+            "--out", str(out), threads=threads)
+        checkpoints.append((out / "checkpoint.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 class TestVerifyCommand:

@@ -127,6 +127,12 @@ class TestGains:
         with pytest.raises(ContractViolation):
             gain_true(0.5, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0, -1.0])
+    def test_every_non_bit_rejected(self, bad):
+        for r_fwd, r_bwd in (([1.0, bad], [0.0, 0.0]), ([1.0, 1.0], [bad, 0.0])):
+            with pytest.raises(ContractViolation, match="bits"):
+                gain_true(np.array(r_fwd), np.array(r_bwd))
+
 
 def _single_pair_setup(r=(1, 1), theta=(0.5, 0.5)):
     rankings = [RankedList.from_indices(0, [0])]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchltr import (
     AssumptionViolationError,
@@ -21,6 +23,10 @@ from matchltr import (
     score_matrix,
     score_mutual,
 )
+from matchltr.metrics import feedback_coefficients
+from matchltr.ranker import accumulate_gradient
+
+TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 
 
 def _zero_model(n_pro=3, n_rea=4, dim=2):
@@ -287,6 +293,53 @@ class TestGradient:
         g2 = loss_gradient(model, 0, cands, y_fwd, y_bwd, ones, ones, LossKind.IPW2)
         for name in ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd"):
             assert np.array_equal(getattr(g1, name), getattr(g2, name))
+
+
+class TestMinibatchKernel:
+    """One kernel call over a minibatch against single-user calls of the public losses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_pro=st.integers(1, 6),
+        n_rea=st.integers(1, 9),
+        dim=st.integers(1, 5),
+        batch=st.integers(1, 8),
+        n_sets=st.integers(1, 3),
+        kind=st.sampled_from(list(LossKind)),
+    )
+    def test_equals_batch_order_sum_of_single_users(
+        self, seed, n_pro, n_rea, dim, batch, n_sets, kind
+    ):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng, n_pro, n_rea, dim, scale=1.0)
+        users = rng.integers(0, n_pro, size=batch)  # repeats allowed
+        candidate_sets = [
+            rng.permutation(n_rea)[:rng.integers(1, n_rea + 1)] for _ in range(n_sets)
+        ]
+        groups = rng.integers(0, n_sets, size=batch)
+        y_fwd = (rng.random((batch, n_rea)) < 0.6).astype(float)
+        y_bwd = y_fwd * (rng.random((batch, n_rea)) < 0.5)
+        tf = rng.uniform(0.05, 1.0, (batch, n_rea))
+        tb = rng.uniform(0.05, 1.0, (batch, n_rea))
+        coef = feedback_coefficients(kind.paired_metric, y_fwd, y_bwd, tf, tb)
+
+        out = GradientTables.zeros_like(model)
+        terms = accumulate_gradient(model, users, candidate_sets, groups, *coef, out)
+        assert np.array_equal(
+            accumulate_gradient(model, users, candidate_sets, groups, *coef, None), terms
+        )
+
+        expected = GradientTables.zeros_like(model)
+        for i, u in enumerate(users):
+            cands = candidate_sets[groups[i]]
+            feedback = (y_fwd[i, cands], y_bwd[i, cands], tf[i, cands], tb[i, cands])
+            single = loss_gradient(model, int(u), cands, *feedback, kind)
+            for name in TABLES:
+                setattr(expected, name, getattr(expected, name) + getattr(single, name))
+            assert terms[i, 0] + terms[i, 1] == loss_user(model, int(u), cands, *feedback, kind)
+        for name in TABLES:
+            assert np.array_equal(getattr(out, name), getattr(expected, name))
 
 
 class TestCheckpoint:

@@ -4,9 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from matchltr import (
     ContractViolation,
+    DataFormatError,
     DivergenceError,
     EstimatorKind,
     ExposureModel,
@@ -33,7 +35,11 @@ from matchltr import (
     train_model,
     validation_metric,
 )
-from matchltr.train import TrainingLog, EpochRecord
+from matchltr.metrics import feedback_coefficients
+from matchltr.ranker import PROB_FLOOR, GradientTables
+from matchltr.train import EpochRecord, TrainingLog, _per_user_training_data
+
+TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 
 
 def _world(n=12, eta=0.8, k=3, seed=0, m_seed=1):
@@ -141,6 +147,69 @@ class TestTrainModel:
                           learning_rate=1e12, batch=12, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train_model(dataset, cfg)
+
+
+def _reference_user_gradient(model, u, cands, coef_fwd, coef_bwd, out):
+    """One user's loss, adding its gradient into ``out``, one space at a time."""
+    losses = []
+    for w_pro, w_rea, coef, grad_pro, grad_rea in (
+        (model.w_pro_fwd, model.w_rea_fwd, coef_fwd, out.w_pro_fwd, out.w_rea_fwd),
+        (model.w_pro_bwd, model.w_rea_bwd, coef_bwd, out.w_pro_bwd, out.w_rea_bwd),
+    ):
+        w_cands = w_rea[cands]
+        s = expit(w_cands @ w_pro[u])
+        p = s / s.sum()
+        losses.append(float(-(coef @ np.log(np.maximum(p, PROB_FLOOR)))))
+        dz = (coef.sum() * p - coef) * (1.0 - s)
+        grad_pro[u] += dz @ w_cands
+        grad_rea[cands] += dz[:, None] * w_pro[u][None, :]
+    return losses[0] + losses[1]
+
+
+def _reference_train(dataset, cfg):
+    """train_model as a loop over users, one gradient call each."""
+    plan = dataset.fold_plan
+    model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
+    per_user = [
+        (cands, *feedback_coefficients(cfg.loss_kind.paired_metric, *feedback))
+        for cands, *feedback in _per_user_training_data(dataset)
+    ]
+    rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
+    log, best_model, best_value = TrainingLog(), None, -np.inf
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(plan.n_proactive)
+        loss_sum = 0.0
+        for start in range(0, order.size, cfg.batch):
+            batch = order[start:start + cfg.batch]
+            grads = GradientTables.zeros_like(model)
+            for u in batch:
+                loss_sum += _reference_user_gradient(model, u, *per_user[u], grads)
+            grads.scale(1.0 / batch.size)
+            for name in TABLES:
+                table = getattr(model, name)
+                if cfg.weight_decay > 0.0:
+                    table *= 1.0 - cfg.learning_rate * cfg.weight_decay
+                table -= cfg.learning_rate * getattr(grads, name)
+        value = validation_metric(model, dataset, cfg.resolved_validation_kind, cfg.k_valid)
+        log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
+        if value > best_value:
+            best_model, best_value = model.copy(), value
+    return best_model, log
+
+
+class TestMinibatchGradientBitIdentity:
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_matches_per_user_loop(self, kind):
+        # 13 users in 3 folds: training rows of 8, 9 and 13 candidates, batches of 5, 5 and 3
+        _, _, plan, dataset = _world(n=13, eta=1.2)
+        assert len({int(row.sum()) for row in plan.train_mask()}) > 1
+        cfg = TrainConfig(loss_kind=kind, dim=6, epochs=6, learning_rate=0.3,
+                          batch=5, seed=4, k_valid=3, weight_decay=0.01)
+        model, log = train_model(dataset, cfg)
+        ref_model, ref_log = _reference_train(dataset, cfg)
+        for name in TABLES:
+            assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+        assert log.records == ref_log.records
 
 
 class TestSeparableToy:
@@ -273,6 +342,12 @@ class TestLogAndConfigFiles:
         again = load_training_log(path)
         assert again.records == log.records
         assert again.best_epoch == 2  # first of the tied maxima
+
+    def test_binary_training_log_rejected(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        with pytest.raises(DataFormatError, match="training log CSV"):
+            load_training_log(path)
 
     def test_experiment_config_round_trip(self, tmp_path):
         plan = ExperimentPlan(etas=(0.5, 1.0), folds=4, k_values=(3, 10),
