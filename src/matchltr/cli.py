@@ -8,7 +8,6 @@ Exit status: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .train import (
     test_dcg_records,
     train_model,
 )
-from .util import atomic_open, derive_seed, format_float, read_json
+from .util import atomic_open, derive_seed, format_float, read_json, write_json
 from .verify import load_instance, run_verification, save_instance, check_instance
 from .metrics import EstimatorKind
 
@@ -56,9 +55,7 @@ def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
 
 def _write_run_json(out_dir: Path, command: str, config: dict, sub_seeds: dict) -> None:
     payload = {"command": command, "config": config, "sub_seeds": sub_seeds}
-    with atomic_open(out_dir / "run.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "run.json", payload)
 
 
 def _parse_synth(text: str) -> tuple[int, int, int, float]:

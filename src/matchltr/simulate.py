@@ -10,7 +10,8 @@ gated behind the proactive side's selection.
 from __future__ import annotations
 
 import csv
-import json
+import re
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, open_text, read_json
+from .util import atomic_open, format_float, open_text, read_json, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -274,40 +275,71 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
     """Write a preference matrix as dense CSV, one row per proactive user.
 
     The row holds the forward block then the backward block side by side
-    (``2 * n_reactive`` columns).  Values use shortest round-trip formatting.
+    (``2 * n_reactive`` columns).  Values use shortest round-trip formatting
+    (``repr`` of a Python float is :func:`format_float`); rows end in CRLF.
     """
     stacked = np.hstack([m.forward, m.backward])
     with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh)
-        for row in stacked:
-            writer.writerow([format_float(x) for x in row])
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in stacked)
+
+
+def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> np.ndarray:
+    """Parse a numeric CSV file with numpy's C parser, one row per data line.
+
+    Lines may end in LF, CRLF or CR; blank lines are skipped; cells may be
+    quoted and padded with blanks.  Every data line must have as many cells
+    as the first (or as ``header``, which must then be line 1).  Errors are
+    :class:`DataFormatError` naming the 1-based line of the file.
+    """
+    if header is not None:
+        with open_text(path, what) as fh:
+            if next(csv.reader(fh), None) != list(header):
+                raise DataFormatError(f"{what}: line 1: expected header {','.join(header)}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return np.loadtxt(path, dtype, comments=None, delimiter=",", quotechar='"',
+                              skiprows=int(header is not None), encoding="utf-8",
+                              ndmin=1 if np.dtype(dtype).names else 2)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{what} {path}: {exc}") from None
+    except ValueError as exc:
+        lines, cells = _data_lines(path, int(header is not None))
+        width = len(header) if header is not None else cells[0]
+        if (cells != width).any():
+            bad = np.argmax(cells != width)
+            raise DataFormatError(
+                f"{what}: line {lines[bad]}: expected {width} columns, got {cells[bad]}"
+            ) from None
+        found = re.match(r"(could not convert .*) at row (\d+)", str(exc))
+        if found is None:
+            raise DataFormatError(f"{what}: {exc}") from None
+        raise DataFormatError(f"{what}: line {lines[int(found[2])]}: {found[1]}") from None
+
+
+def _data_lines(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
+    """File line (1-based) and cell count of each non-blank line after the first ``skip``."""
+    buf = np.fromfile(path, np.uint8)
+    # Cut at every CR and LF: a CRLF then leaves an empty piece, skipped like
+    # a blank line.  A piece's line number counts the line ends before it.
+    cuts = np.flatnonzero((buf == 10) | (buf == 13))
+    ends_line = (buf[cuts] == 10) | (buf[np.minimum(cuts + 1, buf.size - 1)] != 10)
+    line_of = np.concatenate(([1], 1 + np.cumsum(ends_line)))
+    stops = np.append(cuts, buf.size)
+    cells = 1 + np.diff(np.searchsorted(np.flatnonzero(buf == 44), stops), prepend=0)
+    keep = (stops > np.concatenate(([0], cuts + 1))) & (line_of > skip)
+    return line_of[keep], cells[keep]
 
 
 def _parse_float_csv(path, what: str) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    with open_text(path, what) as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(x) for x in row]
-            except ValueError as exc:
-                raise DataFormatError(f"{what}: line {lineno}: {exc}") from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise DataFormatError(
-                    f"{what}: line {lineno}: expected {width} columns, got {len(values)}"
-                )
-            if any(not np.isfinite(x) or x < 0.0 or x > 1.0 for x in values):
-                raise DataFormatError(
-                    f"{what}: line {lineno}: entries must be finite and lie in [0, 1]"
-                )
-            rows.append(values)
-    if not rows:
+    data = _read_csv(path, what, np.float64)
+    if not data.size:
         raise DataFormatError(f"{what}: file is empty")
-    return np.asarray(rows, dtype=np.float64)
+    bad = ~((data >= 0.0) & (data <= 1.0)).all(axis=1)
+    if bad.any():
+        line = _data_lines(path, 0)[0][np.argmax(bad)]
+        raise DataFormatError(f"{what}: line {line}: entries must be finite and lie in [0, 1]")
+    return data
 
 
 def load_preferences(path) -> PreferenceMatrix:
@@ -370,12 +402,14 @@ class FeedbackDataset:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        for name in ("u", "v"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.intp))
+        for name in ("u", "v", "theta_fwd", "theta_bwd"):
+            dtype = np.intp if name in ("u", "v") else np.float64
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
         for name in ("r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int8))
-        for name in ("theta_fwd", "theta_bwd"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            col = np.asarray(getattr(self, name))
+            if not ((col == 0) | (col == 1)).all():  # before the cast, which would wrap 256 to 0
+                raise ContractViolation(f"column {name} must contain bits")
+            object.__setattr__(self, name, np.ascontiguousarray(col, dtype=np.int8))
         n = self.u.shape[0]
         for name in ("v", "r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd",
                      "theta_fwd", "theta_bwd"):
@@ -387,17 +421,13 @@ class FeedbackDataset:
                 raise ContractViolation("proactive index out of range")
             if self.v.min() < 0 or self.v.max() >= plan.n_reactive:
                 raise ContractViolation("reactive index out of range")
-        for name in ("r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd"):
-            col = getattr(self, name)
-            if col.size and not np.isin(col, (0, 1)).all():
-                raise ContractViolation(f"column {name} must contain bits")
         if not np.array_equal(self.y_fwd, self.o_fwd * self.r_fwd):
             raise ContractViolation("y_fwd must equal o_fwd * r_fwd for every pair")
         if not np.array_equal(self.y_bwd, self.y_fwd * self.o_bwd * self.r_bwd):
             raise ContractViolation("y_bwd must equal y_fwd * o_bwd * r_bwd for every pair")
         for name in ("theta_fwd", "theta_bwd"):
             t = getattr(self, name)
-            if t.size and (t.min() <= 0.0 or t.max() > 1.0):
+            if not ((t > 0.0) & (t <= 1.0)).all():  # NaN fails too
                 raise AssumptionViolationError(f"{name} must lie in (0, 1]")
         in_test = plan.test_mask()[self.u, self.v]
         if in_test.any():
@@ -503,19 +533,27 @@ def sample_dataset(
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: FeedbackDataset, path) -> None:
-    """Write the observation table as CSV (schema: the header row)."""
-    fold_u = ds.fold_plan.fold_of_proactive()[ds.u]
-    fold_v = ds.fold_plan.fold_of_reactive()[ds.v]
+    """Write the observation table as CSV (schema: the header row).
+
+    Rows end in CRLF and floats use :func:`format_float`.  Each distinct
+    theta is formatted once, and a row's six bits are one of 64 tokens.
+    """
+    fold_u = ds.fold_plan.fold_of_proactive().tolist()
+    fold_v = ds.fold_plan.fold_of_reactive().tolist()
+    bits = np.zeros(len(ds), dtype=np.int8)
+    for name in _DATASET_COLUMNS[4:10]:
+        bits = 2 * bits + getattr(ds, name)
+    tokens = [",".join(format(i, "06b")) for i in range(64)]
+    columns = [ds.u, ds.v, bits]
+    for t in (ds.theta_fwd, ds.theta_bwd):  # in (0, 1], so no -0.0 to merge with 0.0
+        values, which = np.unique(t, return_inverse=True)
+        columns.append(np.array([format_float(x) for x in values], dtype=object)[which])
     with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DATASET_COLUMNS)
-        for i in range(len(ds)):
-            writer.writerow([
-                int(ds.u[i]), int(ds.v[i]), int(fold_u[i]), int(fold_v[i]),
-                int(ds.r_fwd[i]), int(ds.r_bwd[i]), int(ds.o_fwd[i]), int(ds.o_bwd[i]),
-                int(ds.y_fwd[i]), int(ds.y_bwd[i]),
-                format_float(ds.theta_fwd[i]), format_float(ds.theta_bwd[i]),
-            ])
+        fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
+        for lo in range(0, len(ds), 1 << 16):  # in blocks of rows, to bound memory
+            rows = zip(*(col[lo:lo + (1 << 16)].tolist() for col in columns))
+            fh.writelines(f"{u},{v},{fold_u[u]},{fold_v[v]},{tokens[b]},{tf},{tb}\r\n"
+                          for u, v, b, tf, tb in rows)
 
 
 def load_dataset(
@@ -528,47 +566,16 @@ def load_dataset(
 
     Fold labels stored in the file are cross-checked against the plan.
     """
-    columns: dict[str, list] = {name: [] for name in _DATASET_COLUMNS}
-    with open_text(path, "dataset CSV") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(_DATASET_COLUMNS):
-            raise DataFormatError(
-                f"dataset CSV: line 1: expected header {','.join(_DATASET_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_DATASET_COLUMNS):
-                raise DataFormatError(
-                    f"dataset CSV: line {lineno}: expected {len(_DATASET_COLUMNS)} "
-                    f"columns, got {len(row)}"
-                )
-            try:
-                for name, cell in zip(_DATASET_COLUMNS, row):
-                    columns[name].append(float(cell) if name.startswith("theta") else int(cell))
-            except ValueError as exc:
-                raise DataFormatError(f"dataset CSV: line {lineno}: {exc}") from None
-
-    fold_u = np.asarray(columns["fold_u"], dtype=np.intp)
-    fold_v = np.asarray(columns["fold_v"], dtype=np.intp)
-    u = np.asarray(columns["u"], dtype=np.intp)
-    v = np.asarray(columns["v"], dtype=np.intp)
+    dtype = list(zip(_DATASET_COLUMNS, [np.intp] * 4 + [np.int8] * 6 + [np.float64] * 2))
+    table = _read_csv(path, "dataset CSV", dtype, _DATASET_COLUMNS)
+    columns = {c: table[c] for c in _DATASET_COLUMNS if not c.startswith("fold")}
     try:
-        ds = FeedbackDataset(
-            fold_plan=plan,
-            u=u, v=v,
-            r_fwd=columns["r_fwd"], r_bwd=columns["r_bwd"],
-            o_fwd=columns["o_fwd"], o_bwd=columns["o_bwd"],
-            y_fwd=columns["y_fwd"], y_bwd=columns["y_bwd"],
-            theta_fwd=columns["theta_fwd"], theta_bwd=columns["theta_bwd"],
-            eta=eta, rng_seed=rng_seed,
-        )
+        ds = FeedbackDataset(fold_plan=plan, **columns, eta=eta, rng_seed=rng_seed)
     except (ContractViolation, AssumptionViolationError) as exc:
         raise DataFormatError(f"dataset CSV: {exc}") from None
     if len(ds) and (
-        not np.array_equal(plan.fold_of_proactive()[u], fold_u)
-        or not np.array_equal(plan.fold_of_reactive()[v], fold_v)
+        not np.array_equal(plan.fold_of_proactive()[ds.u], table["fold_u"])
+        or not np.array_equal(plan.fold_of_reactive()[ds.v], table["fold_v"])
     ):
         raise DataFormatError("dataset CSV: fold labels do not match the fold plan")
     return ds
@@ -581,9 +588,7 @@ def save_fold_plan(plan: FoldPlan, path) -> None:
         "proactive_folds": [list(f) for f in plan.proactive_folds],
         "reactive_folds": [list(f) for f in plan.reactive_folds],
     }
-    with atomic_open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_fold_plan(path) -> FoldPlan:
@@ -605,9 +610,7 @@ def save_exposure(exposure: ExposureModel, path) -> None:
         "theta_reactive_exposure": [float(t) for t in exposure.theta_reactive_exposure],
         "theta_proactive_exposure": [float(t) for t in exposure.theta_proactive_exposure],
     }
-    with atomic_open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_exposure(path) -> ExposureModel:
@@ -627,9 +630,7 @@ def save_side_assignment(assignment: SideAssignment, path) -> None:
         "proactive_ids": list(assignment.proactive_ids),
         "reactive_ids": list(assignment.reactive_ids),
     }
-    with atomic_open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_side_assignment(path) -> SideAssignment:

@@ -11,7 +11,6 @@ model on the held-out test block with true-relevance DCG.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -44,7 +43,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import atomic_open, derive_seed, format_float, open_text, read_json
+from .util import atomic_open, derive_seed, format_float, open_text, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -438,9 +437,7 @@ def save_experiment_config(
             for kind, cfg in cfgs.items()
         },
     }
-    with atomic_open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_experiment_config(path) -> tuple[ExperimentPlan, dict[LossKind, TrainConfig]]:

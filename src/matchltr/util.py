@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, atomic writes, text and JSON reads, float formatting."""
+"""Small shared helpers: seed derivation, atomic writes, text and JSON I/O, float formatting."""
 
 from __future__ import annotations
 
@@ -77,3 +77,10 @@ def read_json(path: str | os.PathLike, what: str) -> dict:
     if not isinstance(payload, dict):
         raise DataFormatError(f"{what}: expected a JSON object, got {type(payload).__name__}")
     return payload
+
+
+def write_json(path: str | os.PathLike, payload: dict) -> None:
+    """Write one JSON object atomically, indented, keys sorted, newline-terminated."""
+    with atomic_open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -11,7 +11,6 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .metrics import (
     expected_metric_exact,
     metric_ground_truth,
 )
-from .util import atomic_open, read_json
+from .util import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,7 @@ class OracleInstance:
 
 
 def save_instance(inst: OracleInstance, path) -> None:
-    with atomic_open(path, "w") as fh:
-        json.dump(inst.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, inst.to_dict())
 
 
 def load_instance(path) -> OracleInstance:

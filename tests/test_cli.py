@@ -198,6 +198,21 @@ class TestBinaryCsvInputs:
             assert err.startswith("error: ") and name in err
 
 
+def test_nan_propensity_in_dataset_is_a_format_error(data_dir, tmp_path, capsys):
+    path = data_dir / "dataset.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    cells[10] = b"nan"  # theta_fwd
+    lines[1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "1",
+                   "--dim", "2", "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset CSV: ") and "theta_fwd" in err
+    assert "Traceback" not in err
+
+
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
     """Training runs one small matrix-vector product per user; at this size
     the checkpoint bytes must not depend on the BLAS thread count."""

@@ -125,6 +125,17 @@ class TestPairObservation:
         with pytest.raises(AssumptionViolationError):
             self._make(theta_bwd=1.5)
 
+    def test_nan_theta_rejected(self):
+        for name in ("theta_fwd", "theta_bwd"):
+            with pytest.raises(AssumptionViolationError, match=name):
+                self._make(**{name: float("nan")})
+
+    def test_fractional_and_wide_bits_rejected(self):
+        # an int8 cast would turn either into the bit 0
+        for value in (0.5, 256):
+            with pytest.raises(ContractViolation):
+                self._make(o_bwd=value)
+
     def test_sides_enforced(self):
         # u indexes the proactive side and v the reactive side: index 1 is a
         # reactive user here, so it cannot own the pair

@@ -1,7 +1,15 @@
 """Simulator contracts: side splits, folds, exposure, sampling, file formats."""
 
+import csv
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matchltr import (
     AssumptionViolationError,
@@ -31,6 +39,8 @@ from matchltr import (
     save_side_assignment,
     synth_preferences,
 )
+from matchltr.cli import main as cli_main
+from matchltr.util import format_float
 
 
 class TestAssignSides:
@@ -384,6 +394,105 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError, match="fold labels"):
             load_dataset(path, plan)
 
+    def _edited(self, tmp_path, edit, newline="\r\n"):
+        """Save the dataset, apply ``edit`` to its list of lines, write them back."""
+        ds, plan = self._dataset()
+        path = tmp_path / "dataset.csv"
+        save_dataset(ds, path)
+        lines = path.read_bytes().decode().split("\r\n")[:-1]
+        edit(lines)
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        return ds, plan, path
+
+    def test_extra_column_names_line(self, tmp_path):
+        def edit(lines):
+            lines[2] += ",0"
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match=r"line 3: expected 12 columns, got 13"):
+            load_dataset(path, plan)
+
+    def test_missing_column_names_line(self, tmp_path):
+        def edit(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match=r"line 4: expected 12 columns, got 11"):
+            load_dataset(path, plan)
+
+    def test_float_in_int_column_rejected(self, tmp_path):
+        def edit(lines):
+            cells = lines[1].split(",")
+            cells[4] = cells[4] + ".0"
+            lines[1] = ",".join(cells)
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_dataset(path, plan)
+
+    def test_non_numeric_theta_rejected(self, tmp_path):
+        def edit(lines):
+            cells = lines[5].split(",")
+            cells[10] = "abc"
+            lines[5] = ",".join(cells)
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match="line 6"):
+            load_dataset(path, plan)
+
+    def test_blank_lines_and_lf_accepted(self, tmp_path):
+        def edit(lines):
+            lines[3:3] = ["", ""]
+            lines.append("")
+        ds, plan, path = self._edited(tmp_path, edit, newline="\n")
+        again = load_dataset(path, plan)
+        for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
+                     "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+            assert np.array_equal(getattr(ds, name), getattr(again, name))
+
+    def test_blank_lines_counted_in_error_line(self, tmp_path):
+        def edit(lines):
+            lines[3:3] = ["", ""]
+            cells = lines[7].split(",")
+            cells[11] = "x"
+            lines[7] = ",".join(cells)
+        _, plan, path = self._edited(tmp_path, edit, newline="\n")
+        with pytest.raises(DataFormatError, match="line 8"):
+            load_dataset(path, plan)
+
+    def test_header_only_is_empty_dataset(self, tmp_path):
+        _, plan = self._dataset()
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(b"u,v,fold_u,fold_v,r_fwd,r_bwd,o_fwd,o_bwd,y_fwd,y_bwd,"
+                         b"theta_fwd,theta_bwd\r\n")
+        assert len(load_dataset(path, plan)) == 0
+
+    def test_nan_theta_rejected_naming_column(self, tmp_path):
+        def edit(lines):
+            cells = lines[2].split(",")
+            cells[10] = "nan"
+            lines[2] = ",".join(cells)
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match="theta_fwd"):
+            load_dataset(path, plan)
+
+    def test_wide_integer_in_bit_column_rejected(self, tmp_path):
+        # 256 does not fit the int8 bit column and must not wrap to the bit 0
+        def edit(lines):
+            cells = lines[1].split(",")
+            cells[4] = "256"
+            lines[1] = ",".join(cells)
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match="line 2"):
+            load_dataset(path, plan)
+
+    def test_quoted_cells_accepted(self, tmp_path):
+        def edit(lines):
+            lines[0] = ",".join(f'"{c}"' for c in lines[0].split(","))
+            cells = lines[1].split(",")
+            cells[0], cells[10] = f'"{cells[0]}"', f'"{cells[10]}"'
+            lines[1] = ",".join(cells)
+        ds, plan, path = self._edited(tmp_path, edit)
+        again = load_dataset(path, plan)
+        assert np.array_equal(ds.u, again.u)
+        assert np.array_equal(ds.theta_fwd, again.theta_fwd)
+
 
 class TestJsonFormats:
     def test_fold_plan_round_trip(self, tmp_path):
@@ -410,3 +519,261 @@ class TestJsonFormats:
         path.write_text("{not json")
         with pytest.raises(DataFormatError):
             load_fold_plan(path)
+
+
+# ---------------------------------------------------------------------------
+# reference writers and readers: the per-row csv-module code the vectorized
+# file formats must match byte for byte and value for value
+# ---------------------------------------------------------------------------
+
+_DATASET_HEADER = ("u", "v", "fold_u", "fold_v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
+                   "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
+
+
+def _reference_save_rows(rows, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow(row)
+
+
+def _reference_save_preferences(m, path):
+    stacked = np.hstack([m.forward, m.backward])
+    _reference_save_rows(([format_float(x) for x in row] for row in stacked), path)
+
+
+def _reference_save_square(square, path):
+    _reference_save_rows(([format_float(x) for x in row] for row in square), path)
+
+
+def _reference_save_dataset(ds, path):
+    fold_u = ds.fold_plan.fold_of_proactive()[ds.u]
+    fold_v = ds.fold_plan.fold_of_reactive()[ds.v]
+    rows = [_DATASET_HEADER]
+    for i in range(len(ds)):
+        rows.append([
+            int(ds.u[i]), int(ds.v[i]), int(fold_u[i]), int(fold_v[i]),
+            int(ds.r_fwd[i]), int(ds.r_bwd[i]), int(ds.o_fwd[i]), int(ds.o_bwd[i]),
+            int(ds.y_fwd[i]), int(ds.y_bwd[i]),
+            format_float(ds.theta_fwd[i]), format_float(ds.theta_bwd[i]),
+        ])
+    _reference_save_rows(rows, path)
+
+
+def _reference_parse_float_csv(path, what="preference CSV"):
+    rows, width = [], None
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                values = [float(x) for x in row]
+            except ValueError as exc:
+                raise DataFormatError(f"{what}: line {lineno}: {exc}") from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise DataFormatError(
+                    f"{what}: line {lineno}: expected {width} columns, got {len(values)}"
+                )
+            if any(not np.isfinite(x) or x < 0.0 or x > 1.0 for x in values):
+                raise DataFormatError(
+                    f"{what}: line {lineno}: entries must be finite and lie in [0, 1]"
+                )
+            rows.append(values)
+    if not rows:
+        raise DataFormatError(f"{what}: file is empty")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _reference_load_dataset_columns(path):
+    columns = {name: [] for name in _DATASET_HEADER}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(_DATASET_HEADER):
+            raise DataFormatError("dataset CSV: line 1: expected header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(_DATASET_HEADER):
+                raise DataFormatError(
+                    f"dataset CSV: line {lineno}: expected {len(_DATASET_HEADER)} "
+                    f"columns, got {len(row)}"
+                )
+            try:
+                for name, cell in zip(_DATASET_HEADER, row):
+                    columns[name].append(float(cell) if name.startswith("theta") else int(cell))
+            except ValueError as exc:
+                raise DataFormatError(f"dataset CSV: line {lineno}: {exc}") from None
+    return {name: np.asarray(values) for name, values in columns.items()}
+
+
+def _bits(a):
+    """The exact float64 (or int) bit pattern, so -0.0 and 0.0 differ."""
+    a = np.asarray(a)
+    return a.dtype.kind, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _line_of(exc_info):
+    return int(re.search(r"line (\d+)", str(exc_info.value))[1])
+
+
+_EDGE_UNIT = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53]
+unit_values = st.one_of(st.sampled_from(_EDGE_UNIT), st.floats(0.0, 1.0))
+theta_values = st.one_of(st.sampled_from([1.0, 5e-324, 1 - 2**-53, 1e-300]),
+                         st.floats(1e-300, 1.0))
+
+
+@st.composite
+def preference_matrices(draw):
+    n_pro, n_rea = draw(st.integers(1, 30)), draw(st.integers(1, 15))
+    block = arrays(np.float64, (n_pro, n_rea), elements=unit_values)
+    return PreferenceMatrix(forward=draw(block), backward=draw(block))
+
+
+@st.composite
+def feedback_datasets(draw):
+    n_pro, n_rea = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    plan = make_folds(SideAssignment.trivial(n_pro, n_rea), 2,
+                      seed=draw(st.integers(0, 99)), test_fold=draw(st.integers(0, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = ~plan.test_mask() & (rng.random((n_pro, n_rea)) < draw(st.floats(0.1, 1.0)))
+    u, v = np.nonzero(keep)
+    r_fwd, r_bwd, o_fwd, o_bwd = (rng.random((4, u.size)) < 0.5).astype(np.int8)
+    y_fwd = o_fwd * r_fwd
+    thetas = arrays(np.float64, u.size, elements=theta_values)
+    return FeedbackDataset(
+        fold_plan=plan, u=u, v=v, r_fwd=r_fwd, r_bwd=r_bwd, o_fwd=o_fwd, o_bwd=o_bwd,
+        y_fwd=y_fwd, y_bwd=y_fwd * o_bwd * r_bwd,
+        theta_fwd=draw(thetas), theta_bwd=draw(thetas),
+    )
+
+
+class TestCsvAgainstReference:
+    """The vectorized CSV paths against the per-row csv-module reference code."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(preference_matrices())
+    def test_preference_bytes_and_round_trip(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref, again = (Path(tmp) / name for name in ("new.csv", "ref.csv", "again.csv"))
+            save_preferences(m, new)
+            _reference_save_preferences(m, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            loaded = load_preferences(new)
+            assert _bits(loaded.forward) == _bits(m.forward)
+            assert _bits(loaded.backward) == _bits(m.backward)
+            assert _bits(np.hstack([loaded.forward, loaded.backward])) == _bits(
+                _reference_parse_float_csv(new))
+            save_preferences(loaded, again)
+            assert again.read_bytes() == new.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=unit_values)))
+    def test_square_preference_round_trip(self, square):
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, again = Path(tmp) / "ref.csv", Path(tmp) / "again.csv"
+            _reference_save_square(square, ref)
+            loaded = load_square_preferences(ref)
+            assert _bits(loaded.forward) == _bits(square)
+            assert _bits(loaded.forward) == _bits(_reference_parse_float_csv(ref))
+            _reference_save_square(loaded.forward, again)
+            assert again.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(feedback_datasets())
+    def test_dataset_bytes_and_round_trip(self, ds):
+        plan = ds.fold_plan
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref, again = (Path(tmp) / name for name in ("new.csv", "ref.csv", "again.csv"))
+            save_dataset(ds, new)
+            _reference_save_dataset(ds, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            loaded = load_dataset(new, plan)
+            reference = _reference_load_dataset_columns(new)
+            for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
+                         "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+                assert _bits(getattr(loaded, name)) == _bits(getattr(ds, name))
+                assert np.array_equal(getattr(loaded, name), reference[name])
+            save_dataset(loaded, again)
+            assert again.read_bytes() == new.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(feedback_datasets(), st.data())
+    def test_dataset_errors_name_the_reference_line(self, ds, data):
+        """One corrupted line: both readers reject the file at the same line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dataset.csv"
+            _reference_save_dataset(ds, path)
+            lines = path.read_bytes().decode().split("\r\n")[:-1]
+            if len(lines) < 2:
+                return
+            at = data.draw(st.integers(1, len(lines) - 1))
+            cells = lines[at].split(",")
+            col = data.draw(st.integers(0, 11))
+            kind = data.draw(st.sampled_from(["text", "float-int", "extra", "missing", "empty"]))
+            if kind == "text":
+                cells[col] = "x1"
+            elif kind == "float-int":
+                cells[data.draw(st.integers(0, 9))] += ".0"
+            elif kind == "extra":
+                cells.append("0")
+            elif kind == "missing":
+                del cells[col]
+            else:
+                cells[col] = ""
+            lines[at] = ",".join(cells)
+            blanks = data.draw(st.integers(0, 3))
+            lines[1:1] = [""] * blanks
+            newline = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+            path.write_bytes("".join(line + newline for line in lines).encode())
+            with pytest.raises(DataFormatError) as ref_err:
+                _reference_load_dataset_columns(path)
+            with pytest.raises(DataFormatError) as new_err:
+                load_dataset(path, ds.fold_plan)
+            assert _line_of(new_err) == _line_of(ref_err) == at + 1 + blanks
+
+    @settings(max_examples=150, deadline=None)
+    @given(preference_matrices(), st.data())
+    def test_preference_errors_name_the_reference_line(self, m, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prefs.csv"
+            _reference_save_preferences(m, path)
+            lines = path.read_bytes().decode().split("\r\n")[:-1]
+            at = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[at].split(",")
+            col = data.draw(st.integers(0, len(cells) - 1))
+            kind = data.draw(st.sampled_from(["text", "range", "nan", "extra", "missing"]))
+            if kind == "missing" and (len(lines) == 1 or len(cells) == 1):
+                kind = "text"  # a lone row or a lone cell cannot be ragged
+            if kind == "extra" and len(lines) == 1:
+                kind = "range"
+            if kind in ("text", "range", "nan"):
+                cells[col] = {"text": "0.5x", "range": "1.5", "nan": "nan"}[kind]
+            elif kind == "extra":
+                cells.append("0.0")
+            else:
+                del cells[col]
+            lines[at] = ",".join(cells)
+            if kind in ("extra", "missing") and at == 0:
+                lines[0], lines[1] = lines[1], lines[0]  # the first row sets the width
+                at = 1
+            path.write_bytes("".join(line + "\n" for line in lines).encode())
+            with pytest.raises(DataFormatError) as ref_err:
+                _reference_parse_float_csv(path)
+            with pytest.raises(DataFormatError) as new_err:
+                load_preferences(path)
+            assert _line_of(new_err) == _line_of(ref_err) == at + 1
+
+
+def test_gen_data_writes_reference_bytes(tmp_path):
+    out = tmp_path / "data"
+    assert cli_main(["gen-data", "--synth", "200,200,4,0.05", "--eta", "1.0",
+                     "--seed", "9", "--out", str(out)]) == 0
+    plan = load_fold_plan(out / "folds.json")
+    _reference_save_dataset(load_dataset(out / "dataset.csv", plan), tmp_path / "dataset.csv")
+    _reference_save_preferences(load_preferences(out / "preferences.csv"),
+                                tmp_path / "preferences.csv")
+    for name in ("dataset.csv", "preferences.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
