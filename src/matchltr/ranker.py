@@ -216,51 +216,49 @@ def accumulate_gradient(
     The probability floor inside the log is ignored by the gradient; it only
     binds at p <= 1e-12, far outside normal operation.
 
-    Every float operation matches a one-user-at-a-time loop: stacked matmuls
-    run one matrix-vector product per user, sums run over each user's own
-    candidates, and reactive rows receive ``dz_i * w_u[i]`` in batch order.
-    The result is therefore bit-identical to summing single-user gradients in
-    batch order, whatever the batch size.
+    Every float operation matches a one-user-at-a-time loop: the stacked
+    matmuls (forward and backward spaces on a leading axis) run one
+    matrix-vector product per user and space, sums run over each user's own
+    candidates, and one einsum per space adds the reactive rows' ``dz_i *
+    w_u[i]`` in batch order.  The result is therefore bit-identical to
+    summing single-user gradients in batch order, whatever the batch size.
+    This relies on numpy's einsum not fusing multiply-add, true of the x86-64
+    builds; aarch64 NEON builds fuse, and the bit-identity tests flag them.
     """
     users = np.asarray(users, dtype=np.intp)
     groups = np.asarray(groups, dtype=np.intp)
     terms = np.empty((users.size, 2))
-    spaces = (
-        (model.w_pro_fwd, model.w_rea_fwd, coef_fwd),
-        (model.w_pro_bwd, model.w_rea_bwd, coef_bwd),
-    )
-    grads = (None, None) if out is None else (
-        (out.w_pro_fwd, out.w_rea_fwd),
-        (out.w_pro_bwd, out.w_rea_bwd),
-    )
+    w_users = np.stack((model.w_pro_fwd.take(users, axis=0),
+                        model.w_pro_bwd.take(users, axis=0)))
+    coef = np.stack((coef_fwd, coef_bwd))
+    d_users = np.empty_like(w_users)
+    dz_rows = np.zeros(coef.shape)
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        for space, ((w_pro, w_rea, coef), grad) in enumerate(zip(spaces, grads)):
-            w_users = w_pro[users]
-            d_users = np.empty_like(w_users)
-            dz_rows = np.zeros((users.size, w_rea.shape[0]))
-            for g, cands in enumerate(candidate_sets):
-                rows = np.flatnonzero(groups == g)
-                if rows.size == 0:
-                    continue
-                w_cands = w_rea[cands]
-                c = coef[np.ix_(rows, cands)]
-                s = expit(np.matmul(w_cands, w_users[rows, :, None])[:, :, 0])
-                p = s / s.sum(axis=1, keepdims=True)
-                log_p = np.log(np.maximum(p, PROB_FLOOR))
-                terms[rows, space] = -np.matmul(c[:, None, :], log_p[:, :, None])[:, 0, 0]
-                if grad is not None:
-                    dz = (c.sum(axis=1, keepdims=True) * p - c) * (1.0 - s)
-                    d_users[rows] = np.matmul(dz[:, None, :], w_cands)[:, 0, :]
-                    dz_rows[np.ix_(rows, cands)] = dz
-            if grad is None:
+        for g, cands in enumerate(candidate_sets):
+            rows = np.flatnonzero(groups == g)
+            if rows.size == 0:
                 continue
-            grad_pro, grad_rea = grad
-            np.add.at(grad_pro, users, d_users)
-            outer = np.empty_like(grad_rea)
-            for dz_row, w_user in zip(dz_rows, w_users):
-                np.multiply(dz_row[:, None], w_user, out=outer)
-                grad_rea += outer
+            w_cands = np.stack((model.w_rea_fwd.take(cands, axis=0),
+                                model.w_rea_bwd.take(cands, axis=0)))[:, None]
+            # take, unlike fancy indexing, always yields C order, and the
+            # stacked matmul's float path depends on the layout
+            c = coef.take(rows, axis=1).take(cands, axis=2)
+            s = expit(np.matmul(w_cands, w_users.take(rows, axis=1)[..., None])[..., 0])
+            p = s / s.sum(axis=2, keepdims=True)
+            log_p = np.log(np.maximum(p, PROB_FLOOR))
+            terms[rows] = -np.matmul(c[..., None, :], log_p[..., None])[..., 0, 0].T
+            if out is not None:
+                dz = (c.sum(axis=2, keepdims=True) * p - c) * (1.0 - s)
+                d_users[:, rows] = np.matmul(dz[..., None, :], w_cands)[..., 0, :]
+                dz_rows[:, rows[:, None], cands] = dz
+    if out is not None:
+        for grad_pro, grad_rea, w_u, d_u, dz in zip(
+            (out.w_pro_fwd, out.w_pro_bwd), (out.w_rea_fwd, out.w_rea_bwd),
+            w_users, d_users, dz_rows,
+        ):
+            np.add.at(grad_pro, users, d_u)
+            grad_rea += np.einsum("iv,id->vd", dz, w_u)
     return terms
 
 

@@ -116,7 +116,7 @@ class ExposureModel:
         ):
             if t.ndim != 1 or t.size == 0:
                 raise ContractViolation(f"{name} must be a non-empty vector")
-            if t.min() <= 0.0 or t.max() > 1.0:
+            if not ((t > 0.0) & (t <= 1.0)).all():  # NaN fails too
                 raise AssumptionViolationError(
                     f"{name} must lie in (0, 1], got range [{t.min()}, {t.max()}]"
                 )

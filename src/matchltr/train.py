@@ -216,6 +216,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     metric_kind = cfg.resolved_validation_kind
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
     tables = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
+    grads = GradientTables.zeros_like(model)
 
     best_model = None
     best_value = -np.inf
@@ -224,7 +225,6 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         loss_sum = 0.0
         for start in range(0, order.size, cfg.batch):
             batch = order[start:start + cfg.batch]
-            grads = GradientTables.zeros_like(model)
             terms = accumulate_gradient(
                 model, batch, candidate_sets, groups[batch],
                 coef_fwd[batch], coef_bwd[batch], grads,
@@ -234,10 +234,11 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
                 loss_sum += loss
             grads.scale(1.0 / batch.size)
             for name in tables:
-                table = getattr(model, name)
+                table, grad = getattr(model, name), getattr(grads, name)
                 if cfg.weight_decay > 0.0:
                     table *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                table -= cfg.learning_rate * getattr(grads, name)
+                table -= cfg.learning_rate * grad
+                grad.fill(0.0)  # the next minibatch accumulates from zero
         train_loss = loss_sum / plan.n_proactive
         if not np.isfinite(train_loss):
             raise DivergenceError(

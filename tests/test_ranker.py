@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from matchltr import (
     AssumptionViolationError,
@@ -24,7 +25,7 @@ from matchltr import (
     score_mutual,
 )
 from matchltr.metrics import feedback_coefficients
-from matchltr.ranker import accumulate_gradient
+from matchltr.ranker import PROB_FLOOR, accumulate_gradient
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 
@@ -340,6 +341,75 @@ class TestMinibatchKernel:
             assert terms[i, 0] + terms[i, 1] == loss_user(model, int(u), cands, *feedback, kind)
         for name in TABLES:
             assert np.array_equal(getattr(out, name), getattr(expected, name))
+
+
+def _reference_minibatch(model, users, candidate_sets, groups, coef_fwd, coef_bwd):
+    """The minibatch kernel as a plain loop over users and spaces."""
+    terms = np.empty((users.size, 2))
+    grads = GradientTables.zeros_like(model)
+    for space, (pro, rea, coef) in enumerate((
+        ("w_pro_fwd", "w_rea_fwd", coef_fwd), ("w_pro_bwd", "w_rea_bwd", coef_bwd),
+    )):
+        w_pro, w_rea = getattr(model, pro), getattr(model, rea)
+        grad_pro, grad_rea = getattr(grads, pro), getattr(grads, rea)
+        outer = np.empty_like(grad_rea)
+        for i, u in enumerate(users):
+            cands = candidate_sets[groups[i]]
+            c = coef[i, cands]
+            s = expit(w_rea[cands] @ w_pro[u])
+            p = s / s.sum()
+            terms[i, space] = -(c @ np.log(np.maximum(p, PROB_FLOOR)))
+            dz = (c.sum() * p - c) * (1.0 - s)
+            grad_pro[u] += dz @ w_rea[cands]
+            dz_row = np.zeros(w_rea.shape[0])
+            dz_row[cands] = dz
+            np.multiply(dz_row[:, None], w_pro[u], out=outer)
+            grad_rea += outer
+    return terms, grads
+
+
+class TestMinibatchKernelAtTrainingShapes:
+    """One 200x200, dim-64 minibatch of 16 users against the per-user loop.
+
+    These shapes reach the unrolled SIMD loops of the kernel's numpy calls,
+    which the small hypothesis shapes above never do.
+    """
+
+    def test_bit_identical_to_per_user_loop_in_either_layout(self):
+        rng = np.random.default_rng(2024)
+        n, batch = 200, 16
+        model = _random_model(rng, n, n, 64, scale=0.2)
+        folds = rng.permutation(n).reshape(5, 40)
+        candidate_sets = (
+            np.arange(n),
+            np.sort(np.concatenate(folds[1:])),
+            np.sort(np.concatenate(np.delete(folds, 2, axis=0))),
+        )
+        assert [c.size for c in candidate_sets] == [200, 160, 160]
+        users = rng.choice(n, size=batch, replace=False)
+        groups = rng.permutation(np.arange(batch) % 3)
+        y_fwd = (rng.random((batch, n)) < 0.3).astype(float)
+        y_bwd = y_fwd * (rng.random((batch, n)) < 0.5)
+        tf = rng.uniform(0.05, 1.0, (batch, n))
+        tb = rng.uniform(0.05, 1.0, (batch, n))
+        coef = feedback_coefficients(LossKind.IPW2.paired_metric, y_fwd, y_bwd, tf, tb)
+        off_block = np.ones((batch, n), dtype=bool)
+        for i, g in enumerate(groups):
+            off_block[i, candidate_sets[g]] = False
+        for table in coef:
+            table[off_block] = 0.0
+
+        ref_terms, ref_grads = _reference_minibatch(model, users, candidate_sets, groups, *coef)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            out = GradientTables.zeros_like(model)
+            terms = accumulate_gradient(
+                model, users, candidate_sets, groups, *map(layout, coef), out
+            )
+            assert np.array_equal(terms, ref_terms), layout.__name__
+            for name in TABLES:
+                assert np.array_equal(getattr(out, name), getattr(ref_grads, name)), (
+                    layout.__name__, name
+                )
 
 
 class TestCheckpoint:

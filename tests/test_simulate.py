@@ -1,6 +1,7 @@
 """Simulator contracts: side splits, folds, exposure, sampling, file formats."""
 
 import csv
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -508,6 +509,17 @@ class TestJsonFormats:
         assert again.eta == exp.eta
         assert np.array_equal(again.theta_reactive_exposure, exp.theta_reactive_exposure)
         assert np.array_equal(again.theta_proactive_exposure, exp.theta_proactive_exposure)
+
+    def test_nan_exposure_is_a_range_error(self, tmp_path):
+        out = tmp_path / "data"
+        assert cli_main(["gen-data", "--synth", "12,12,2,0.05", "--eta", "1.0",
+                         "--seed", "4", "--out", str(out)]) == 0
+        path = out / "exposure.json"
+        payload = json.loads(path.read_text())
+        payload["theta_reactive_exposure"][3] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=r"theta_reactive_exposure must lie in \(0, 1\]"):
+            load_exposure(path)
 
     def test_side_assignment_round_trip(self, tmp_path):
         a = assign_sides(13, seed=3)
