@@ -13,10 +13,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     AssumptionViolationError,
@@ -24,7 +22,7 @@ from .core import (
     DataFormatError,
 )
 from .metrics import EstimatorKind, feedback_coefficients
-from .util import atomic_open
+from .util import atomic_open, sigmoid
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 
@@ -121,13 +119,13 @@ def _check_ids(model: RankerModel, u: int, v: int) -> None:
 def score_forward(model: RankerModel, u: int, v: int) -> float:
     """sigmoid(w_u . w_v) in the forward space."""
     _check_ids(model, u, v)
-    return float(expit(model.w_pro_fwd[u] @ model.w_rea_fwd[v]))
+    return float(sigmoid(model.w_pro_fwd[u] @ model.w_rea_fwd[v]))
 
 
 def score_backward(model: RankerModel, u: int, v: int) -> float:
     """sigmoid(w_u . w_v) in the backward space."""
     _check_ids(model, u, v)
-    return float(expit(model.w_pro_bwd[u] @ model.w_rea_bwd[v]))
+    return float(sigmoid(model.w_pro_bwd[u] @ model.w_rea_bwd[v]))
 
 
 def score_mutual(model: RankerModel, u: int, v: int) -> float:
@@ -139,8 +137,8 @@ def score_matrix(model: RankerModel, users: np.ndarray, candidates: np.ndarray) 
     """Mutual scores for a block of users x candidates."""
     users = np.asarray(users, dtype=np.intp)
     candidates = np.asarray(candidates, dtype=np.intp)
-    s_fwd = expit(model.w_pro_fwd[users] @ model.w_rea_fwd[candidates].T)
-    s_bwd = expit(model.w_pro_bwd[users] @ model.w_rea_bwd[candidates].T)
+    s_fwd = sigmoid(model.w_pro_fwd[users] @ model.w_rea_fwd[candidates].T)
+    s_bwd = sigmoid(model.w_pro_bwd[users] @ model.w_rea_bwd[candidates].T)
     return s_fwd * s_bwd
 
 
@@ -198,67 +196,47 @@ class GradientTables:
 def accumulate_gradient(
     model: RankerModel,
     users: np.ndarray,
-    candidate_sets: Sequence[np.ndarray],
-    groups: np.ndarray,
+    mask_rows: np.ndarray,
     coef_fwd: np.ndarray,
     coef_bwd: np.ndarray,
     out: GradientTables | None,
 ) -> np.ndarray:
     """Listwise loss of a minibatch; adds its gradient into ``out`` unless None.
 
-    User ``users[i]`` ranks the candidates ``candidate_sets[groups[i]]`` with
-    cross-entropy weights taken from the dense rows ``coef_fwd[i]`` and
-    ``coef_bwd[i]`` (length ``n_reactive``).  Returns the ``(batch, 2)``
-    forward and backward loss terms in batch order.
+    User ``users[i]`` ranks the reactive candidates where the boolean row
+    ``mask_rows[i]`` is set, with cross-entropy weights from the dense rows
+    ``coef_fwd[i]`` and ``coef_bwd[i]`` (length ``n_reactive``, zero off the
+    mask).  Users may repeat.  Returns the ``(batch, 2)`` forward and backward
+    loss terms in batch order.
 
-    In each space, with s = sigmoid(z), p = s / sum(s) and L = -sum(coef *
-    log p), the derivative is dL/dz_v = (sum(coef) * p_v - coef_v) * (1 - s_v).
-    The probability floor inside the log is ignored by the gradient; it only
-    binds at p <= 1e-12, far outside normal operation.
-
-    Every float operation matches a one-user-at-a-time loop: the stacked
-    matmuls (forward and backward spaces on a leading axis) run one
-    matrix-vector product per user and space, sums run over each user's own
-    candidates, and one einsum per space adds the reactive rows' ``dz_i *
-    w_u[i]`` in batch order.  The result is therefore bit-identical to
-    summing single-user gradients in batch order, whatever the batch size.
-    This relies on numpy's einsum not fusing multiply-add, true of the x86-64
-    builds; aarch64 NEON builds fuse, and the bit-identity tests flag them.
+    In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
+    and L = -sum(coef * log p), the derivative is dL/dz_v = (sum(coef) * p_v
+    - coef_v) * (1 - s_v).  The probability floor inside the log is ignored
+    by the gradient; it only binds at p <= 1e-12, far outside normal
+    operation.  Each space costs three dense GEMMs over all ``n_reactive``
+    columns: the masked-out columns have p = 0 and coef = 0, so they add
+    exact zeros to the loss and the gradient.  The GEMMs sum in another order
+    than a loop over users, so results match per-user calls up to rounding
+    (about 1e-15 relative), not bit for bit.
     """
     users = np.asarray(users, dtype=np.intp)
-    groups = np.asarray(groups, dtype=np.intp)
     terms = np.empty((users.size, 2))
-    w_users = np.stack((model.w_pro_fwd.take(users, axis=0),
-                        model.w_pro_bwd.take(users, axis=0)))
-    coef = np.stack((coef_fwd, coef_bwd))
-    d_users = np.empty_like(w_users)
-    dz_rows = np.zeros(coef.shape)
+    spaces = (("w_pro_fwd", "w_rea_fwd", coef_fwd), ("w_pro_bwd", "w_rea_bwd", coef_bwd))
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        for g, cands in enumerate(candidate_sets):
-            rows = np.flatnonzero(groups == g)
-            if rows.size == 0:
-                continue
-            w_cands = np.stack((model.w_rea_fwd.take(cands, axis=0),
-                                model.w_rea_bwd.take(cands, axis=0)))[:, None]
-            # take, unlike fancy indexing, always yields C order, and the
-            # stacked matmul's float path depends on the layout
-            c = coef.take(rows, axis=1).take(cands, axis=2)
-            s = expit(np.matmul(w_cands, w_users.take(rows, axis=1)[..., None])[..., 0])
-            p = s / s.sum(axis=2, keepdims=True)
+        for space, (pro, rea, coef) in enumerate(spaces):
+            w_rea = getattr(model, rea)
+            w_users = getattr(model, pro).take(users, axis=0)
+            s = sigmoid(w_users @ w_rea.T)
+            p = s * mask_rows
+            p /= p.sum(axis=1, keepdims=True)
             log_p = np.log(np.maximum(p, PROB_FLOOR))
-            terms[rows] = -np.matmul(c[..., None, :], log_p[..., None])[..., 0, 0].T
+            terms[:, space] = -np.einsum("ij,ij->i", coef, log_p)
             if out is not None:
-                dz = (c.sum(axis=2, keepdims=True) * p - c) * (1.0 - s)
-                d_users[:, rows] = np.matmul(dz[..., None, :], w_cands)[..., 0, :]
-                dz_rows[:, rows[:, None], cands] = dz
-    if out is not None:
-        for grad_pro, grad_rea, w_u, d_u, dz in zip(
-            (out.w_pro_fwd, out.w_pro_bwd), (out.w_rea_fwd, out.w_rea_bwd),
-            w_users, d_users, dz_rows,
-        ):
-            np.add.at(grad_pro, users, d_u)
-            grad_rea += np.einsum("iv,id->vd", dz, w_u)
+                dz = (coef.sum(axis=1, keepdims=True) * p - coef) * (1.0 - s)
+                np.add.at(getattr(out, pro), users, dz @ w_rea)  # users may repeat
+                grad_rea = getattr(out, rea)
+                grad_rea += dz.T @ w_users
     return terms
 
 
@@ -267,9 +245,11 @@ def _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, 
     cands, coef_fwd, coef_bwd = _loss_inputs(
         model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
     )
+    mask = np.zeros((1, model.n_reactive), dtype=bool)
+    mask[0, cands] = True
     coef = np.zeros((2, 1, model.n_reactive))
     coef[:, 0, cands] = coef_fwd, coef_bwd
-    terms = accumulate_gradient(model, [u], (cands,), [0], coef[0], coef[1], out)
+    terms = accumulate_gradient(model, [u], mask, coef[0], coef[1], out)
     return float(terms[0, 0]), float(terms[0, 1])
 
 

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     AssumptionViolationError,
@@ -27,7 +26,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, open_text, read_json, write_json
+from .util import atomic_open, format_float, open_text, read_json, sigmoid, write_json
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +82,11 @@ def make_folds(assignment: SideAssignment, k: int, seed: int, test_fold: int = 0
 # exposure probabilities
 # ---------------------------------------------------------------------------
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta < np.inf:  # NaN fails too
+        raise ContractViolation(f"eta must be finite and non-negative, got {eta}")
+
+
 @dataclass(frozen=True)
 class ExposureModel:
     """Per-user exposure probabilities derived from popularity.
@@ -108,8 +112,7 @@ class ExposureModel:
             self, "theta_proactive_exposure",
             np.asarray(self.theta_proactive_exposure, dtype=np.float64),
         )
-        if self.eta < 0:
-            raise ContractViolation(f"eta must be non-negative, got {self.eta}")
+        _check_eta(self.eta)
         for name, t in (
             ("theta_reactive_exposure", self.theta_reactive_exposure),
             ("theta_proactive_exposure", self.theta_proactive_exposure),
@@ -155,8 +158,7 @@ def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     Every user must have strictly positive incoming mass, otherwise its
     exposure would be 0 and the positivity assumption breaks.
     """
-    if eta < 0:
-        raise ContractViolation(f"eta must be non-negative, got {eta}")
+    _check_eta(eta)
     colsums = m.forward.sum(axis=0)
     rowsums = m.backward.sum(axis=1)
     zero_cols = np.nonzero(colsums <= 0.0)[0]
@@ -202,7 +204,7 @@ def latent_preferences(
     logits = actor @ target.T
     if target_offsets is not None:
         logits = logits + np.asarray(target_offsets, dtype=np.float64)[None, :]
-    probs = expit(logits)
+    probs = sigmoid(logits)
     if noise < 0:
         raise ContractViolation(f"noise must be non-negative, got {noise}")
     if noise > 0:

@@ -67,10 +67,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1 or self.epochs < 0 or self.batch < 1 or self.k_valid < 1:
             raise ContractViolation("dim, batch and k_valid must be positive; epochs >= 0")
-        if self.learning_rate <= 0:
-            raise ContractViolation(f"learning rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ContractViolation("weight decay must be non-negative")
+        # written so that NaN fails too
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ContractViolation(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ContractViolation(
+                f"weight decay must be finite and non-negative, got {self.weight_decay}"
+            )
 
     @property
     def resolved_validation_kind(self) -> EstimatorKind:
@@ -157,22 +162,15 @@ def _per_user_training_data(dataset: FeedbackDataset):
 def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
     """The minibatch kernel's per-run inputs, built once per training run.
 
-    Users with the same training candidates share one candidate set (a k-fold
-    plan has three: test-fold users, validation-fold users and the rest).
-    Returns the sets, each user's set index, and dense ``(n_proactive,
-    n_reactive)`` forward and backward loss weights, zero off the training block.
+    Returns the training mask and dense ``(n_proactive, n_reactive)`` forward
+    and backward loss weights, zero off the training block.
     """
-    per_user = _per_user_training_data(dataset)
-    index: dict[bytes, int] = {}
-    groups = np.empty(len(per_user), dtype=np.intp)
-    coef = np.zeros((2, len(per_user), dataset.n_reactive))
-    for u, (cands, *feedback) in enumerate(per_user):
+    coef = np.zeros((2, dataset.n_proactive, dataset.n_reactive))
+    for u, (cands, *feedback) in enumerate(_per_user_training_data(dataset)):
         if cands.size == 0:
             raise ContractViolation(f"user {u} has an empty training candidate list")
-        groups[u] = index.setdefault(cands.tobytes(), len(index))
         coef[:, u, cands] = feedback_coefficients(kind.paired_metric, *feedback)
-    candidate_sets = tuple(np.frombuffer(key, dtype=np.intp) for key in index)
-    return candidate_sets, groups, coef[0], coef[1]
+    return dataset.fold_plan.train_mask(), coef[0], coef[1]
 
 
 def _validation_context(dataset: FeedbackDataset):
@@ -211,7 +209,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     if cfg.epochs == 0:
         return model, log
 
-    candidate_sets, groups, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
+    mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
     val_ctx = _validation_context(dataset)
     metric_kind = cfg.resolved_validation_kind
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
@@ -226,8 +224,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         for start in range(0, order.size, cfg.batch):
             batch = order[start:start + cfg.batch]
             terms = accumulate_gradient(
-                model, batch, candidate_sets, groups[batch],
-                coef_fwd[batch], coef_bwd[batch], grads,
+                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch], grads
             )
             # one addition per user in batch order, not a (pairwise) array sum
             for loss in (terms[:, 0] + terms[:, 1]).tolist():
@@ -285,7 +282,16 @@ def test_dcg_records(
     ``label_mode="sampled"`` draws test relevance bits from the preference
     matrix (seeded per fold, so every method sees the same labels);
     ``"expected"`` uses the exact expected gain instead of sampled bits.
+    The model, the preference matrix and the fold plan must have equal sizes.
     """
+    sizes = {
+        "model": (model.n_proactive, model.n_reactive),
+        "preference matrix": m.forward.shape,
+        "fold plan": (plan.n_proactive, plan.n_reactive),
+    }
+    if len(set(sizes.values())) > 1:
+        detail = ", ".join(f"{name} {p}x{r}" for name, (p, r) in sizes.items())
+        raise ContractViolation(f"proactive x reactive sizes disagree: {detail}")
     test_users = np.asarray(plan.proactive_folds[plan.test_fold], dtype=np.intp)
     test_cands = np.asarray(plan.reactive_folds[plan.test_fold], dtype=np.intp)
     scores = score_matrix(model, test_users, test_cands)

@@ -1,4 +1,5 @@
-"""Small shared helpers: seed derivation, atomic writes, text and JSON I/O, float formatting."""
+"""Small shared helpers: seed derivation, the sigmoid, atomic writes, text and JSON I/O,
+float formatting."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from .core import DataFormatError
 
@@ -23,6 +26,12 @@ def derive_seed(master: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{master}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % _SEED_MOD
+
+
+def sigmoid(x):
+    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def format_float(x: float) -> str:

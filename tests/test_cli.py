@@ -213,14 +213,62 @@ def test_nan_propensity_in_dataset_is_a_format_error(data_dir, tmp_path, capsys)
     assert "Traceback" not in err
 
 
-def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """Training runs one small matrix-vector product per user; at this size
-    the checkpoint bytes must not depend on the BLAS thread count."""
+def test_evaluate_rejects_a_checkpoint_of_another_size(data_dir, tmp_path, capsys):
+    big = tmp_path / "big"
+    assert run_cli("gen-data", "--synth", "14,14,2,0.05", "--eta", "0.5",
+                   "--folds", "3", "--seed", "7", "--out", str(big)) == 0
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2",
+                   "--epochs", "1", "--dim", "2", "--out", str(run_dir)) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--data", str(big), "--model",
+                   str(run_dir / "checkpoint.bin"), "--loss", "ipw2",
+                   "--out", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model 12x12, preference matrix 14x14" in err
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_learning_rate(self, data_dir, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "1",
+                       "--lr", value, "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: learning rate must be finite and positive, got {value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_data_eta(self, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run_cli("gen-data", "--synth", "12,12,2,0.05", "--eta", value,
+                       "--out", str(tmp_path / "data")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eta must be finite and non-negative, got {value}")
+
+
+def _source_tree_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
+    return env
+
+
+def test_package_imports_without_scipy():
+    """numpy is the only numerical dependency: importing scipy would take
+    more than half of every command's start-up."""
+    subprocess.run(
+        [sys.executable, "-c", "import sys, matchltr.cli; assert 'scipy' not in sys.modules"],
+        env=_source_tree_env(), check=True, timeout=60,
+    )
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Training runs a few small GEMMs per minibatch; at this size the
+    checkpoint bytes must not depend on the BLAS thread count."""
+    env = _source_tree_env()
 
     def cli(*argv, threads="1"):
         result = subprocess.run(
