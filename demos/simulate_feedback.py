@@ -47,25 +47,28 @@ print(f"{len(dataset)} observations over non-test pairs "
       f"(the {len(plan.proactive_folds[0])}x{len(plan.reactive_folds[0])} "
       "test block is held out)")
 
+# the dataset holds proactive x reactive tables; `observed` marks the logged pairs
+log = {name: getattr(dataset, name)[dataset.observed]
+       for name in ("r_fwd", "o_fwd", "y_fwd", "r_bwd", "o_bwd", "y_bwd", "theta_fwd")}
+
 print("\ncomposition identities hold for every observation:")
 print("  y_fwd == o_fwd * r_fwd        ->",
-      bool(np.array_equal(dataset.y_fwd, dataset.o_fwd * dataset.r_fwd)))
+      bool(np.array_equal(log["y_fwd"], log["o_fwd"] * log["r_fwd"])))
 print("  y_bwd == y_fwd * o_bwd * r_bwd ->",
-      bool(np.array_equal(dataset.y_bwd,
-                          dataset.y_fwd * dataset.o_bwd * dataset.r_bwd)))
+      bool(np.array_equal(log["y_bwd"], log["y_fwd"] * log["o_bwd"] * log["r_bwd"])))
 
 print("\nrates (a backward response needs the full chain of four events):")
 for name in ("r_fwd", "o_fwd", "y_fwd", "r_bwd", "o_bwd", "y_bwd"):
-    print(f"  mean {name}: {getattr(dataset, name).mean():.3f}")
+    print(f"  mean {name}: {log[name].mean():.3f}")
 
 print("\ncensoring in action: how much of the true relevance shows up in the log")
-quartiles = np.quantile(dataset.theta_fwd, [0.25, 0.5, 0.75])
+quartiles = np.quantile(log["theta_fwd"], [0.25, 0.5, 0.75])
 labels = ["lowest", "second", "third", "highest"]
-bins = np.digitize(dataset.theta_fwd, quartiles)
+bins = np.digitize(log["theta_fwd"], quartiles)
 for q in range(4):
     sel = bins == q
-    rel = dataset.r_fwd[sel].mean()
-    fed = dataset.y_fwd[sel].mean()
+    rel = log["r_fwd"][sel].mean()
+    fed = log["y_fwd"][sel].mean()
     print(f"  {labels[q]:>8} exposure quartile: relevance rate {rel:.3f}, "
           f"feedback rate {fed:.3f} ({fed / rel:.0%} captured)")
 print("the log captures most of what popular users earn but swallows a big "

@@ -15,6 +15,7 @@ from .core import DataFormatError, MatchLtrError, SideAssignment
 from .metrics import EvalRecord, load_eval_report, save_eval_report
 from .ranker import LossKind, load_model, save_model
 from .simulate import (
+    _check_eta,
     assign_sides,
     exposure_from_popularity,
     load_dataset,
@@ -187,21 +188,21 @@ def _cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _resolve_eta(args, data: Path) -> float:
-    if args.eta is not None:
-        return args.eta
-    run_file = data / "run.json"
-    if run_file.exists():
-        config = read_json(run_file, "run.json").get("config")
+    eta = args.eta
+    if eta is None and (data / "run.json").exists():
+        config = read_json(data / "run.json", "run.json").get("config")
         eta = config.get("eta") if isinstance(config, dict) else None
-        if eta is not None:
-            try:
-                return float(eta)
-            except (TypeError, ValueError):
-                raise DataFormatError(f"run.json: eta must be a number, got {eta!r}") from None
-    raise MatchLtrError(
-        "eta is needed to label report rows; pass --eta or keep the "
-        "run.json written by gen-data next to the dataset"
-    )
+        try:
+            eta = None if eta is None else float(eta)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"run.json: eta must be a number, got {eta!r}") from None
+    if eta is None:
+        raise MatchLtrError(
+            "eta is needed to label report rows; pass --eta or keep the "
+            "run.json written by gen-data next to the dataset"
+        )
+    _check_eta(eta)
+    return eta
 
 
 def _cmd_evaluate(args) -> int:

@@ -383,4 +383,6 @@ def load_eval_report(path) -> list[EvalRecord]:
                 ))
             except ValueError as exc:
                 raise DataFormatError(f"eval report CSV: line {lineno}: {exc}") from None
+            if not np.isfinite(records[-1].eta):
+                raise DataFormatError(f"eval report CSV: line {lineno}: eta must be finite")
     return records

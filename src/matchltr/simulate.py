@@ -379,19 +379,22 @@ _DATASET_COLUMNS = (
     "r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd",
     "theta_fwd", "theta_bwd",
 )
+_BIT_TABLES = _DATASET_COLUMNS[4:10]
+_THETA_TABLES = _DATASET_COLUMNS[10:]
 
 
 @dataclass(frozen=True, eq=False)
 class FeedbackDataset:
-    """Sampled feedback for every non-test pair, in row-major pair order.
+    """Sampled feedback as dense ``(n_proactive, n_reactive)`` tables.
 
-    Columnar storage: position ``i`` across all arrays describes the pair
-    ``(u[i], v[i])``.  Test-block pairs are never present.
+    ``observed`` marks the logged pairs and never touches the test block.
+    Off ``observed`` every bit is 0 and both propensities are 1, so the
+    tables can be read without a mask.  :meth:`from_columns` builds them from
+    one row per observed pair.
     """
 
     fold_plan: FoldPlan
-    u: np.ndarray
-    v: np.ndarray
+    observed: np.ndarray
     r_fwd: np.ndarray
     r_bwd: np.ndarray
     o_fwd: np.ndarray
@@ -400,49 +403,72 @@ class FeedbackDataset:
     y_bwd: np.ndarray
     theta_fwd: np.ndarray
     theta_bwd: np.ndarray
-    eta: float | None = None
-    rng_seed: int | None = None
 
     def __post_init__(self):
-        for name in ("u", "v", "theta_fwd", "theta_bwd"):
-            dtype = np.intp if name in ("u", "v") else np.float64
-            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
-        for name in ("r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd"):
-            col = np.asarray(getattr(self, name))
-            if not ((col == 0) | (col == 1)).all():  # before the cast, which would wrap 256 to 0
-                raise ContractViolation(f"column {name} must contain bits")
-            object.__setattr__(self, name, np.ascontiguousarray(col, dtype=np.int8))
-        n = self.u.shape[0]
-        for name in ("v", "r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd",
-                     "theta_fwd", "theta_bwd"):
-            if getattr(self, name).shape != (n,):
-                raise ContractViolation(f"column {name} has inconsistent length")
         plan = self.fold_plan
-        if n:
-            if self.u.min() < 0 or self.u.max() >= plan.n_proactive:
-                raise ContractViolation("proactive index out of range")
-            if self.v.min() < 0 or self.v.max() >= plan.n_reactive:
-                raise ContractViolation("reactive index out of range")
+        shape = (plan.n_proactive, plan.n_reactive)
+        for name in ("observed",) + _BIT_TABLES + _THETA_TABLES:
+            if np.shape(getattr(self, name)) != shape:
+                raise ContractViolation(f"table {name} must have shape {shape}")
+        observed = np.asarray(self.observed)
+        if observed.dtype != np.bool_:
+            raise ContractViolation("table observed must be boolean")
+        object.__setattr__(self, "observed", observed)
+        for name in _BIT_TABLES:
+            table = np.asarray(getattr(self, name))
+            if not ((table == 0) | (table == 1)).all():  # before the cast wraps 256 to 0
+                raise ContractViolation(f"table {name} must contain bits")
+            object.__setattr__(self, name, np.ascontiguousarray(table, dtype=np.int8))
+        for name in _THETA_TABLES:
+            table = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if not ((table > 0.0) & (table <= 1.0)).all():  # NaN fails too
+                raise AssumptionViolationError(f"{name} must lie in (0, 1]")
+            object.__setattr__(self, name, table)
+        off = ~observed
+        if any(getattr(self, name)[off].any() for name in _BIT_TABLES) or any(
+            (getattr(self, name)[off] != 1.0).any() for name in _THETA_TABLES
+        ):
+            raise ContractViolation("unobserved pairs must have bits 0 and propensities 1")
         if not np.array_equal(self.y_fwd, self.o_fwd * self.r_fwd):
             raise ContractViolation("y_fwd must equal o_fwd * r_fwd for every pair")
         if not np.array_equal(self.y_bwd, self.y_fwd * self.o_bwd * self.r_bwd):
             raise ContractViolation("y_bwd must equal y_fwd * o_bwd * r_bwd for every pair")
-        for name in ("theta_fwd", "theta_bwd"):
-            t = getattr(self, name)
-            if not ((t > 0.0) & (t <= 1.0)).all():  # NaN fails too
-                raise AssumptionViolationError(f"{name} must lie in (0, 1]")
-        in_test = plan.test_mask()[self.u, self.v]
+        in_test = observed & plan.test_mask()
         if in_test.any():
-            bad = int(np.nonzero(in_test)[0][0])
-            raise ContractViolation(
-                f"pair (u={int(self.u[bad])}, v={int(self.v[bad])}) lies in the test block"
-            )
-        flat = self.u * plan.n_reactive + self.v
-        if np.unique(flat).shape[0] != n:
-            raise ContractViolation("dataset contains duplicate pairs")
+            u, v = np.argwhere(in_test)[0]
+            raise ContractViolation(f"pair (u={u}, v={v}) lies in the test block")
+
+    @classmethod
+    def from_columns(cls, plan: FoldPlan, u, v, **columns) -> "FeedbackDataset":
+        """Tables from per-pair columns: row ``i`` of each describes pair ``(u[i], v[i])``.
+
+        ``columns`` are named like the tables.  Rows may come in any order,
+        and a pair may appear at most once.
+        """
+        n_pro, n_rea = plan.n_proactive, plan.n_reactive
+        u = np.asarray(u, dtype=np.intp)
+        v = np.asarray(v, dtype=np.intp)
+        columns = {name: np.asarray(col) for name, col in columns.items()}
+        if u.ndim != 1 or any(col.shape != u.shape for col in (v, *columns.values())):
+            raise ContractViolation("columns must be vectors of one length")
+        if u.size and (min(u.min(), v.min()) < 0 or u.max() >= n_pro or v.max() >= n_rea):
+            raise ContractViolation("pair index out of range")
+        flat = u * n_rea + v
+        counts = np.bincount(flat, minlength=n_pro * n_rea)
+        if counts.max(initial=0) > 1:
+            u_dup, v_dup = divmod(int(np.argmax(counts)), n_rea)
+            raise ContractViolation(f"pair (u={u_dup}, v={v_dup}) appears more than once")
+        tables = {}
+        for name, col in columns.items():
+            table = (np.ones(counts.size) if name in _THETA_TABLES
+                     else np.zeros(counts.size, col.dtype))
+            table[flat] = col
+            tables[name] = table.reshape(n_pro, n_rea)
+        return cls(fold_plan=plan, observed=(counts > 0).reshape(n_pro, n_rea), **tables)
 
     def __len__(self) -> int:
-        return self.u.shape[0]
+        """Number of observed pairs."""
+        return int(np.count_nonzero(self.observed))
 
     @property
     def n_proactive(self) -> int:
@@ -452,32 +478,11 @@ class FeedbackDataset:
     def n_reactive(self) -> int:
         return self.fold_plan.n_reactive
 
-    def dense(self, field: str) -> np.ndarray:
-        """Full (n_proactive, n_reactive) matrix of one column, NaN where unobserved."""
-        if field not in _DATASET_COLUMNS[4:]:
-            raise KeyError(f"unknown dataset field {field!r}")
-        out = np.full((self.n_proactive, self.n_reactive), np.nan)
-        out[self.u, self.v] = getattr(self, field).astype(np.float64)
-        return out
-
-    def observed_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n_proactive, self.n_reactive), dtype=bool)
-        mask[self.u, self.v] = True
-        return mask
-
     def with_unit_exposure(self) -> "FeedbackDataset":
-        """Counterfactual twin where everything was exposed (O = 1, theta = 1)."""
-        y_fwd = self.r_fwd.copy()
-        y_bwd = self.r_fwd * self.r_bwd
-        return replace(
-            self,
-            o_fwd=np.ones_like(self.o_fwd),
-            o_bwd=np.ones_like(self.o_bwd),
-            y_fwd=y_fwd,
-            y_bwd=y_bwd,
-            theta_fwd=np.ones_like(self.theta_fwd),
-            theta_bwd=np.ones_like(self.theta_bwd),
-        )
+        """Counterfactual twin where everything observed was exposed (O = 1, theta = 1)."""
+        exposed, ones = self.observed.astype(np.int8), np.ones_like(self.theta_fwd)
+        return replace(self, o_fwd=exposed, o_bwd=exposed.copy(), y_fwd=self.r_fwd.copy(),
+                       y_bwd=self.r_fwd * self.r_bwd, theta_fwd=ones, theta_bwd=ones.copy())
 
 
 def sample_dataset(
@@ -505,28 +510,17 @@ def sample_dataset(
 
     rng = np.random.default_rng(seed)
     shape = (m.n_proactive, m.n_reactive)
-    r_fwd = rng.random(shape) < m.forward
-    o_fwd = rng.random(shape) < exposure.theta_reactive_exposure[None, :]
-    r_bwd = rng.random(shape) < m.backward
-    o_bwd = rng.random(shape) < exposure.theta_proactive_exposure[:, None]
+    observed = ~plan.test_mask()
+    r_fwd = (rng.random(shape) < m.forward) & observed
+    o_fwd = (rng.random(shape) < exposure.theta_reactive_exposure[None, :]) & observed
+    r_bwd = (rng.random(shape) < m.backward) & observed
+    o_bwd = (rng.random(shape) < exposure.theta_proactive_exposure[:, None]) & observed
     y_fwd = o_fwd & r_fwd
-    y_bwd = y_fwd & o_bwd & r_bwd
-
-    uu, vv = np.nonzero(~plan.test_mask())
     return FeedbackDataset(
-        fold_plan=plan,
-        u=uu,
-        v=vv,
-        r_fwd=r_fwd[uu, vv],
-        r_bwd=r_bwd[uu, vv],
-        o_fwd=o_fwd[uu, vv],
-        o_bwd=o_bwd[uu, vv],
-        y_fwd=y_fwd[uu, vv],
-        y_bwd=y_bwd[uu, vv],
-        theta_fwd=exposure.theta_reactive_exposure[vv],
-        theta_bwd=exposure.theta_proactive_exposure[uu],
-        eta=exposure.eta,
-        rng_seed=int(seed),
+        fold_plan=plan, observed=observed, r_fwd=r_fwd, r_bwd=r_bwd, o_fwd=o_fwd, o_bwd=o_bwd,
+        y_fwd=y_fwd, y_bwd=y_fwd & o_bwd & r_bwd,
+        theta_fwd=np.where(observed, exposure.theta_reactive_exposure[None, :], 1.0),
+        theta_bwd=np.where(observed, exposure.theta_proactive_exposure[:, None], 1.0),
     )
 
 
@@ -535,49 +529,51 @@ def sample_dataset(
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: FeedbackDataset, path) -> None:
-    """Write the observation table as CSV (schema: the header row).
+    """Write one CSV row per observed pair, in row-major order (schema: the header row).
 
-    Rows end in CRLF and floats use :func:`format_float`.  Each distinct
+    Rows end in CRLF and floats use :func:`format_float`.  Rows are gathered
+    in blocks of about 65,536, to bound memory; in each block every distinct
     theta is formatted once, and a row's six bits are one of 64 tokens.
     """
     fold_u = ds.fold_plan.fold_of_proactive().tolist()
     fold_v = ds.fold_plan.fold_of_reactive().tolist()
-    bits = np.zeros(len(ds), dtype=np.int8)
-    for name in _DATASET_COLUMNS[4:10]:
-        bits = 2 * bits + getattr(ds, name)
     tokens = [",".join(format(i, "06b")) for i in range(64)]
-    columns = [ds.u, ds.v, bits]
-    for t in (ds.theta_fwd, ds.theta_bwd):  # in (0, 1], so no -0.0 to merge with 0.0
-        values, which = np.unique(t, return_inverse=True)
-        columns.append(np.array([format_float(x) for x in values], dtype=object)[which])
+    step = max(1, (1 << 16) // max(ds.n_reactive, 1))  # proactive rows per block
     with atomic_open(path, "w") as fh:
         fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
-        for lo in range(0, len(ds), 1 << 16):  # in blocks of rows, to bound memory
-            rows = zip(*(col[lo:lo + (1 << 16)].tolist() for col in columns))
+        for lo in range(0, ds.n_proactive, step):
+            rows = slice(lo, lo + step)
+            at = np.flatnonzero(ds.observed[rows])  # the block's observed pairs, row-major
+            bits = np.zeros(at.size, dtype=np.int8)
+            for name in _BIT_TABLES:
+                bits = 2 * bits + getattr(ds, name)[rows].ravel()[at]
+            uu, vv = np.divmod(at, ds.n_reactive)
+            columns = [(uu + lo).tolist(), vv.tolist(), bits.tolist()]
+            for name in _THETA_TABLES:  # in (0, 1], so no -0.0 to merge with 0.0
+                values, which = np.unique(getattr(ds, name)[rows].ravel()[at], return_inverse=True)
+                labels = np.array([format_float(x) for x in values], dtype=object)
+                columns.append(labels[which].tolist())
             fh.writelines(f"{u},{v},{fold_u[u]},{fold_v[v]},{tokens[b]},{tf},{tb}\r\n"
-                          for u, v, b, tf, tb in rows)
+                          for u, v, b, tf, tb in zip(*columns))
 
 
-def load_dataset(
-    path,
-    plan: FoldPlan,
-    eta: float | None = None,
-    rng_seed: int | None = None,
-) -> FeedbackDataset:
+def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:
     """Read a dataset CSV back against its fold plan.
 
-    Fold labels stored in the file are cross-checked against the plan.
+    Rows may come in any order.  Fold labels stored in the file are
+    cross-checked against the plan.
     """
     dtype = list(zip(_DATASET_COLUMNS, [np.intp] * 4 + [np.int8] * 6 + [np.float64] * 2))
     table = _read_csv(path, "dataset CSV", dtype, _DATASET_COLUMNS)
-    columns = {c: table[c] for c in _DATASET_COLUMNS if not c.startswith("fold")}
     try:
-        ds = FeedbackDataset(fold_plan=plan, **columns, eta=eta, rng_seed=rng_seed)
+        ds = FeedbackDataset.from_columns(
+            plan, table["u"], table["v"], **{c: table[c] for c in _DATASET_COLUMNS[4:]}
+        )
     except (ContractViolation, AssumptionViolationError) as exc:
         raise DataFormatError(f"dataset CSV: {exc}") from None
     if len(ds) and (
-        not np.array_equal(plan.fold_of_proactive()[ds.u], table["fold_u"])
-        or not np.array_equal(plan.fold_of_reactive()[ds.v], table["fold_v"])
+        not np.array_equal(plan.fold_of_proactive()[table["u"]], table["fold_u"])
+        or not np.array_equal(plan.fold_of_reactive()[table["v"]], table["fold_v"])
     ):
         raise DataFormatError("dataset CSV: fold labels do not match the fold plan")
     return ds

@@ -140,23 +140,10 @@ def load_training_log(path) -> TrainingLog:
 # ---------------------------------------------------------------------------
 
 def _per_user_training_data(dataset: FeedbackDataset):
-    """Candidate lists and aligned feedback/propensity vectors, train block only."""
-    plan = dataset.fold_plan
-    train_mask = plan.train_mask()
-    y_fwd = dataset.dense("y_fwd")
-    y_bwd = dataset.dense("y_bwd")
-    t_fwd = dataset.dense("theta_fwd")
-    t_bwd = dataset.dense("theta_bwd")
-    per_user = []
-    for u in range(plan.n_proactive):
-        cands = np.nonzero(train_mask[u])[0]
-        rows = (y_fwd[u, cands], y_bwd[u, cands], t_fwd[u, cands], t_bwd[u, cands])
-        if any(not np.all(np.isfinite(r)) for r in rows):
-            raise ContractViolation(
-                f"user {u} has unobserved pairs inside the training block"
-            )
-        per_user.append((cands, *rows))
-    return per_user
+    """Each user's training candidates with their feedback and propensities."""
+    tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
+    rows = map(np.flatnonzero, dataset.fold_plan.train_mask())
+    return [(cands, *(t[u, cands] for t in tables)) for u, cands in enumerate(rows)]
 
 
 def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
@@ -165,12 +152,13 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
     Returns the training mask and dense ``(n_proactive, n_reactive)`` forward
     and backward loss weights, zero off the training block.
     """
-    coef = np.zeros((2, dataset.n_proactive, dataset.n_reactive))
-    for u, (cands, *feedback) in enumerate(_per_user_training_data(dataset)):
-        if cands.size == 0:
-            raise ContractViolation(f"user {u} has an empty training candidate list")
-        coef[:, u, cands] = feedback_coefficients(kind.paired_metric, *feedback)
-    return dataset.fold_plan.train_mask(), coef[0], coef[1]
+    mask = dataset.fold_plan.train_mask()
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        raise ContractViolation(f"user {np.argmax(empty)} has an empty training candidate list")
+    coef = feedback_coefficients(kind.paired_metric, dataset.y_fwd, dataset.y_bwd,
+                                 dataset.theta_fwd, dataset.theta_bwd)
+    return mask, *(np.where(mask, c, 0.0) for c in coef)
 
 
 def _validation_context(dataset: FeedbackDataset):
@@ -179,8 +167,8 @@ def _validation_context(dataset: FeedbackDataset):
     val_users = np.asarray(plan.proactive_folds[plan.validation_fold], dtype=np.intp)
     val_cands = np.asarray(plan.reactive_folds[plan.validation_fold], dtype=np.intp)
     block = np.ix_(val_users, val_cands)
-    columns = ("y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
-    return (val_users, val_cands, *(dataset.dense(name)[block] for name in columns))
+    tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
+    return (val_users, val_cands, *(t[block] for t in tables))
 
 
 def validation_metric(
@@ -201,7 +189,8 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
 
     The log holds one record per epoch (mean per-user training loss as
     encountered during the epoch, then the post-epoch validation metric).
-    With ``epochs=0`` the freshly initialized model is returned unchanged.
+    With ``epochs=0`` the freshly initialized model is returned unchanged;
+    otherwise every pair outside the test block must be observed.
     """
     plan = dataset.fold_plan
     model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
@@ -209,6 +198,10 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     if cfg.epochs == 0:
         return model, log
 
+    gaps = ~(dataset.observed | plan.test_mask())
+    if gaps.any():
+        u, v = np.argwhere(gaps)[0]
+        raise ContractViolation(f"user {u} has an unobserved pair (v={v}) outside the test block")
     mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
     val_ctx = _validation_context(dataset)
     metric_kind = cfg.resolved_validation_kind

@@ -24,6 +24,8 @@ from .metrics import (
 )
 from .util import read_json, write_json
 
+_THETA_LOW = 0.05  # smallest propensity a random instance draws
+
 
 @dataclass(frozen=True)
 class OracleInstance:
@@ -116,10 +118,9 @@ def random_instance(
     rng: np.random.Generator,
     max_users: int = 4,
     max_candidates: int = 6,
-    theta_low: float = 0.05,
     theta_one: bool = False,
 ) -> OracleInstance:
-    """Draw labels, rankings and propensities for one oracle check."""
+    """Draw labels, rankings and propensities (in [0.05, 1)) for one oracle check."""
     n_users = int(rng.integers(1, max_users + 1))
     n_cands = int(rng.integers(1, max_candidates + 1))
     shape = (n_users, n_cands)
@@ -127,8 +128,8 @@ def random_instance(
         theta_fwd = np.ones(shape)
         theta_bwd = np.ones(shape)
     else:
-        theta_fwd = rng.uniform(theta_low, 1.0, shape)
-        theta_bwd = rng.uniform(theta_low, 1.0, shape)
+        theta_fwd = rng.uniform(_THETA_LOW, 1.0, shape)
+        theta_bwd = rng.uniform(_THETA_LOW, 1.0, shape)
     return OracleInstance(
         r_fwd=rng.integers(0, 2, shape),
         r_bwd=rng.integers(0, 2, shape),

@@ -246,6 +246,40 @@ class TestNonFiniteArguments:
         assert err.startswith(f"error: eta must be finite and non-negative, got {value}")
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_evaluate_eta(self, data_dir, tmp_path, capsys, value):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2",
+                       "--epochs", "1", "--dim", "2", "--out", str(run_dir)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(run_dir / "checkpoint.bin"), "--loss", "ipw2", "--eta", value,
+                       "--out", str(tmp_path / "eval")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eta must be finite and non-negative, got {value}")
+        assert not (tmp_path / "eval" / "eval.csv").exists()
+
+    def test_evaluate_eta_from_run_json(self, data_dir, tmp_path, capsys):
+        run_json = json.loads((data_dir / "run.json").read_text())
+        run_json["config"]["eta"] = float("inf")
+        (data_dir / "run.json").write_text(json.dumps(run_json))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(tmp_path / "unread.bin"), "--loss", "ipw2",
+                       "--out", str(tmp_path / "eval")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta must be finite and non-negative, got inf")
+
+    def test_report_eta(self, tmp_path, capsys):
+        path = tmp_path / "eval.csv"
+        save_eval_report([EvalRecord(0, 0.5, "ipw2", 3, 1.0, 0.0, 4),
+                          EvalRecord(1, float("nan"), "ipw2", 3, 1.0, 0.0, 4)], path)
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eval report CSV: line 3: eta must be finite")
+
+
 def _source_tree_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
     root = Path(__file__).resolve().parents[1]

@@ -89,7 +89,7 @@ class TestRankedList:
 
 
 class TestPairObservation:
-    """One observed pair is one row of a FeedbackDataset, which checks its columns."""
+    """One observed pair is one row of the columns a FeedbackDataset is built from."""
 
     def _make(self, u=0, v=1, **kwargs):
         # one proactive and two reactive users; the test block is empty
@@ -99,12 +99,13 @@ class TestPairObservation:
             theta_fwd=0.5, theta_bwd=0.5,
         )
         row.update(kwargs)
-        return FeedbackDataset(fold_plan=plan, u=[u], v=[v],
-                               **{name: [value] for name, value in row.items()})
+        return FeedbackDataset.from_columns(plan, [u], [v],
+                                            **{name: [value] for name, value in row.items()})
 
     def test_valid_observation(self):
         obs = self._make()
-        assert obs.y_fwd.tolist() == [1] and obs.y_bwd.tolist() == [0]
+        assert obs.observed.tolist() == [[False, True]]
+        assert obs.y_fwd.tolist() == [[0, 1]] and obs.y_bwd.tolist() == [[0, 0]]
 
     def test_forward_composition_enforced(self):
         with pytest.raises(ContractViolation):

@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ from matchltr import (
 )
 from matchltr.cli import main as cli_main
 from matchltr.util import format_float
+
+_TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
+           "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
 
 
 class TestAssignSides:
@@ -167,7 +171,7 @@ class TestSampleDataset:
     def test_sure_feedback(self):
         m, exp, plan = _uniform_world(p_fwd=1.0, p_bwd=1.0)
         ds = sample_dataset(m, exp, plan, seed=0)
-        assert (ds.y_fwd == 1).all() and (ds.y_bwd == 1).all()
+        assert (ds.y_fwd[ds.observed] == 1).all() and (ds.y_bwd[ds.observed] == 1).all()
 
     def test_zero_relevance_kills_feedback(self):
         # pairs with zero forward preference can never produce feedback
@@ -176,7 +180,7 @@ class TestSampleDataset:
         exp = exposure_from_popularity(m, eta=1.0)
         plan = make_folds(SideAssignment.trivial(3, 2), 2, seed=0)
         ds = sample_dataset(m, exp, plan, seed=0)
-        dead = forward[ds.u, ds.v] == 0.0
+        dead = (forward == 0.0) & ds.observed
         assert (ds.y_fwd[dead] == 0).all() and (ds.y_bwd[dead] == 0).all()
         assert (ds.r_fwd[dead] == 0).all()
 
@@ -226,12 +230,14 @@ class TestSampleDataset:
             se = max(np.sqrt(p * (1 - p) / n), 1e-12)
             assert abs(actual_bits[mask].mean() - p) <= 3 * se + 1e-12
 
-        left_v, right_v = ds.v < n_rea // 2, ds.v >= n_rea // 2
+        left = np.arange(n_rea)[None, :] < n_rea // 2
+        left_v, right_v = ds.observed & left, ds.observed & ~left
         check(ds.r_fwd, 0.4, left_v)
         check(ds.r_fwd, 0.8, right_v)
         check(ds.o_fwd, 0.5, left_v)   # (0.4 n)/(0.8 n) at eta=1
         assert (ds.o_fwd[right_v] == 1).all()
-        left_u, right_u = ds.u < n_pro // 2, ds.u >= n_pro // 2
+        top = np.arange(n_pro)[:, None] < n_pro // 2
+        left_u, right_u = ds.observed & top, ds.observed & ~top
         check(ds.r_bwd, 0.3, left_u)
         check(ds.r_bwd, 0.6, right_u)
         check(ds.o_bwd, 0.5, left_u)
@@ -240,8 +246,9 @@ class TestSampleDataset:
     def test_thetas_match_exposure_model(self):
         m, exp, plan = _uniform_world(p_fwd=0.5, p_bwd=0.5)
         ds = sample_dataset(m, exp, plan, seed=5)
-        assert np.array_equal(ds.theta_fwd, exp.theta_reactive_exposure[ds.v])
-        assert np.array_equal(ds.theta_bwd, exp.theta_proactive_exposure[ds.u])
+        # propensity 1 off the observed pairs
+        assert np.array_equal(ds.theta_fwd, np.where(ds.observed, exp.theta_forward(), 1.0))
+        assert np.array_equal(ds.theta_bwd, np.where(ds.observed, exp.theta_backward(), 1.0))
 
     def test_deterministic_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -251,33 +258,44 @@ class TestSampleDataset:
         plan = make_folds(SideAssignment.trivial(12, 9), 3, seed=4)
         a = sample_dataset(m, exp, plan, seed=77)
         b = sample_dataset(m, exp, plan, seed=77)
-        for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
-                     "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+        for name in _TABLES:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_no_test_pairs(self):
         m, exp, plan = _uniform_world(n_pro=10, n_rea=10, p_fwd=0.5, p_bwd=0.5, k=5)
         ds = sample_dataset(m, exp, plan, seed=0)
         assert len(ds) == 100 - 4
-        assert not plan.test_mask()[ds.u, ds.v].any()
+        assert not (plan.test_mask() & ds.observed).any()
 
     def test_dataset_rejects_test_pairs(self):
         m, exp, plan = _uniform_world(n_pro=4, n_rea=4, p_fwd=1.0, p_bwd=1.0, k=2)
         with pytest.raises(ContractViolation, match="test block"):
-            FeedbackDataset(
-                fold_plan=plan,
-                u=np.arange(4).repeat(4), v=np.tile(np.arange(4), 4),
+            FeedbackDataset.from_columns(
+                plan, u=np.arange(4).repeat(4), v=np.tile(np.arange(4), 4),
                 r_fwd=np.ones(16), r_bwd=np.ones(16),
                 o_fwd=np.ones(16), o_bwd=np.ones(16),
                 y_fwd=np.ones(16), y_bwd=np.ones(16),
                 theta_fwd=np.ones(16), theta_bwd=np.ones(16),
             )
 
+    def test_tables_checked(self):
+        m, exp, plan = _uniform_world(n_pro=8, n_rea=8, p_fwd=0.6, p_bwd=0.6, k=4)
+        ds = sample_dataset(m, exp, plan, seed=9)
+        off = ~ds.observed
+        for bad, message in (
+            (dict(r_fwd=ds.r_fwd | off), "unobserved pairs"),
+            (dict(theta_bwd=np.where(off, 0.5, ds.theta_bwd)), "unobserved pairs"),
+            (dict(observed=ds.observed.astype(np.int8)), "boolean"),
+            (dict(y_bwd=ds.y_bwd[:, 1:]), "shape"),
+        ):
+            with pytest.raises(ContractViolation, match=message):
+                replace(ds, **bad)
+
     def test_unit_exposure_twin(self):
         m, exp, plan = _uniform_world(n_pro=8, n_rea=8, p_fwd=0.6, p_bwd=0.6, k=4)
         ds = sample_dataset(m, exp, plan, seed=9)
         twin = ds.with_unit_exposure()
-        assert (twin.theta_fwd == 1.0).all() and (twin.o_bwd == 1).all()
+        assert (twin.theta_fwd == 1.0).all() and (twin.o_bwd[ds.observed] == 1).all()
         assert np.array_equal(twin.y_fwd, ds.r_fwd)
         assert np.array_equal(twin.y_bwd, ds.r_fwd * ds.r_bwd)
 
@@ -369,8 +387,7 @@ class TestDatasetCsv:
         path = tmp_path / "dataset.csv"
         save_dataset(ds, path)
         again = load_dataset(path, plan)
-        for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
-                     "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+        for name in _TABLES:
             assert np.array_equal(getattr(ds, name), getattr(again, name))
         # byte-stable re-save
         save_dataset(again, tmp_path / "again.csv")
@@ -443,8 +460,7 @@ class TestDatasetCsv:
             lines.append("")
         ds, plan, path = self._edited(tmp_path, edit, newline="\n")
         again = load_dataset(path, plan)
-        for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
-                     "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+        for name in _TABLES:
             assert np.array_equal(getattr(ds, name), getattr(again, name))
 
     def test_blank_lines_counted_in_error_line(self, tmp_path):
@@ -491,8 +507,27 @@ class TestDatasetCsv:
             lines[1] = ",".join(cells)
         ds, plan, path = self._edited(tmp_path, edit)
         again = load_dataset(path, plan)
-        assert np.array_equal(ds.u, again.u)
+        assert np.array_equal(ds.observed, again.observed)
         assert np.array_equal(ds.theta_fwd, again.theta_fwd)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        def edit(lines):
+            lines.insert(3, lines[1])
+        _, plan, path = self._edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match="more than once"):
+            load_dataset(path, plan)
+
+    def test_rows_in_any_order(self, tmp_path):
+        def edit(lines):
+            lines[1:] = np.random.default_rng(3).permutation(lines[1:]).tolist()
+        ds, plan, path = self._edited(tmp_path, edit)
+        again = load_dataset(path, plan)
+        for name in _TABLES:
+            assert np.array_equal(getattr(ds, name), getattr(again, name))
+        # re-saved in row-major order, as first written
+        save_dataset(again, tmp_path / "again.csv")
+        save_dataset(ds, tmp_path / "first.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 class TestJsonFormats:
@@ -559,16 +594,20 @@ def _reference_save_square(square, path):
 
 
 def _reference_save_dataset(ds, path):
-    fold_u = ds.fold_plan.fold_of_proactive()[ds.u]
-    fold_v = ds.fold_plan.fold_of_reactive()[ds.v]
+    """One row per observed pair, in row-major order."""
+    fold_u = ds.fold_plan.fold_of_proactive()
+    fold_v = ds.fold_plan.fold_of_reactive()
     rows = [_DATASET_HEADER]
-    for i in range(len(ds)):
-        rows.append([
-            int(ds.u[i]), int(ds.v[i]), int(fold_u[i]), int(fold_v[i]),
-            int(ds.r_fwd[i]), int(ds.r_bwd[i]), int(ds.o_fwd[i]), int(ds.o_bwd[i]),
-            int(ds.y_fwd[i]), int(ds.y_bwd[i]),
-            format_float(ds.theta_fwd[i]), format_float(ds.theta_bwd[i]),
-        ])
+    for u in range(ds.n_proactive):
+        for v in range(ds.n_reactive):
+            if not ds.observed[u, v]:
+                continue
+            rows.append([
+                u, v, int(fold_u[u]), int(fold_v[v]),
+                int(ds.r_fwd[u, v]), int(ds.r_bwd[u, v]), int(ds.o_fwd[u, v]),
+                int(ds.o_bwd[u, v]), int(ds.y_fwd[u, v]), int(ds.y_bwd[u, v]),
+                format_float(ds.theta_fwd[u, v]), format_float(ds.theta_bwd[u, v]),
+            ])
     _reference_save_rows(rows, path)
 
 
@@ -617,7 +656,8 @@ def _reference_load_dataset_columns(path):
                     columns[name].append(float(cell) if name.startswith("theta") else int(cell))
             except ValueError as exc:
                 raise DataFormatError(f"dataset CSV: line {lineno}: {exc}") from None
-    return {name: np.asarray(values) for name, values in columns.items()}
+    return {name: np.asarray(values, dtype=np.float64 if name.startswith("theta") else np.intp)
+            for name, values in columns.items()}
 
 
 def _bits(a):
@@ -654,8 +694,8 @@ def feedback_datasets(draw):
     r_fwd, r_bwd, o_fwd, o_bwd = (rng.random((4, u.size)) < 0.5).astype(np.int8)
     y_fwd = o_fwd * r_fwd
     thetas = arrays(np.float64, u.size, elements=theta_values)
-    return FeedbackDataset(
-        fold_plan=plan, u=u, v=v, r_fwd=r_fwd, r_bwd=r_bwd, o_fwd=o_fwd, o_bwd=o_bwd,
+    return FeedbackDataset.from_columns(
+        plan, u=u, v=v, r_fwd=r_fwd, r_bwd=r_bwd, o_fwd=o_fwd, o_bwd=o_bwd,
         y_fwd=y_fwd, y_bwd=y_fwd * o_bwd * r_bwd,
         theta_fwd=draw(thetas), theta_bwd=draw(thetas),
     )
@@ -704,10 +744,12 @@ class TestCsvAgainstReference:
             assert new.read_bytes() == ref.read_bytes()
             loaded = load_dataset(new, plan)
             reference = _reference_load_dataset_columns(new)
-            for name in ("u", "v", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
-                         "y_fwd", "y_bwd", "theta_fwd", "theta_bwd"):
+            pairs = reference["u"], reference["v"]
+            assert np.array_equal(np.nonzero(loaded.observed), pairs)  # row-major
+            for name in _TABLES:
                 assert _bits(getattr(loaded, name)) == _bits(getattr(ds, name))
-                assert np.array_equal(getattr(loaded, name), reference[name])
+                if name != "observed":
+                    assert np.array_equal(getattr(loaded, name)[pairs], reference[name])
             save_dataset(loaded, again)
             assert again.read_bytes() == new.read_bytes()
 

@@ -1,6 +1,7 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ class TestTrainModel:
         assert model.w_pro_fwd.shape == model.w_pro_bwd.shape == (1000, 64)
         assert model.w_rea_fwd.shape == model.w_rea_bwd.shape == (1000, 64)
 
+    @pytest.mark.parametrize("block", ["train", "validation"])
+    def test_unobserved_pair_names_the_user(self, block):
+        _, _, plan, dataset = _world()
+        mask = plan.train_mask() if block == "train" else plan.validation_mask()
+        u, v = np.argwhere(mask)[-1]
+        observed = dataset.observed.copy()
+        observed[u, v] = False
+        gap = {name: np.where(observed, getattr(dataset, name), 0)
+               for name in ("r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd")}
+        gap.update({name: np.where(observed, getattr(dataset, name), 1.0)
+                    for name in ("theta_fwd", "theta_bwd")})
+        dataset = replace(dataset, observed=observed, **gap)
+        with pytest.raises(ContractViolation, match=rf"user {u} has an unobserved pair \(v={v}\)"):
+            train_model(dataset, TrainConfig(dim=2, epochs=1))
+
     def test_divergence_raises(self):
         _, _, _, dataset = _world()
         cfg = TrainConfig(loss_kind=LossKind.CONVENTIONAL, dim=4, epochs=200,
@@ -278,8 +294,8 @@ class TestSeparableToy:
         plan = dataset.fold_plan
         val_users = plan.proactive_folds[plan.validation_fold]
         val_cands = list(plan.reactive_folds[plan.validation_fold])
-        y_fwd = dataset.dense("y_fwd")
-        y_bwd = dataset.dense("y_bwd")
+        y_fwd = dataset.y_fwd
+        y_bwd = dataset.y_bwd
         weight = LambdaWeight(k=k)
         best = 0.0
         for perms in itertools.product(itertools.permutations(val_cands),
