@@ -38,7 +38,13 @@ from .train import (
     train_model,
 )
 from .util import atomic_open, derive_seed, format_float, read_json, write_json
-from .verify import load_instance, run_verification, save_instance, check_instance
+from .verify import (
+    check_instance,
+    check_settings,
+    load_instance,
+    run_verification,
+    save_instance,
+)
 from .metrics import EstimatorKind
 
 _METHOD_ORDER = tuple(kind.value for kind in LossKind)
@@ -252,6 +258,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     out = Path(args.out) if args.out else Path(".")
     if args.replay is not None:
+        check_settings(args.tolerance, args.max_users, args.max_candidates)
         inst = load_instance(args.replay)
         result = check_instance(inst)
         print(f"[verify] replaying {args.replay}")

@@ -7,6 +7,7 @@ simulation, estimators, rankers -- is expressed over these types.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,9 @@ class SideAssignment:
     reactive_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "proactive_ids", tuple(int(i) for i in self.proactive_ids))
-        object.__setattr__(self, "reactive_ids", tuple(int(i) for i in self.reactive_ids))
+        # operator.index rejects 0.7 instead of truncating it
+        object.__setattr__(self, "proactive_ids", tuple(map(operator.index, self.proactive_ids)))
+        object.__setattr__(self, "reactive_ids", tuple(map(operator.index, self.reactive_ids)))
         overlap = set(self.proactive_ids) & set(self.reactive_ids)
         if overlap:
             raise ContractViolation(f"sides must be disjoint, shared ids: {sorted(overlap)[:5]}")
@@ -163,12 +165,12 @@ class FoldPlan:
     test_fold: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "proactive_folds", tuple(tuple(int(i) for i in f) for f in self.proactive_folds)
-        )
-        object.__setattr__(
-            self, "reactive_folds", tuple(tuple(int(i) for i in f) for f in self.reactive_folds)
-        )
+        # operator.index rejects 5.0 or 0.7 instead of truncating it
+        for name in ("k", "test_fold"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("proactive_folds", "reactive_folds"):
+            folds = tuple(tuple(map(operator.index, f)) for f in getattr(self, name))
+            object.__setattr__(self, name, folds)
         if self.k < 2:
             raise ContractViolation(f"fold count must be >= 2, got {self.k}")
         if len(self.proactive_folds) != self.k or len(self.reactive_folds) != self.k:

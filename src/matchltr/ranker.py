@@ -26,6 +26,11 @@ from .util import atomic_open, sigmoid
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 
+# The four embedding tables, paired per space as (proactive, reactive): the
+# forward space, then the backward space.  Flattened, this is the checkpoint order.
+SPACES = (("w_pro_fwd", "w_rea_fwd"), ("w_pro_bwd", "w_rea_bwd"))
+TABLES = tuple(name for space in SPACES for name in space)
+
 
 class LossKind(enum.Enum):
     """Training-loss variant; each pairs with a validation estimator."""
@@ -53,7 +58,7 @@ class RankerModel:
     w_rea_bwd: np.ndarray
 
     def __post_init__(self):
-        for name in ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd"):
+        for name in TABLES:
             table = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, table)
             if table.ndim != 2:
@@ -83,12 +88,7 @@ class RankerModel:
         return self.w_rea_fwd.shape[0]
 
     def copy(self) -> "RankerModel":
-        return RankerModel(
-            w_pro_fwd=self.w_pro_fwd.copy(),
-            w_rea_fwd=self.w_rea_fwd.copy(),
-            w_pro_bwd=self.w_pro_bwd.copy(),
-            w_rea_bwd=self.w_rea_bwd.copy(),
-        )
+        return RankerModel(**{name: getattr(self, name).copy() for name in TABLES})
 
 
 def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> RankerModel:
@@ -98,15 +98,10 @@ def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> Ranker
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
 
-    def table(rows: int) -> np.ndarray:
-        return rng.uniform(-bound, bound, size=(rows, dim))
-
-    return RankerModel(
-        w_pro_fwd=table(n_proactive),
-        w_rea_fwd=table(n_reactive),
-        w_pro_bwd=table(n_proactive),
-        w_rea_bwd=table(n_reactive),
-    )
+    return RankerModel(**{
+        name: rng.uniform(-bound, bound, size=(rows, dim))
+        for space in SPACES for name, rows in zip(space, (n_proactive, n_reactive))
+    })
 
 
 def _check_ids(model: RankerModel, u: int, v: int) -> None:
@@ -181,16 +176,7 @@ class GradientTables:
 
     @staticmethod
     def zeros_like(model: RankerModel) -> "GradientTables":
-        return GradientTables(
-            w_pro_fwd=np.zeros_like(model.w_pro_fwd),
-            w_rea_fwd=np.zeros_like(model.w_rea_fwd),
-            w_pro_bwd=np.zeros_like(model.w_pro_bwd),
-            w_rea_bwd=np.zeros_like(model.w_rea_bwd),
-        )
-
-    def scale(self, factor: float) -> None:
-        for table in (self.w_pro_fwd, self.w_rea_fwd, self.w_pro_bwd, self.w_rea_bwd):
-            table *= factor
+        return GradientTables(**{name: np.zeros_like(getattr(model, name)) for name in TABLES})
 
 
 def accumulate_gradient(
@@ -199,15 +185,18 @@ def accumulate_gradient(
     mask_rows: np.ndarray,
     coef_fwd: np.ndarray,
     coef_bwd: np.ndarray,
-    out: GradientTables | None,
-) -> np.ndarray:
-    """Listwise loss of a minibatch; adds its gradient into ``out`` unless None.
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Listwise loss of a minibatch and its gradient, per embedding space.
 
     User ``users[i]`` ranks the reactive candidates where the boolean row
     ``mask_rows[i]`` is set, with cross-entropy weights from the dense rows
     ``coef_fwd[i]`` and ``coef_bwd[i]`` (length ``n_reactive``, zero off the
-    mask).  Users may repeat.  Returns the ``(batch, 2)`` forward and backward
-    loss terms in batch order.
+    mask).  Returns the ``(batch, 2)`` forward and backward loss terms in
+    batch order and, for each space of :data:`SPACES`, a ``(grad_pro,
+    grad_rea)`` pair: row ``i`` of the ``(batch, dim)`` ``grad_pro`` is the
+    gradient of proactive row ``users[i]``, and ``grad_rea`` is the gradient
+    of the whole reactive table.  A user that repeats gets one row per
+    occurrence, which the caller must add up.
 
     In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
     and L = -sum(coef * log p), the derivative is dL/dz_v = (sum(coef) * p_v
@@ -221,10 +210,10 @@ def accumulate_gradient(
     """
     users = np.asarray(users, dtype=np.intp)
     terms = np.empty((users.size, 2))
-    spaces = (("w_pro_fwd", "w_rea_fwd", coef_fwd), ("w_pro_bwd", "w_rea_bwd", coef_bwd))
+    grads = []
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        for space, (pro, rea, coef) in enumerate(spaces):
+        for space, ((pro, rea), coef) in enumerate(zip(SPACES, (coef_fwd, coef_bwd))):
             w_rea = getattr(model, rea)
             w_users = getattr(model, pro).take(users, axis=0)
             s = sigmoid(w_users @ w_rea.T)
@@ -232,16 +221,13 @@ def accumulate_gradient(
             p /= p.sum(axis=1, keepdims=True)
             log_p = np.log(np.maximum(p, PROB_FLOOR))
             terms[:, space] = -np.einsum("ij,ij->i", coef, log_p)
-            if out is not None:
-                dz = (coef.sum(axis=1, keepdims=True) * p - coef) * (1.0 - s)
-                np.add.at(getattr(out, pro), users, dz @ w_rea)  # users may repeat
-                grad_rea = getattr(out, rea)
-                grad_rea += dz.T @ w_users
-    return terms
+            dz = (coef.sum(axis=1, keepdims=True) * p - coef) * (1.0 - s)
+            grads.append((dz @ w_rea, dz.T @ w_users))
+    return terms, tuple(grads)
 
 
-def _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, out=None):
-    """One user's (forward, backward) loss terms through the minibatch kernel."""
+def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):
+    """One user's loss terms and gradient pieces through the minibatch kernel."""
     cands, coef_fwd, coef_bwd = _loss_inputs(
         model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
     )
@@ -249,8 +235,7 @@ def _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, 
     mask[0, cands] = True
     coef = np.zeros((2, 1, model.n_reactive))
     coef[:, 0, cands] = coef_fwd, coef_bwd
-    terms = accumulate_gradient(model, [u], mask, coef[0], coef[1], out)
-    return float(terms[0, 0]), float(terms[0, 1])
+    return accumulate_gradient(model, [u], mask, coef[0], coef[1])
 
 
 def loss_terms(
@@ -264,7 +249,8 @@ def loss_terms(
     kind: LossKind = LossKind.CONVENTIONAL,
 ) -> tuple[float, float]:
     """(forward, backward) cross-entropy terms of the listwise loss for one user."""
-    return _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    terms, _ = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    return float(terms[0, 0]), float(terms[0, 1])
 
 
 def loss_user(
@@ -296,8 +282,11 @@ def loss_gradient(
 
     Rows of users not touched by the candidate list are zero.
     """
+    _, grads = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     out = GradientTables.zeros_like(model)
-    _user_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind, out)
+    for (pro, rea), (grad_pro, grad_rea) in zip(SPACES, grads):
+        getattr(out, pro)[u] = grad_pro[0]
+        getattr(out, rea)[:] = grad_rea
     return out
 
 
@@ -306,7 +295,6 @@ def loss_gradient(
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"matchltr-checkpoint v1\n"
-_TABLE_ORDER = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 
 
 def save_model(model: RankerModel, path) -> None:
@@ -319,13 +307,13 @@ def save_model(model: RankerModel, path) -> None:
         "dim": model.dim,
         "n_proactive": model.n_proactive,
         "n_reactive": model.n_reactive,
-        "tables": list(_TABLE_ORDER),
+        "tables": list(TABLES),
         "dtype": "<f8",
     }
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for name in _TABLE_ORDER:
+        for name in TABLES:
             fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
 
 
@@ -340,12 +328,12 @@ def load_model(path) -> RankerModel:
             dim = int(header["dim"])
             n_pro = int(header["n_proactive"])
             n_rea = int(header["n_reactive"])
-            if header["tables"] != list(_TABLE_ORDER) or header["dtype"] != "<f8":
+            if header["tables"] != list(TABLES) or header["dtype"] != "<f8":
                 raise DataFormatError("checkpoint: unsupported table layout")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"checkpoint: malformed header: {exc}") from None
         tables = {}
-        for name in _TABLE_ORDER:
+        for name in TABLES:
             rows = n_pro if name.startswith("w_pro") else n_rea
             raw = fh.read(rows * dim * 8)
             if len(raw) != rows * dim * 8:

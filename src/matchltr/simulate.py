@@ -137,18 +137,6 @@ class ExposureModel:
     def n_reactive(self) -> int:
         return self.theta_reactive_exposure.shape[0]
 
-    def theta_forward(self) -> np.ndarray:
-        """Pairwise forward exposure matrix (constant across rows)."""
-        return np.broadcast_to(
-            self.theta_reactive_exposure[None, :], (self.n_proactive, self.n_reactive)
-        ).copy()
-
-    def theta_backward(self) -> np.ndarray:
-        """Pairwise backward exposure matrix (constant across columns)."""
-        return np.broadcast_to(
-            self.theta_proactive_exposure[:, None], (self.n_proactive, self.n_reactive)
-        ).copy()
-
 
 def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     """Exposure probabilities from preference mass, normalized by the maximum.
@@ -201,12 +189,12 @@ def latent_preferences(
     target = np.asarray(target_factors, dtype=np.float64)
     if actor.ndim != 2 or target.ndim != 2 or actor.shape[1] != target.shape[1]:
         raise ContractViolation("factor matrices must be 2-d with a shared latent dimension")
+    if not 0.0 <= noise < np.inf:  # NaN fails too
+        raise ContractViolation(f"noise must be finite and non-negative, got {noise}")
     logits = actor @ target.T
     if target_offsets is not None:
         logits = logits + np.asarray(target_offsets, dtype=np.float64)[None, :]
     probs = sigmoid(logits)
-    if noise < 0:
-        raise ContractViolation(f"noise must be non-negative, got {noise}")
     if noise > 0:
         if rng is None:
             raise ContractViolation("noise > 0 requires an rng")

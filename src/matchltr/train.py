@@ -35,7 +35,7 @@ from .metrics import (
     rank_candidates,
 )
 from .ranker import (
-    GradientTables,
+    SPACES,
     LossKind,
     RankerModel,
     accumulate_gradient,
@@ -191,6 +191,10 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     encountered during the epoch, then the post-epoch validation metric).
     With ``epochs=0`` the freshly initialized model is returned unchanged;
     otherwise every pair outside the test block must be observed.
+
+    Each minibatch subtracts ``learning_rate * grad / batch`` in place from the
+    batch's proactive rows and every reactive row, with no gradient buffer;
+    weight decay, when set, first shrinks every row of every table.
     """
     plan = dataset.fold_plan
     model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
@@ -206,8 +210,6 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     val_ctx = _validation_context(dataset)
     metric_kind = cfg.resolved_validation_kind
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
-    tables = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
-    grads = GradientTables.zeros_like(model)
 
     best_model = None
     best_value = -np.inf
@@ -215,20 +217,21 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         order = rng.permutation(plan.n_proactive)
         loss_sum = 0.0
         for start in range(0, order.size, cfg.batch):
+            # a slice of a permutation: no user repeats, so the batch's
+            # proactive gradient rows can be subtracted by fancy indexing
             batch = order[start:start + cfg.batch]
-            terms = accumulate_gradient(
-                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch], grads
+            terms, grads = accumulate_gradient(
+                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch]
             )
             # one addition per user in batch order, not a (pairwise) array sum
             for loss in (terms[:, 0] + terms[:, 1]).tolist():
                 loss_sum += loss
-            grads.scale(1.0 / batch.size)
-            for name in tables:
-                table, grad = getattr(model, name), getattr(grads, name)
-                if cfg.weight_decay > 0.0:
-                    table *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                table -= cfg.learning_rate * grad
-                grad.fill(0.0)  # the next minibatch accumulates from zero
+            for space, space_grads in zip(SPACES, grads):
+                for name, rows, grad in zip(space, (batch, slice(None)), space_grads):
+                    table = getattr(model, name)
+                    if cfg.weight_decay > 0.0:
+                        table *= 1.0 - cfg.learning_rate * cfg.weight_decay
+                    table[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
         train_loss = loss_sum / plan.n_proactive
         if not np.isfinite(train_loss):
             raise DivergenceError(

@@ -213,6 +213,15 @@ class VerificationReport:
         return rows
 
 
+def check_settings(tolerance: float, max_users: int, max_candidates: int) -> None:
+    """Reject a tolerance that is not finite and non-negative, or a size cap below 1."""
+    if not 0.0 <= tolerance < np.inf:  # NaN fails too
+        raise ContractViolation(f"tolerance must be finite and non-negative, got {tolerance}")
+    for name, cap in (("max_users", max_users), ("max_candidates", max_candidates)):
+        if cap < 1:
+            raise ContractViolation(f"{name} must be at least 1, got {cap}")
+
+
 def run_verification(
     trials: int = 1000,
     max_users: int = 4,
@@ -224,6 +233,7 @@ def run_verification(
     """Compare exact estimator expectations with ground truth on random instances."""
     if trials < 1:
         raise ContractViolation("need at least one trial")
+    check_settings(tolerance, max_users, max_candidates)
     rng = np.random.default_rng(seed)
     max_err = {kind.value: 0.0 for kind in EstimatorKind}
     naive_dev = 0

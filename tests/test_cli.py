@@ -12,6 +12,7 @@ import pytest
 from matchltr import EvalRecord, load_eval_report, save_eval_report, save_preferences
 from matchltr.cli import main
 from matchltr.simulate import load_exposure
+from matchltr.verify import save_instance, single_pair_witness
 
 
 def run_cli(*argv):
@@ -164,6 +165,17 @@ class TestCorruptJsonInputs:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_train_rejects_a_float_fold_count(self, data_dir, tmp_path, capsys):
+        path = data_dir / "folds.json"
+        payload = json.loads(path.read_text())
+        payload["k"] = float(payload["k"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "1",
+                       "--dim", "2", "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fold-plan JSON: ") and "integer" in err
+
 
 class TestBinaryCsvInputs:
     # evaluate reads preferences.csv but never dataset.csv, so that case must succeed
@@ -245,6 +257,13 @@ class TestNonFiniteArguments:
         err = capsys.readouterr().err
         assert err.startswith(f"error: eta must be finite and non-negative, got {value}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_data_synth_noise(self, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run_cli("gen-data", "--synth", f"12,12,3,{value}",
+                       "--out", str(tmp_path / "data")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: noise must be finite and non-negative, got {value}")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_evaluate_eta(self, data_dir, tmp_path, capsys, value):
@@ -335,15 +354,38 @@ class TestVerifyCommand:
         assert "0.000e+00" in out
 
     def test_failure_writes_replayable_instance(self, tmp_path, capsys):
+        # tolerance 0 fails the instances whose two-sided error is a rounding residue
         out = tmp_path / "fail"
-        assert run_cli("verify", "--trials", "5", "--tolerance", "-1",
+        assert run_cli("verify", "--trials", "50", "--tolerance", "0",
                        "--out", str(out)) == 1
         instance = out / "failing_instance.json"
         assert instance.exists()
         # replaying the serialized instance re-checks it in isolation
         assert run_cli("verify", "--replay", str(instance)) == 0
         assert run_cli("verify", "--replay", str(instance),
-                       "--tolerance", "-1") == 1
+                       "--tolerance", "0") == 1
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_rejected(self, tmp_path, capsys, value, replay):
+        instance = tmp_path / "witness.json"
+        save_instance(single_pair_witness(), instance)
+        extra = ["--replay", str(instance)] if replay else []
+        capsys.readouterr()
+        assert run_cli("verify", "--trials", "5", "--tolerance", value,
+                       "--out", str(tmp_path), *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: tolerance must be finite and non-negative, got {float(value)}"
+        )
+        assert "PASSED" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--max-users", "--max-candidates"])
+    def test_zero_size_rejected(self, tmp_path, capsys, flag):
+        capsys.readouterr()
+        assert run_cli("verify", "--trials", "5", flag, "0", "--out", str(tmp_path)) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {name} must be at least 1, got 0")
 
 
 class TestReportCommand:

@@ -24,7 +24,7 @@ from matchltr import (
     score_mutual,
 )
 from matchltr.metrics import feedback_coefficients
-from matchltr.ranker import PROB_FLOOR, accumulate_gradient
+from matchltr.ranker import PROB_FLOOR, SPACES, accumulate_gradient
 from matchltr.util import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
@@ -343,9 +343,8 @@ class TestMinibatchKernel:
         for table in coef:
             table[~mask] = 0.0
 
-        out = GradientTables.zeros_like(model)
-        terms = accumulate_gradient(model, users, mask, *coef, out)
-        assert np.array_equal(accumulate_gradient(model, users, mask, *coef, None), terms)
+        terms, grads = accumulate_gradient(model, users, mask, *coef)
+        out = _scatter(model, users, grads)
 
         expected = GradientTables.zeros_like(model)
         user_losses = np.empty(batch)
@@ -359,6 +358,15 @@ class TestMinibatchKernel:
         assert_close(terms[:, 0] + terms[:, 1], user_losses)
         for name in TABLES:
             assert_close(getattr(out, name), getattr(expected, name))
+
+
+def _scatter(model, users, grads):
+    """The kernel's gradient pieces as full tables; repeated users add up."""
+    out = GradientTables.zeros_like(model)
+    for (pro, rea), (grad_pro, grad_rea) in zip(SPACES, grads):
+        np.add.at(getattr(out, pro), users, grad_pro)
+        getattr(out, rea)[:] += grad_rea
+    return out
 
 
 def _reference_minibatch(model, users, candidate_sets, groups, coef_fwd, coef_bwd):
@@ -417,8 +425,8 @@ class TestMinibatchKernelAtTrainingShapes:
 
         ref_terms, ref_grads = _reference_minibatch(model, users, candidate_sets, groups, *coef)
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            out = GradientTables.zeros_like(model)
-            terms = accumulate_gradient(model, users, layout(mask), *map(layout, coef), out)
+            terms, grads = accumulate_gradient(model, users, layout(mask), *map(layout, coef))
+            out = _scatter(model, users, grads)
             assert_close(terms, ref_terms)
             for name in TABLES:
                 assert_close(getattr(out, name), getattr(ref_grads, name))

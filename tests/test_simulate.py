@@ -247,8 +247,10 @@ class TestSampleDataset:
         m, exp, plan = _uniform_world(p_fwd=0.5, p_bwd=0.5)
         ds = sample_dataset(m, exp, plan, seed=5)
         # propensity 1 off the observed pairs
-        assert np.array_equal(ds.theta_fwd, np.where(ds.observed, exp.theta_forward(), 1.0))
-        assert np.array_equal(ds.theta_bwd, np.where(ds.observed, exp.theta_backward(), 1.0))
+        theta_fwd = np.broadcast_to(exp.theta_reactive_exposure[None, :], ds.observed.shape)
+        theta_bwd = np.broadcast_to(exp.theta_proactive_exposure[:, None], ds.observed.shape)
+        assert np.array_equal(ds.theta_fwd, np.where(ds.observed, theta_fwd, 1.0))
+        assert np.array_equal(ds.theta_bwd, np.where(ds.observed, theta_bwd, 1.0))
 
     def test_deterministic_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -560,6 +562,31 @@ class TestJsonFormats:
         a = assign_sides(13, seed=3)
         save_side_assignment(a, tmp_path / "sides.json")
         assert load_side_assignment(tmp_path / "sides.json") == a
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 4.0), ("test_fold", 2.0), ("proactive_folds", 0.7), ("reactive_folds", 0.7),
+    ])
+    def test_fold_plan_non_integer_rejected(self, tmp_path, field, value):
+        path = tmp_path / "folds.json"
+        save_fold_plan(make_folds(SideAssignment.trivial(11, 9), 4, seed=6, test_fold=2), path)
+        payload = json.loads(path.read_text())
+        if field.endswith("_folds"):
+            payload[field][0][0] = value
+        else:
+            payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="fold-plan JSON: .*integer"):
+            load_fold_plan(path)
+
+    @pytest.mark.parametrize("field", ["proactive_ids", "reactive_ids"])
+    def test_side_assignment_non_integer_id_rejected(self, tmp_path, field):
+        path = tmp_path / "sides.json"
+        save_side_assignment(assign_sides(13, seed=3), path)
+        payload = json.loads(path.read_text())
+        payload[field][0] = 0.7
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="side-assignment JSON: .*integer"):
+            load_side_assignment(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "x.json"

@@ -37,8 +37,8 @@ from matchltr import (
     validation_metric,
 )
 from matchltr.metrics import feedback_coefficients
-from matchltr.ranker import PROB_FLOOR, GradientTables
-from matchltr.train import EpochRecord, TrainingLog, _per_user_training_data
+from matchltr.ranker import PROB_FLOOR, SPACES, GradientTables, accumulate_gradient
+from matchltr.train import EpochRecord, TrainingLog, _loss_tables, _per_user_training_data
 from matchltr.util import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
@@ -223,12 +223,12 @@ def _reference_train(dataset, cfg):
             grads = GradientTables.zeros_like(model)
             for u in batch:
                 loss_sum += _reference_user_gradient(model, u, *per_user[u], grads)
-            grads.scale(1.0 / batch.size)
             for name in TABLES:
-                table = getattr(model, name)
+                table, grad = getattr(model, name), getattr(grads, name)
+                grad *= 1.0 / batch.size
                 if cfg.weight_decay > 0.0:
                     table *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                table -= cfg.learning_rate * getattr(grads, name)
+                table -= cfg.learning_rate * grad
         value = validation_metric(model, dataset, cfg.resolved_validation_kind, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
         if value > best_value:
@@ -265,6 +265,55 @@ class TestMinibatchGradientBitIdentity:
                 np.array([getattr(r, field) for r in log.records]),
                 np.array([getattr(r, field) for r in ref_log.records]),
             )
+
+
+def _buffered_train(dataset, cfg):
+    """train_model with a gradient buffer: the kernel's pieces are scattered
+    into full gradient tables, scaled by 1/batch and subtracted from every row."""
+    plan = dataset.fold_plan
+    model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
+    mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
+    log, best_model, best_value = TrainingLog(), None, -np.inf
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(plan.n_proactive)
+        loss_sum = 0.0
+        for start in range(0, order.size, cfg.batch):
+            batch = order[start:start + cfg.batch]
+            terms, pieces = accumulate_gradient(
+                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch]
+            )
+            for loss in (terms[:, 0] + terms[:, 1]).tolist():
+                loss_sum += loss
+            grads = GradientTables.zeros_like(model)
+            for (pro, rea), (grad_pro, grad_rea) in zip(SPACES, pieces):
+                np.add.at(getattr(grads, pro), batch, grad_pro)
+                getattr(grads, rea)[:] += grad_rea
+            for name in TABLES:
+                table, grad = getattr(model, name), getattr(grads, name)
+                grad *= 1.0 / batch.size
+                if cfg.weight_decay > 0.0:
+                    table *= 1.0 - cfg.learning_rate * cfg.weight_decay
+                table -= cfg.learning_rate * grad
+        value = validation_metric(model, dataset, cfg.resolved_validation_kind, cfg.k_valid)
+        log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
+        if value > best_value:
+            best_model, best_value = model.copy(), value
+    return best_model, log
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_in_place_step_matches_buffered_step(kind, weight_decay):
+    # 30 users in batches of 8, 8, 8 and 6
+    _, _, _, dataset = _world(n=30, eta=1.0)
+    cfg = TrainConfig(loss_kind=kind, dim=8, epochs=5, learning_rate=0.3,
+                      batch=8, seed=6, k_valid=5, weight_decay=weight_decay)
+    model, log = train_model(dataset, cfg)
+    ref_model, ref_log = _buffered_train(dataset, cfg)
+    for name in TABLES:
+        assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+    assert log.records == ref_log.records
 
 
 class TestSeparableToy:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matchltr import (
+    ContractViolation,
     DataFormatError,
     EstimatorKind,
     OracleInstance,
@@ -46,9 +47,24 @@ class TestRunVerification:
             assert report.max_abs_error[kind.value] == 0.0
 
     def test_failures_collected_under_impossible_tolerance(self):
-        report = run_verification(trials=50, seed=2, tolerance=-1.0)
+        # tolerance 0, the strictest allowed, is breached by every rounding residue
+        report = run_verification(trials=50, seed=2, tolerance=0.0)
         assert not report.passed
-        assert len(report.failures) == 50
+        rng = np.random.default_rng(2)
+        drawn = [random_instance(rng) for _ in range(50)]
+        breached = [inst for inst in drawn if check_instance(inst).error(EstimatorKind.IPW2) > 0]
+        assert [f.to_dict() for f in report.failures] == [b.to_dict() for b in breached]
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"tolerance": -1.0}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": float("inf")}, "tolerance"),
+        ({"max_users": 0}, "max_users"),
+        ({"max_candidates": 0}, "max_candidates"),
+    ])
+    def test_bad_settings_rejected(self, settings, match):
+        with pytest.raises(ContractViolation, match=match):
+            run_verification(trials=5, **settings)
 
     def test_report_lines_render(self):
         report = run_verification(trials=20, seed=3)
