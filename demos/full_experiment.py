@@ -5,8 +5,8 @@ For each (eta, fold) cell the driver samples a fresh biased dataset, trains
 all three methods, and scores the held-out test block with true-relevance
 DCG.  The same protocol at full size (a 200x200 market, eta in {0.5, 1.0},
 5 folds) is what the acceptance suite uses to check the qualitative trend.
-Here we use a 120x120 market and 3 folds so the grid finishes in about a
-minute; expect the two-sided method on top in most cells, less reliably so
+Here we use a 120x120 market and 3 folds so the grid finishes in about two
+seconds; expect the two-sided method on top in most cells, less reliably so
 than at full size (small markets leave more room for reweighting variance).
 """
 

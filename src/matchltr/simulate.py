@@ -26,7 +26,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, open_text, read_json, sigmoid, write_json
+from .util import atomic_open, format_float, load_record, open_text, save_record, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +202,35 @@ def latent_preferences(
     return probs
 
 
+# fixed logit weights of synth_preferences (see its docstring)
+_FORWARD_BASE = 0.3
+_FORWARD_JITTER = 0.45
+_PERSONAL_SPREAD = 0.5
+_WITHIN_LOGIT = 2.5
+_ACROSS_LOGIT = -2.5
+_BACKWARD_BOOST = 3.5
+_BACKWARD_JITTER = 0.4
+
+
 def synth_preferences(
     n_proactive: int,
     n_reactive: int,
     rank: int,
     noise: float,
     seed: int,
-    *,
-    forward_base: float = 0.3,
-    forward_jitter: float = 0.45,
-    personal_spread: float = 0.5,
-    within_logit: float = 2.5,
-    across_logit: float = -2.5,
-    backward_boost: float = 3.5,
-    backward_jitter: float = 0.4,
 ) -> PreferenceMatrix:
     """Two-sided preferences where reciprocation is the scarce, clustered signal.
 
     Forward direction (who proactive users like): a popularity-graded latent
-    model, ``sigmoid(forward_base + forward_jitter * z_v + personal taste)``,
-    with per-user taste of scale ``personal_spread``.  Popular reactive users
+    model, ``sigmoid(_FORWARD_BASE + _FORWARD_JITTER * z_v + personal taste)``,
+    with per-user taste of scale ``_PERSONAL_SPREAD``.  Popular reactive users
     are genuinely more attractive, so downstream exposure roughly follows
     forward preference.
 
     Backward direction (who reciprocates): users on both sides carry one of
     ``rank`` latent classes; reciprocation is strong within a class
-    (``within_logit``) and rare across classes (``across_logit``), except that
-    class-0 proactive users are mainstream and get a ``backward_boost`` from
+    (``_WITHIN_LOGIT``) and rare across classes (``_ACROSS_LOGIT``), except that
+    class-0 proactive users are mainstream and get a ``_BACKWARD_BOOST`` from
     everyone.  Niche-class proactive users receive little backward mass, hence
     little backward exposure, which is what makes their logged reciprocations
     rare and precious.
@@ -244,17 +246,17 @@ def synth_preferences(
     class_pro = rng.integers(0, rank, n_proactive)
     class_rea = rng.integers(0, rank, n_reactive)
 
-    taste_sd = np.sqrt(personal_spread / np.sqrt(rank))
+    taste_sd = np.sqrt(_PERSONAL_SPREAD / np.sqrt(rank))
     fwd_actors = rng.standard_normal((n_proactive, rank)) * taste_sd
     fwd_targets = rng.standard_normal((n_reactive, rank)) * taste_sd
-    fwd_offsets = forward_base + forward_jitter * rng.standard_normal(n_reactive)
+    fwd_offsets = _FORWARD_BASE + _FORWARD_JITTER * rng.standard_normal(n_reactive)
     forward = latent_preferences(fwd_actors, fwd_targets, fwd_offsets, noise, rng)
 
     bwd_actors = np.eye(rank)[class_rea]
-    bwd_targets = np.full((n_proactive, rank), across_logit)
-    bwd_targets[np.arange(n_proactive), class_pro] = within_logit
-    bwd_offsets = backward_boost * (class_pro == 0)
-    bwd_offsets = bwd_offsets + backward_jitter * rng.standard_normal(n_proactive)
+    bwd_targets = np.full((n_proactive, rank), _ACROSS_LOGIT)
+    bwd_targets[np.arange(n_proactive), class_pro] = _WITHIN_LOGIT
+    bwd_offsets = _BACKWARD_BOOST * (class_pro == 0)
+    bwd_offsets = bwd_offsets + _BACKWARD_JITTER * rng.standard_normal(n_proactive)
     # backward[u, v] = preference of reactive v for proactive u
     backward = latent_preferences(bwd_actors, bwd_targets, bwd_offsets, noise, rng).T
 
@@ -568,63 +570,24 @@ def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:
 
 
 def save_fold_plan(plan: FoldPlan, path) -> None:
-    payload = {
-        "k": plan.k,
-        "test_fold": plan.test_fold,
-        "proactive_folds": [list(f) for f in plan.proactive_folds],
-        "reactive_folds": [list(f) for f in plan.reactive_folds],
-    }
-    write_json(path, payload)
+    save_record(plan, path)
 
 
 def load_fold_plan(path) -> FoldPlan:
-    payload = read_json(path, "fold-plan JSON")
-    try:
-        return FoldPlan(
-            k=payload["k"],
-            proactive_folds=tuple(tuple(f) for f in payload["proactive_folds"]),
-            reactive_folds=tuple(tuple(f) for f in payload["reactive_folds"]),
-            test_fold=payload["test_fold"],
-        )
-    except (KeyError, TypeError, ContractViolation) as exc:
-        raise DataFormatError(f"fold-plan JSON: {exc}") from None
+    return load_record(FoldPlan, path, "fold-plan JSON")
 
 
 def save_exposure(exposure: ExposureModel, path) -> None:
-    payload = {
-        "eta": exposure.eta,
-        "theta_reactive_exposure": [float(t) for t in exposure.theta_reactive_exposure],
-        "theta_proactive_exposure": [float(t) for t in exposure.theta_proactive_exposure],
-    }
-    write_json(path, payload)
+    save_record(exposure, path)
 
 
 def load_exposure(path) -> ExposureModel:
-    payload = read_json(path, "exposure JSON")
-    try:
-        return ExposureModel(
-            eta=payload["eta"],
-            theta_reactive_exposure=payload["theta_reactive_exposure"],
-            theta_proactive_exposure=payload["theta_proactive_exposure"],
-        )
-    except (KeyError, TypeError, AssumptionViolationError, ContractViolation) as exc:
-        raise DataFormatError(f"exposure JSON: {exc}") from None
+    return load_record(ExposureModel, path, "exposure JSON")
 
 
 def save_side_assignment(assignment: SideAssignment, path) -> None:
-    payload = {
-        "proactive_ids": list(assignment.proactive_ids),
-        "reactive_ids": list(assignment.reactive_ids),
-    }
-    write_json(path, payload)
+    save_record(assignment, path)
 
 
 def load_side_assignment(path) -> SideAssignment:
-    payload = read_json(path, "side-assignment JSON")
-    try:
-        return SideAssignment(
-            proactive_ids=tuple(payload["proactive_ids"]),
-            reactive_ids=tuple(payload["reactive_ids"]),
-        )
-    except (KeyError, TypeError, ContractViolation) as exc:
-        raise DataFormatError(f"side-assignment JSON: {exc}") from None
+    return load_record(SideAssignment, path, "side-assignment JSON")

@@ -11,6 +11,7 @@ model on the held-out test block with true-relevance DCG.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -50,12 +51,11 @@ from .util import atomic_open, derive_seed, format_float, open_text, read_json, 
 class TrainConfig:
     """Hyperparameters for one training run.
 
-    ``validation_metric_kind=None`` selects the estimator paired with the
-    loss: conventional -> naive, one-sided -> one-sided, two-sided -> two-sided.
+    Validation uses the estimator paired with the loss: conventional -> naive,
+    one-sided -> one-sided, two-sided -> two-sided.
     """
 
     loss_kind: LossKind = LossKind.CONVENTIONAL
-    validation_metric_kind: EstimatorKind | None = None
     dim: int = 64
     learning_rate: float = 0.05
     epochs: int = 200
@@ -65,6 +65,9 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
+        # operator.index rejects 16.7 or 3.0 instead of truncating it
+        for name in ("dim", "epochs", "batch", "seed", "k_valid"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.dim < 1 or self.epochs < 0 or self.batch < 1 or self.k_valid < 1:
             raise ContractViolation("dim, batch and k_valid must be positive; epochs >= 0")
         # written so that NaN fails too
@@ -76,12 +79,6 @@ class TrainConfig:
             raise ContractViolation(
                 f"weight decay must be finite and non-negative, got {self.weight_decay}"
             )
-
-    @property
-    def resolved_validation_kind(self) -> EstimatorKind:
-        if self.validation_metric_kind is not None:
-            return self.validation_metric_kind
-        return self.loss_kind.paired_metric
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         raise ContractViolation(f"user {u} has an unobserved pair (v={v}) outside the test block")
     mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
     val_ctx = _validation_context(dataset)
-    metric_kind = cfg.resolved_validation_kind
+    metric_kind = cfg.loss_kind.paired_metric
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
 
     best_model = None
@@ -342,10 +339,12 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # operator.index rejects 5.9 or 0.4 instead of truncating it
+        object.__setattr__(self, "folds", operator.index(self.folds))
+        object.__setattr__(self, "k_values", tuple(map(operator.index, self.k_values)))
+        object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
         if self.test_folds is not None:
-            object.__setattr__(self, "test_folds", tuple(int(f) for f in self.test_folds))
+            object.__setattr__(self, "test_folds", tuple(map(operator.index, self.test_folds)))
         if not self.etas or not self.k_values or not self.seeds:
             raise ContractViolation("etas, k_values and seeds must be non-empty")
         if self.folds < 2:
@@ -366,14 +365,13 @@ class ExperimentPlan:
 def default_method_configs(base: TrainConfig | None = None) -> dict[LossKind, TrainConfig]:
     """One config per loss variant, sharing every other hyperparameter."""
     base = base or TrainConfig()
-    return {kind: replace(base, loss_kind=kind, validation_metric_kind=None) for kind in LossKind}
+    return {kind: replace(base, loss_kind=kind) for kind in LossKind}
 
 
 def run_experiment(
     m: PreferenceMatrix,
     plan: ExperimentPlan,
     cfgs: Mapping[LossKind, TrainConfig] | None = None,
-    assignment: SideAssignment | None = None,
     label_mode: str = "sampled",
     progress=None,
 ) -> list[EvalRecord]:
@@ -385,10 +383,10 @@ def run_experiment(
     seeds are derived from the plan seed; ``cfg.seed`` is ignored here.
     """
     cfgs = cfgs or default_method_configs()
-    assignment = assignment or SideAssignment.trivial(m.n_proactive, m.n_reactive)
+    sides = SideAssignment.trivial(m.n_proactive, m.n_reactive)
     records: list[EvalRecord] = []
     for seed in plan.seeds:
-        base_folds = make_folds(assignment, plan.folds, derive_seed(seed, "folds"))
+        base_folds = make_folds(sides, plan.folds, derive_seed(seed, "folds"))
         for eta in plan.etas:
             exposure = exposure_from_popularity(m, eta)
             for fold in plan.folds_to_run:
@@ -449,7 +447,7 @@ def load_experiment_config(path) -> tuple[ExperimentPlan, dict[LossKind, TrainCo
         test_folds = payload.get("test_folds")
         plan = ExperimentPlan(
             etas=tuple(payload["eta_list"]),
-            folds=int(payload["folds"]),
+            folds=payload["folds"],
             k_values=tuple(payload["K_list"]),
             seeds=tuple(payload["seeds"]),
             test_folds=None if test_folds is None else tuple(test_folds),
@@ -460,10 +458,10 @@ def load_experiment_config(path) -> tuple[ExperimentPlan, dict[LossKind, TrainCo
             cfgs[kind] = TrainConfig(
                 loss_kind=kind,
                 learning_rate=float(entry["learning_rate"]),
-                epochs=int(entry["epochs"]),
-                dim=int(entry["dim"]),
-                batch=int(entry.get("batch", 32)),
-                k_valid=int(entry.get("k_valid", 10)),
+                epochs=entry["epochs"],
+                dim=entry["dim"],
+                batch=entry.get("batch", 32),
+                k_valid=entry.get("k_valid", 10),
                 weight_decay=float(entry.get("weight_decay", 0.0)),
             )
     except (KeyError, TypeError, ValueError, ContractViolation) as exc:

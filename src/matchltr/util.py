@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, the sigmoid, atomic writes, text and JSON I/O,
-float formatting."""
+the JSON record codec, float formatting."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
-from .core import DataFormatError
+from .core import DataFormatError, MatchLtrError
 
 _SEED_MOD = 2**32
 
@@ -93,3 +94,28 @@ def write_json(path: str | os.PathLike, payload: dict) -> None:
     with atomic_open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_record(record, path: str | os.PathLike) -> None:
+    """Write a dataclass as one JSON object keyed by its field names.
+
+    Arrays are written as nested lists; tuples become JSON arrays.
+    """
+    payload = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    write_json(path, payload)
+
+
+def load_record(cls, path: str | os.PathLike, what: str):
+    """Build the dataclass ``cls`` from a JSON object holding one value per field.
+
+    Keys that are not fields are ignored.  A missing field, or a value that
+    ``cls`` rejects, raises :class:`DataFormatError` naming ``what``.
+    """
+    payload = read_json(path, what)
+    try:
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
+    except (KeyError, TypeError, ValueError, MatchLtrError) as exc:
+        raise DataFormatError(f"{what}: {exc}") from None

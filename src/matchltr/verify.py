@@ -11,18 +11,19 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractViolation, DataFormatError
+from .core import ContractViolation
 from .metrics import (
     EstimatorKind,
     LambdaWeight,
     expected_metric_exact,
     metric_ground_truth,
 )
-from .util import read_json, write_json
+from .util import load_record, save_record
 
 _THETA_LOW = 0.05  # smallest propensity a random instance draws
 
@@ -48,6 +49,8 @@ class OracleInstance:
         object.__setattr__(self, "theta_fwd", np.asarray(self.theta_fwd, dtype=np.float64))
         object.__setattr__(self, "theta_bwd", np.asarray(self.theta_bwd, dtype=np.float64))
         object.__setattr__(self, "ranking", np.asarray(self.ranking, dtype=np.intp))
+        # operator.index rejects 2.5 instead of truncating it
+        object.__setattr__(self, "k", operator.index(self.k))
         shape = self.r_fwd.shape
         if len(shape) != 2 or shape[1] < 1:
             raise ContractViolation("instance arrays must be 2-d with >= 1 candidate")
@@ -68,37 +71,13 @@ class OracleInstance:
     def n_candidates(self) -> int:
         return self.r_fwd.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "r_fwd": self.r_fwd.tolist(),
-            "r_bwd": self.r_bwd.tolist(),
-            "theta_fwd": self.theta_fwd.tolist(),
-            "theta_bwd": self.theta_bwd.tolist(),
-            "ranking": self.ranking.tolist(),
-            "k": self.k,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "OracleInstance":
-        try:
-            return OracleInstance(
-                r_fwd=payload["r_fwd"],
-                r_bwd=payload["r_bwd"],
-                theta_fwd=payload["theta_fwd"],
-                theta_bwd=payload["theta_bwd"],
-                ranking=payload["ranking"],
-                k=int(payload["k"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"oracle instance: {exc}") from None
-
 
 def save_instance(inst: OracleInstance, path) -> None:
-    write_json(path, inst.to_dict())
+    save_record(inst, path)
 
 
 def load_instance(path) -> OracleInstance:
-    return OracleInstance.from_dict(read_json(path, "oracle instance"))
+    return load_record(OracleInstance, path, "oracle instance")
 
 
 def single_pair_witness() -> OracleInstance:

@@ -365,6 +365,18 @@ class TestVerifyCommand:
         assert run_cli("verify", "--replay", str(instance),
                        "--tolerance", "0") == 1
 
+    def test_replay_rejects_a_non_integer_cutoff(self, tmp_path, capsys):
+        instance = tmp_path / "witness.json"
+        save_instance(single_pair_witness(), instance)
+        payload = json.loads(instance.read_text())
+        payload["k"] = 2.5
+        instance.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("verify", "--replay", str(instance)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: oracle instance: ")
+        assert "replaying" not in captured.out
+
     @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, value, replay):

@@ -20,6 +20,7 @@ from matchltr import (
     ExposureModel,
     FeedbackDataset,
     FoldInfeasibleError,
+    FoldPlan,
     InvalidPopulationError,
     PreferenceMatrix,
     SideAssignment,
@@ -593,6 +594,47 @@ class TestJsonFormats:
         path.write_text("{not json")
         with pytest.raises(DataFormatError):
             load_fold_plan(path)
+
+    # one object keyed by the record's fields, sorted, indented by two spaces
+    @pytest.mark.parametrize("save, load, record, golden", [
+        (save_fold_plan, load_fold_plan,
+         FoldPlan(k=2, proactive_folds=((1,), (0, 2)), reactive_folds=((0,), (1,)), test_fold=1),
+         b'{\n  "k": 2,\n  "proactive_folds": [\n    [\n      1\n    ],\n    [\n'
+         b'      0,\n      2\n    ]\n  ],\n  "reactive_folds": [\n    [\n      0\n'
+         b'    ],\n    [\n      1\n    ]\n  ],\n  "test_fold": 1\n}\n'),
+        (save_exposure, load_exposure,
+         ExposureModel(eta=0.5, theta_reactive_exposure=[1.0, 0.25],
+                       theta_proactive_exposure=[0.1, 1.0, 0.7]),
+         b'{\n  "eta": 0.5,\n  "theta_proactive_exposure": [\n    0.1,\n    1.0,\n'
+         b'    0.7\n  ],\n  "theta_reactive_exposure": [\n    1.0,\n    0.25\n  ]\n}\n'),
+        (save_side_assignment, load_side_assignment,
+         SideAssignment(proactive_ids=(2, 0), reactive_ids=(1,)),
+         b'{\n  "proactive_ids": [\n    2,\n    0\n  ],\n  "reactive_ids": [\n    1\n'
+         b'  ]\n}\n'),
+    ], ids=["folds", "exposure", "sides"])
+    def test_golden_bytes(self, tmp_path, save, load, record, golden):
+        path = tmp_path / "record.json"
+        save(record, path)
+        assert path.read_bytes() == golden
+        save(load(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == golden
+
+    def test_unknown_keys_ignored(self, tmp_path):
+        path = tmp_path / "sides.json"
+        path.write_text('{"proactive_ids": [1], "reactive_ids": [0], "note": "x"}')
+        assert load_side_assignment(path) == SideAssignment((1,), (0,))
+
+    @pytest.mark.parametrize("value", [["high", 1.0], [[1.0], [0.5, 1.0]]],
+                             ids=["non-numeric", "ragged"])
+    def test_exposure_list_must_be_numeric_and_flat(self, tmp_path, value):
+        path = tmp_path / "exposure.json"
+        save_exposure(ExposureModel(eta=0.5, theta_reactive_exposure=[1.0, 0.25],
+                                    theta_proactive_exposure=[1.0]), path)
+        payload = json.loads(path.read_text())
+        payload["theta_reactive_exposure"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="exposure JSON: "):
+            load_exposure(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -56,17 +57,9 @@ def _world(n=12, eta=0.8, k=3, seed=0, m_seed=1):
 
 class TestTrainConfig:
     def test_validation_pairing(self):
-        assert TrainConfig(loss_kind=LossKind.CONVENTIONAL).resolved_validation_kind \
-            is EstimatorKind.NAIVE
-        assert TrainConfig(loss_kind=LossKind.IPW1).resolved_validation_kind \
-            is EstimatorKind.IPW1
-        assert TrainConfig(loss_kind=LossKind.IPW2).resolved_validation_kind \
-            is EstimatorKind.IPW2
-
-    def test_pairing_can_be_overridden(self):
-        cfg = TrainConfig(loss_kind=LossKind.CONVENTIONAL,
-                          validation_metric_kind=EstimatorKind.IPW2)
-        assert cfg.resolved_validation_kind is EstimatorKind.IPW2
+        assert LossKind.CONVENTIONAL.paired_metric is EstimatorKind.NAIVE
+        assert LossKind.IPW1.paired_metric is EstimatorKind.IPW1
+        assert LossKind.IPW2.paired_metric is EstimatorKind.IPW2
 
     def test_positivity_checks(self):
         with pytest.raises(ContractViolation):
@@ -229,7 +222,7 @@ def _reference_train(dataset, cfg):
                 if cfg.weight_decay > 0.0:
                     table *= 1.0 - cfg.learning_rate * cfg.weight_decay
                 table -= cfg.learning_rate * grad
-        value = validation_metric(model, dataset, cfg.resolved_validation_kind, cfg.k_valid)
+        value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
         if value > best_value:
             best_model, best_value = model.copy(), value
@@ -295,7 +288,7 @@ def _buffered_train(dataset, cfg):
                 if cfg.weight_decay > 0.0:
                     table *= 1.0 - cfg.learning_rate * cfg.weight_decay
                 table -= cfg.learning_rate * grad
-        value = validation_metric(model, dataset, cfg.resolved_validation_kind, cfg.k_valid)
+        value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
         if value > best_value:
             best_model, best_value = model.copy(), value
@@ -466,3 +459,27 @@ class TestLogAndConfigFiles:
             assert cfgs2[kind].epochs == 50
             assert cfgs2[kind].dim == 16
             assert cfgs2[kind].loss_kind is kind
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(folds=5.9),
+        lambda p: p.update(K_list=[3, 10.0]),
+        lambda p: p.update(seeds=[1.5]),
+        lambda p: p.update(test_folds=[0.4]),
+        lambda p: p["methods"]["ipw2"].update(epochs=3.0),
+        lambda p: p["methods"]["ipw2"].update(dim=16.5),
+        lambda p: p["methods"]["ipw2"].update(batch=16.7),
+        lambda p: p["methods"]["ipw2"].update(k_valid=10.2),
+    ], ids=["folds", "K_list", "seeds", "test_folds", "epochs", "dim", "batch", "k_valid"])
+    def test_experiment_config_non_integer_rejected(self, tmp_path, edit):
+        path = tmp_path / "experiment.json"
+        save_experiment_config(ExperimentPlan(etas=(0.5,), folds=4, test_folds=(0,)),
+                               default_method_configs(), path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="experiment config JSON: .*integer"):
+            load_experiment_config(path)
+
+    def test_train_config_seed_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="integer"):
+            TrainConfig(seed=0.5)
