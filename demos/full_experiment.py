@@ -5,9 +5,12 @@ For each (eta, fold) cell the driver samples a fresh biased dataset, trains
 all three methods, and scores the held-out test block with true-relevance
 DCG.  The same protocol at full size (a 200x200 market, eta in {0.5, 1.0},
 5 folds) is what the acceptance suite uses to check the qualitative trend.
-Here we use a 120x120 market and 3 folds so the grid finishes in about two
-seconds; expect the two-sided method on top in most cells, less reliably so
-than at full size (small markets leave more room for reweighting variance).
+Here we use a 120x120 market and 3 folds so the grid finishes in seconds.
+At this size the methods are close: a run puts the two-sided method on top
+in 3 of the 6 cells at DCG@10, the conventional one in 2 and the one-sided
+one in 1, since a small market leaves more room for reweighting variance.
+The two-sided method wins most cells on the full-size grid of acceptance
+criterion 6 (200x200, 5 folds, 100 epochs at dimension 64), not on this one.
 """
 
 import collections

@@ -37,7 +37,7 @@ from .train import (
     test_dcg_records,
     train_model,
 )
-from .util import atomic_open, derive_seed, format_float, read_json, write_json
+from .util import derive_seed, format_float, read_json, write_csv, write_json
 from .verify import (
     check_instance,
     check_settings,
@@ -353,18 +353,13 @@ def _render_table(title: str, row_label: str, rows, ks, methods, cells) -> list[
 
 
 def _write_table_csv(path, row_label: str, rows, ks, methods, cells) -> None:
-    import csv as _csv
-
-    with atomic_open(path, "w") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow([row_label] + [f"dcg@{k}:{m}" for k in ks for m in methods])
-        for row in rows:
-            record = [row if isinstance(row, int) else format_float(row)]
-            for k in ks:
-                for m in methods:
-                    v = cells.get((row, k, m))
-                    record.append("" if v is None else format_float(v))
-            writer.writerow(record)
+    header = [row_label] + [f"dcg@{k}:{m}" for k in ks for m in methods]
+    write_csv(path, header, (
+        [row if isinstance(row, int) else format_float(row)]
+        + [format_float(cells[row, k, m]) if (row, k, m) in cells else ""
+           for k in ks for m in methods]
+        for row in rows
+    ))
 
 
 def _cmd_report(args) -> int:

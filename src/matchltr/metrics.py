@@ -11,7 +11,6 @@ enumeration over the four exposure outcomes of each pair).
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,11 +20,10 @@ import numpy as np
 from .core import (
     AssumptionViolationError,
     ContractViolation,
-    DataFormatError,
     RankedList,
     UndefinedAverageError,
 )
-from .util import atomic_open, format_float, open_text
+from .util import load_rows, save_rows
 
 
 class EstimatorKind(enum.Enum):
@@ -349,40 +347,8 @@ class EvalRecord:
 
 
 def save_eval_report(records: Sequence[EvalRecord], path) -> None:
-    with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.fold, format_float(r.eta), r.method, r.k,
-                format_float(r.dcg_mean), format_float(r.dcg_stderr), r.n_users,
-            ])
+    save_rows(records, _REPORT_COLUMNS, path)
 
 
 def load_eval_report(path) -> list[EvalRecord]:
-    records: list[EvalRecord] = []
-    with open_text(path, "eval report CSV") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(_REPORT_COLUMNS):
-            raise DataFormatError(
-                f"eval report CSV: line 1: expected header {','.join(_REPORT_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_REPORT_COLUMNS):
-                raise DataFormatError(
-                    f"eval report CSV: line {lineno}: expected "
-                    f"{len(_REPORT_COLUMNS)} columns, got {len(row)}"
-                )
-            try:
-                records.append(EvalRecord(
-                    fold=int(row[0]), eta=float(row[1]), method=row[2], k=int(row[3]),
-                    dcg_mean=float(row[4]), dcg_stderr=float(row[5]), n_users=int(row[6]),
-                ))
-            except ValueError as exc:
-                raise DataFormatError(f"eval report CSV: line {lineno}: {exc}") from None
-            if not np.isfinite(records[-1].eta):
-                raise DataFormatError(f"eval report CSV: line {lineno}: eta must be finite")
-    return records
+    return load_rows(EvalRecord, _REPORT_COLUMNS, path, "eval report CSV")

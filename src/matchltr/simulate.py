@@ -9,7 +9,6 @@ gated behind the proactive side's selection.
 
 from __future__ import annotations
 
-import csv
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, load_record, open_text, save_record, sigmoid
+from .util import atomic_open, format_float, load_record, open_csv, save_record, sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +283,8 @@ def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> 
     :class:`DataFormatError` naming the 1-based line of the file.
     """
     if header is not None:
-        with open_text(path, what) as fh:
-            if next(csv.reader(fh), None) != list(header):
-                raise DataFormatError(f"{what}: line 1: expected header {','.join(header)}")
+        with open_csv(path, what, header):
+            pass  # opening checks the header; numpy parses the rest
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"

@@ -10,7 +10,6 @@ model on the held-out test block with true-relevance DCG.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -37,6 +36,7 @@ from .metrics import (
 )
 from .ranker import (
     SPACES,
+    TABLES,
     LossKind,
     RankerModel,
     accumulate_gradient,
@@ -44,7 +44,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import atomic_open, derive_seed, format_float, open_text, read_json, write_json
+from .util import derive_seed, load_rows, read_json, save_rows, write_json
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,9 @@ class TrainConfig:
             )
 
 
+_LOG_COLUMNS = ("epoch", "train_loss", "valid_metric")
+
+
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -108,28 +111,11 @@ class TrainingLog:
 
 
 def save_training_log(log: TrainingLog, path) -> None:
-    with atomic_open(path, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("epoch", "train_loss", "valid_metric"))
-        for r in log.records:
-            writer.writerow((r.epoch, format_float(r.train_loss), format_float(r.valid_metric)))
+    save_rows(log.records, _LOG_COLUMNS, path)
 
 
 def load_training_log(path) -> TrainingLog:
-    records = []
-    with open_text(path, "training log CSV") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "train_loss", "valid_metric"]:
-            raise DataFormatError("training log CSV: expected header epoch,train_loss,valid_metric")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(EpochRecord(int(row[0]), float(row[1]), float(row[2])))
-            except (ValueError, IndexError) as exc:
-                raise DataFormatError(f"training log CSV: line {lineno}: {exc}") from None
-    return TrainingLog(records=records)
+    return TrainingLog(load_rows(EpochRecord, _LOG_COLUMNS, path, "training log CSV"))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +167,7 @@ def validation_metric(
     return estimate_metric(kind, ranking, *block, LambdaWeight(k=k)).value
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is a DivergenceError, not a warning
 def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel, TrainingLog]:
     """SGD-train a ranker and return the checkpoint with the best validation value.
 
@@ -230,17 +217,14 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
                         table *= 1.0 - cfg.learning_rate * cfg.weight_decay
                     table[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
         train_loss = loss_sum / plan.n_proactive
-        if not np.isfinite(train_loss):
+        # the last minibatches can overflow the tables while the loss is still finite
+        tables = [getattr(model, name) for name in TABLES]
+        if not (np.isfinite(train_loss) and all(np.isfinite(t).all() for t in tables)):
             raise DivergenceError(
-                f"non-finite training loss at epoch {epoch} "
+                f"non-finite training loss or embeddings at epoch {epoch} "
                 f"(learning rate {cfg.learning_rate})"
             )
         value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"non-finite validation metric at epoch {epoch} "
-                f"(learning rate {cfg.learning_rate})"
-            )
         log.records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=value))
         if value > best_value:
             best_value = value

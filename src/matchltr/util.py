@@ -1,15 +1,16 @@
 """Small shared helpers: seed derivation, the sigmoid, atomic writes, text and JSON I/O,
-the JSON record codec, float formatting."""
+the JSON and CSV record codecs, float formatting."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -60,15 +61,18 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
 
 
 @contextmanager
-def open_text(path: str | os.PathLike, what: str):
-    """Open a text file for reading, e.g. with :func:`csv.reader`.
+def open_csv(path: str | os.PathLike, what: str, header):
+    """Open a CSV file whose line 1 must be ``header``; yield a reader of the rest.
 
-    Bytes that do not decode as text, or that the CSV reader rejects, raise
-    :class:`DataFormatError` naming ``what`` and the file.
+    A wrong header, bytes that do not decode as text, or a row that the CSV
+    reader rejects raise :class:`DataFormatError` naming ``what``.
     """
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            yield fh
+            if next(reader, None) != list(header):
+                raise DataFormatError(f"{what}: line 1: expected header {','.join(header)}")
+            yield reader
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataFormatError(f"{what} {os.fspath(path)}: {exc}") from None
 
@@ -119,3 +123,54 @@ def load_record(cls, path: str | os.PathLike, what: str):
         return cls(**{f.name: payload[f.name] for f in fields(cls)})
     except (KeyError, TypeError, ValueError, MatchLtrError) as exc:
         raise DataFormatError(f"{what}: {exc}") from None
+
+
+def write_csv(path: str | os.PathLike, header, rows) -> None:
+    """Write a header line and then one CSV row per sequence of cells, atomically."""
+    with atomic_open(path, "w") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _cell_types(cls) -> list:
+    """Each field's type; annotations may be strings (PEP 563)."""
+    types = {"int": int, "float": float, "str": str}
+    return [types[getattr(f.type, "__name__", f.type)] for f in fields(cls)]
+
+
+def save_rows(records, header, path: str | os.PathLike) -> None:
+    """Write dataclass records as CSV: ``header``, then one column per field in order.
+
+    Float fields are written with :func:`format_float`, the others with ``str``.
+    """
+    write_csv(path, header, ([format_float(v) if kind is float else v
+                              for kind, v in zip(_cell_types(type(r)), astuple(r))]
+                             for r in records))
+
+
+def load_rows(cls, header, path: str | os.PathLike, what: str) -> list:
+    """Read the CSV that :func:`save_rows` writes back into ``cls`` records.
+
+    The header must equal ``header``; blank lines are skipped.  Each row has
+    one cell per field, parsed by the field's annotation (``int``, ``float``
+    or ``str``), and float cells must be finite.  Any fault raises
+    :class:`DataFormatError` naming ``what``, the 1-based line and the column.
+    """
+    kinds = _cell_types(cls)
+    records = []
+    with open_csv(path, what, header) as reader:
+        for row in filter(None, reader):
+            where = f"{what}: line {reader.line_num}"
+            if len(row) != len(kinds):
+                raise DataFormatError(f"{where}: expected {len(kinds)} columns, got {len(row)}")
+            values = []
+            for column, kind, cell in zip(header, kinds, row):
+                try:
+                    values.append(kind(cell))
+                except ValueError as exc:
+                    raise DataFormatError(f"{where}: {column}: {exc}") from None
+                if kind is float and not math.isfinite(values[-1]):
+                    raise DataFormatError(f"{where}: {column} must be finite")
+            records.append(cls(*values))
+    return records

@@ -20,6 +20,7 @@ from .core import ContractViolation
 from .metrics import (
     EstimatorKind,
     LambdaWeight,
+    _as_bits,
     expected_metric_exact,
     metric_ground_truth,
 )
@@ -44,10 +45,13 @@ class OracleInstance:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r_fwd", np.asarray(self.r_fwd, dtype=np.int8))
-        object.__setattr__(self, "r_bwd", np.asarray(self.r_bwd, dtype=np.int8))
+        for name in ("r_fwd", "r_bwd"):  # checked before the cast wraps 256 to 0
+            object.__setattr__(self, name, _as_bits(name, getattr(self, name)).astype(np.int8))
         object.__setattr__(self, "theta_fwd", np.asarray(self.theta_fwd, dtype=np.float64))
         object.__setattr__(self, "theta_bwd", np.asarray(self.theta_bwd, dtype=np.float64))
+        # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking
+        if np.asarray(self.ranking).dtype.kind not in "iu":
+            raise ContractViolation("ranking must hold integer candidate indices")
         object.__setattr__(self, "ranking", np.asarray(self.ranking, dtype=np.intp))
         # operator.index rejects 2.5 instead of truncating it
         object.__setattr__(self, "k", operator.index(self.k))
@@ -59,17 +63,12 @@ class OracleInstance:
                 raise ContractViolation(f"{name} must match the instance shape {shape}")
         if self.k < 1:
             raise ContractViolation("cutoff must be positive")
-        for row in self.ranking:
-            if sorted(row.tolist()) != list(range(shape[1])):
-                raise ContractViolation("each ranking row must be a permutation of candidates")
+        if (np.sort(self.ranking, axis=1) != np.arange(shape[1])).any():
+            raise ContractViolation("each ranking row must be a permutation of candidates")
 
     @property
     def n_users(self) -> int:
         return self.r_fwd.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        return self.r_fwd.shape[1]
 
 
 def save_instance(inst: OracleInstance, path) -> None:

@@ -377,6 +377,21 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: oracle instance: ")
         assert "replaying" not in captured.out
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_fwd", [[0.5]]), ("r_bwd", [[2]]), ("r_fwd", [[256]]), ("ranking", [[0.7]]),
+    ], ids=["half-bit", "two", "256", "fractional-ranking"])
+    def test_replay_rejects_bad_bits_and_ranking(self, tmp_path, capsys, field, value):
+        instance = tmp_path / "witness.json"
+        save_instance(single_pair_witness(), instance)
+        payload = json.loads(instance.read_text())
+        payload[field] = value
+        instance.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("verify", "--replay", str(instance)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: oracle instance: {field} must ")
+        assert "replaying" not in captured.out
+
     @pytest.mark.parametrize("replay", [False, True], ids=["run", "replay"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_tolerance_rejected(self, tmp_path, capsys, value, replay):

@@ -558,6 +558,16 @@ class TestDcgAtK:
             dcg_at_k(np.ones((1, 0)), np.ones((1, 0)), np.ones((1, 0)), 1)
 
 
+_GOOD_ROW = "0,0.5,ipw2,3,1.25,0.125,40"
+
+
+def _edit(row: str, i: int, cell: str) -> str:
+    """``row`` with its ``i``-th cell replaced by ``cell``."""
+    cells = row.split(",")
+    cells[i] = cell
+    return ",".join(cells)
+
+
 class TestEvalReportCsv:
     def _records(self):
         return [
@@ -578,4 +588,32 @@ class TestEvalReportCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError):
+            load_eval_report(path)
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "eval.csv"
+        save_eval_report(self._records(), path)
+        assert path.read_bytes() == (
+            b"fold,eta,method,K,dcg_mean,dcg_stderr,n_users\r\n"
+            b"0,0.5,ipw2,3,1.2345,0.01,40\r\n"
+            b"1,0.5,conventional,10,2.5,0.2,40\r\n"
+        )
+
+    @pytest.mark.parametrize("rows, message", [
+        ([_GOOD_ROW + ",99"], "line 2: expected 7 columns, got 8"),
+        ([_GOOD_ROW.rsplit(",", 1)[0]], "line 2: expected 7 columns, got 6"),
+        *[([_edit(_GOOD_ROW, i, bad)], f"line 2: {column} must be finite")
+          for column, i in (("eta", 1), ("dcg_mean", 4), ("dcg_stderr", 5))
+          for bad in ("nan", "inf")],
+        *[([_edit(_GOOD_ROW, i, "1.0")], f"line 2: {column}: invalid literal for int")
+          for column, i in (("fold", 0), ("K", 3), ("n_users", 6))],
+        (["", _GOOD_ROW, "", "", _edit(_GOOD_ROW, 4, "x")], "line 6: dcg_mean: could not convert"),
+    ], ids=["extra-column", "short-row",
+            *[f"{c}-{bad}" for c in ("eta", "dcg_mean", "dcg_stderr") for bad in ("nan", "inf")],
+            "fold-1.0", "K-1.0", "n_users-1.0", "blank-lines-counted"])
+    def test_malformed_row_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "eval.csv"
+        path.write_bytes("\r\n".join(["fold,eta,method,K,dcg_mean,dcg_stderr,n_users", *rows,
+                                      ""]).encode())
+        with pytest.raises(DataFormatError, match=f"^eval report CSV: {message}"):
             load_eval_report(path)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestTrainModel:
                           learning_rate=1e12, batch=12, seed=0)
         with pytest.raises(DivergenceError, match="epoch"):
             train_model(dataset, cfg)
+
+    def test_divergence_within_an_epoch_raises(self):
+        # the last minibatches overflow the tables while the epoch's loss is finite
+        m = synth_preferences(40, 40, rank=3, noise=0.05, seed=1)
+        plan = make_folds(SideAssignment.trivial(40, 40), 4, seed=0)
+        dataset = sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=1)
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=8, batch=8, epochs=5,
+                          learning_rate=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warnings on the way
+            with pytest.raises(DivergenceError, match=r"epoch 1 \(learning rate 1e\+200\)"):
+                train_model(dataset, cfg)
 
 
 def _reference_user_gradient(model, u, cands, coef_fwd, coef_bwd, out):
@@ -439,6 +452,39 @@ class TestLogAndConfigFiles:
         again = load_training_log(path)
         assert again.records == log.records
         assert again.best_epoch == 2  # first of the tied maxima
+
+    def test_training_log_golden_bytes(self, tmp_path):
+        path = tmp_path / "log.csv"
+        save_training_log(TrainingLog(records=[EpochRecord(1, 2.5, 0.75),
+                                               EpochRecord(2, 0.1, 1 / 3)]), path)
+        assert path.read_bytes() == (
+            b"epoch,train_loss,valid_metric\r\n1,2.5,0.75\r\n2,0.1,0.3333333333333333\r\n"
+        )
+
+    def test_untrained_log_is_the_header_alone(self, tmp_path):
+        _, _, _, dataset = _world()
+        _, log = train_model(dataset, TrainConfig(dim=2, epochs=0))
+        path = tmp_path / "log.csv"
+        save_training_log(log, path)
+        assert path.read_bytes() == b"epoch,train_loss,valid_metric\r\n"
+        assert load_training_log(path).records == []
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1,0.5,0.25,99"], "line 2: expected 3 columns, got 4"),
+        (["1,0.5"], "line 2: expected 3 columns, got 2"),
+        (["1,nan,0.25"], "line 2: train_loss must be finite"),
+        (["1,inf,0.25"], "line 2: train_loss must be finite"),
+        (["1,0.5,nan"], "line 2: valid_metric must be finite"),
+        (["1,0.5,-inf"], "line 2: valid_metric must be finite"),
+        (["1.0,0.5,0.25"], "line 2: epoch: invalid literal for int"),
+        (["", "1,0.5,0.25", "", "", "2,0.5"], "line 6: expected 3 columns, got 2"),
+    ], ids=["extra-column", "short-row", "train_loss-nan", "train_loss-inf",
+            "valid_metric-nan", "valid_metric-inf", "epoch-1.0", "blank-lines-counted"])
+    def test_malformed_training_log_row_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "log.csv"
+        path.write_bytes("\r\n".join(["epoch,train_loss,valid_metric", *rows, ""]).encode())
+        with pytest.raises(DataFormatError, match=f"^training log CSV: {message}"):
+            load_training_log(path)
 
     def test_binary_training_log_rejected(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -120,6 +120,19 @@ class TestInstanceSerialization:
         with pytest.raises(DataFormatError, match="oracle instance: .*integer"):
             load_instance(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"r_fwd": [[0.5, 0]]}, "r_fwd must contain bits"),
+        ({"r_bwd": [[0, 2]]}, "r_bwd must contain bits"),
+        ({"r_fwd": [[256, 0]]}, "r_fwd must contain bits"),
+        ({"ranking": [[0.7, 1.2]]}, "ranking must hold integer"),
+        ({"ranking": [[1.0, 0.0]]}, "ranking must hold integer"),
+    ], ids=["half", "two", "256", "fractional-ranking", "float-ranking"])
+    def test_bits_and_ranking_checked_before_the_cast(self, edit, message):
+        base = dict(r_fwd=[[1, 0]], r_bwd=[[0, 1]], theta_fwd=[[0.5, 1.0]],
+                    theta_bwd=[[0.25, 0.75]], ranking=[[1, 0]], k=2)
+        with pytest.raises(ContractViolation, match=message):
+            OracleInstance(**{**base, **edit})
+
     def test_ranking_must_be_permutation(self):
         with pytest.raises(Exception):
             OracleInstance(r_fwd=[[1, 0]], r_bwd=[[0, 0]],
