@@ -29,7 +29,6 @@ from .metrics import (
     dcg_at_k,
     dcg_from_gains,
     estimate_metric,
-    expected_metric_exact,
     gain_ipw,
     gain_surrogate,
     gain_true,
@@ -94,6 +93,7 @@ from .verify import (
     OracleInstance,
     VerificationReport,
     check_instance,
+    expected_metric_exact,
     random_instance,
     run_verification,
     single_pair_witness,

@@ -5,8 +5,8 @@ gain of the pair's mutual relevance.  Because logged feedback is censored by
 exposure on both sides, the naive plug-in estimator is biased; the one-sided
 inverse-propensity estimator corrects only the proactive side; the two-sided
 estimator reweights the backward part of the gain by both exposure
-probabilities and is exactly unbiased (verified here by closed-form
-enumeration over the four exposure outcomes of each pair).
+probabilities and is exactly unbiased (verified in :mod:`matchltr.verify` by
+enumerating the four exposure outcomes of each pair).
 """
 
 from __future__ import annotations
@@ -102,13 +102,19 @@ def feedback_coefficients(
     y_bwd = _as_bits("y_bwd", y_bwd)
     if np.any(y_bwd > y_fwd):
         raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
+    tf = None if kind is EstimatorKind.NAIVE else _check_theta("theta_fwd", theta_fwd, theta_floor)
+    tb = _check_theta("theta_bwd", theta_bwd, theta_floor) if kind is EstimatorKind.IPW2 else None
+    return _coefficients(kind, y_fwd, y_bwd, tf, tb)
+
+
+def _coefficients(kind: EstimatorKind, y_fwd, y_bwd, tf, tb) -> tuple[np.ndarray, np.ndarray]:
+    """The table of :func:`feedback_coefficients` on checked inputs."""
     if kind is EstimatorKind.NAIVE:
         return y_fwd, y_bwd
-    tf = _check_theta("theta_fwd", theta_fwd, theta_floor)
     if kind is EstimatorKind.IPW1:
         return y_fwd / tf, y_bwd / tf
     if kind is EstimatorKind.IPW2:
-        return y_fwd / tf, y_bwd / (tf * _check_theta("theta_bwd", theta_bwd, theta_floor))
+        return y_fwd / tf, y_bwd / (tf * tb)
     raise ContractViolation(f"unknown estimator kind {kind!r}")
 
 
@@ -248,44 +254,6 @@ def estimate_metric(
     tb = _pick(theta_bwd, pairs, "theta_bwd") if kind is EstimatorKind.IPW2 else None
     coef = feedback_coefficients(kind, yf, yb, tf, tb, theta_floor)
     return _user_mean(_discounted(_gain(*coef)))
-
-
-# ---------------------------------------------------------------------------
-# exact expectation oracle
-# ---------------------------------------------------------------------------
-
-def expected_metric_exact(
-    rankings: np.ndarray | Sequence[RankedList],
-    r_fwd: np.ndarray,
-    r_bwd: np.ndarray,
-    theta_fwd: np.ndarray,
-    theta_bwd: np.ndarray,
-    weight: LambdaWeight,
-    which: EstimatorKind,
-) -> float:
-    """Exact expectation of an estimator over the exposure randomness.
-
-    Relevance labels are held fixed; the two exposure bits of every pair are
-    independent, so the expectation is a per-pair sum over the four
-    (o_fwd, o_bwd) outcomes of probability times gain.  This is the reference
-    against which (un)biasedness is checked.
-    """
-    pairs = _top_pairs(rankings, weight.k)
-    rf = _as_bits("r_fwd", _pick(r_fwd, pairs, "r_fwd"))
-    rb = _as_bits("r_bwd", _pick(r_bwd, pairs, "r_bwd"))
-    tf = _check_theta("theta_fwd", _pick(theta_fwd, pairs, "theta_fwd"))
-    tb = _check_theta("theta_bwd", _pick(theta_bwd, pairs, "theta_bwd"))
-    if tf.max() > 1.0 or tb.max() > 1.0:
-        raise AssumptionViolationError("exposure probabilities must lie in (0, 1]")
-    expected = np.zeros_like(rf)
-    for o_f in (0.0, 1.0):
-        p_f = tf if o_f else 1.0 - tf
-        y_f = o_f * rf
-        for o_b in (0.0, 1.0):
-            p_b = tb if o_b else 1.0 - tb
-            y_b = y_f * o_b * rb
-            expected += p_f * p_b * _gain(*feedback_coefficients(which, y_f, y_b, tf, tb))
-    return _user_mean(_discounted(expected)).value
 
 
 # ---------------------------------------------------------------------------

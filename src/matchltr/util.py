@@ -154,7 +154,7 @@ def load_rows(cls, header, path: str | os.PathLike, what: str) -> list:
 
     The header must equal ``header``; blank lines are skipped.  Each row has
     one cell per field, parsed by the field's annotation (``int``, ``float``
-    or ``str``), and float cells must be finite.  Any fault raises
+    or ``str``); numbers hold no ``_`` and floats are finite.  Any fault raises
     :class:`DataFormatError` naming ``what``, the 1-based line and the column.
     """
     kinds = _cell_types(cls)
@@ -167,6 +167,8 @@ def load_rows(cls, header, path: str | os.PathLike, what: str) -> list:
             values = []
             for column, kind, cell in zip(header, kinds, row):
                 try:
+                    if kind is not str and "_" in cell:  # int() and float() accept 1_0
+                        raise ValueError(f"digit-group underscore in {cell!r}")
                     values.append(kind(cell))
                 except ValueError as exc:
                     raise DataFormatError(f"{where}: {column}: {exc}") from None

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation
-from .metrics import (
+from .core import AssumptionViolationError, ContractViolation, RankedList
+from .metrics import (  # bench/tracing.py wraps metric_ground_truth here
     EstimatorKind,
     LambdaWeight,
     _as_bits,
-    expected_metric_exact,
+    _coefficients,
+    _gain,
+    _pick,
+    _top_pairs,
     metric_ground_truth,
 )
 from .util import load_record, save_record
@@ -47,8 +51,11 @@ class OracleInstance:
     def __post_init__(self):
         for name in ("r_fwd", "r_bwd"):  # checked before the cast wraps 256 to 0
             object.__setattr__(self, name, _as_bits(name, getattr(self, name)).astype(np.int8))
-        object.__setattr__(self, "theta_fwd", np.asarray(self.theta_fwd, dtype=np.float64))
-        object.__setattr__(self, "theta_bwd", np.asarray(self.theta_bwd, dtype=np.float64))
+        for name in ("theta_fwd", "theta_bwd"):
+            theta = np.asarray(getattr(self, name), dtype=np.float64)
+            if not ((theta > 0.0) & (theta <= 1.0)).all():  # NaN fails too
+                raise AssumptionViolationError(f"{name} must lie in (0, 1]")
+            object.__setattr__(self, name, theta)
         # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking
         if np.asarray(self.ranking).dtype.kind not in "iu":
             raise ContractViolation("ranking must hold integer candidate indices")
@@ -56,8 +63,8 @@ class OracleInstance:
         # operator.index rejects 2.5 instead of truncating it
         object.__setattr__(self, "k", operator.index(self.k))
         shape = self.r_fwd.shape
-        if len(shape) != 2 or shape[1] < 1:
-            raise ContractViolation("instance arrays must be 2-d with >= 1 candidate")
+        if len(shape) != 2 or min(shape) < 1:
+            raise ContractViolation("instance arrays must be 2-d with >= 1 user and candidate")
         for name in ("r_bwd", "theta_fwd", "theta_bwd", "ranking"):
             if getattr(self, name).shape != shape:
                 raise ContractViolation(f"{name} must match the instance shape {shape}")
@@ -65,10 +72,6 @@ class OracleInstance:
             raise ContractViolation("cutoff must be positive")
         if (np.sort(self.ranking, axis=1) != np.arange(shape[1])).any():
             raise ContractViolation("each ranking row must be a permutation of candidates")
-
-    @property
-    def n_users(self) -> int:
-        return self.r_fwd.shape[0]
 
 
 def save_instance(inst: OracleInstance, path) -> None:
@@ -129,23 +132,76 @@ class InstanceCheck:
         return abs(self.expected[kind.value] - self.truth)
 
 
+def check_batch(instances):
+    """Truth, each estimator's exact mean and variance, and the ipw1-eligible mask.
+
+    The instances are stacked in rank order into ``(instances, users, slots)``
+    arrays padded with zero labels and unit propensities; slots past the cutoff
+    get a zero discount.  Exposure bits are independent given relevance, so one
+    sweep over each pair's four (o_fwd, o_bwd) outcomes gives its mean and
+    second moment, and the user mean's variance is ``sum(disc**2 * pair
+    variance) / n_users**2``.  Sums run in index order, so padding changes no
+    bit: an instance gets the same values in any batch.  ``mean`` and ``var``
+    have a row per :class:`EstimatorKind`; ``eligible`` marks instances that
+    rank a mutual pair with backward exposure below 1 inside the cutoff.
+    """
+    n_users = np.array([inst.r_fwd.shape[0] for inst in instances])
+    width = max(inst.r_fwd.shape[1] for inst in instances)
+    shape = (len(instances), n_users.max(), width)
+    padding = {"r_fwd": 0.0, "r_bwd": 0.0, "theta_fwd": 1.0, "theta_bwd": 1.0}
+    raw = {name: np.full(shape, fill) for name, fill in padding.items()}
+    ranking = np.broadcast_to(np.arange(width), shape).copy()  # padding stays in place
+    for b, inst in enumerate(instances):
+        rows, cols = inst.r_fwd.shape
+        ranking[b, :rows, :cols] = inst.ranking
+        for name, table in raw.items():
+            table[b, :rows, :cols] = getattr(inst, name)
+    rf, rb, tf, tb = (np.take_along_axis(table, ranking, axis=2) for table in raw.values())
+    ranks = np.arange(1, width + 1)
+    cutoff = np.array([inst.k for inst in instances])[:, None, None]
+    disc = np.where(ranks <= cutoff, LambdaWeight(k=width).weights(ranks), 0.0)
+
+    def user_mean(per_pair, weight):
+        per_user = np.add.accumulate(per_pair * weight, axis=-1)[..., -1]
+        return np.add.accumulate(per_user, axis=-1)[..., -1] / n_users
+
+    m1, m2 = np.zeros((2, len(EstimatorKind)) + rf.shape)
+    for o_f in (0.0, 1.0):
+        p_f = tf if o_f else 1.0 - tf
+        y_f = o_f * rf
+        for o_b in (0.0, 1.0):
+            p = p_f * (tb if o_b else 1.0 - tb)
+            y_b = y_f * o_b * rb
+            g = np.stack([_gain(*_coefficients(kind, y_f, y_b, tf, tb)) for kind in EstimatorKind])
+            m1 += p * g
+            m2 += p * g * g
+    var = user_mean(np.maximum(m2 - m1 * m1, 0.0), disc * disc) / n_users
+    eligible = ((rf * rb * disc > 0) & (tb < 1.0)).any(axis=(1, 2))
+    return user_mean(_gain(rf, rf * rb), disc), user_mean(m1, disc), var, eligible
+
+
 def check_instance(inst: OracleInstance) -> InstanceCheck:
-    """Evaluate the exact expectation of all three estimators on one instance."""
-    weight = LambdaWeight(k=inst.k)
-    truth = metric_ground_truth(inst.ranking, inst.r_fwd, inst.r_bwd, weight).value
-    expected = {
-        kind.value: expected_metric_exact(
-            inst.ranking, inst.r_fwd, inst.r_bwd, inst.theta_fwd, inst.theta_bwd, weight, kind
-        )
-        for kind in EstimatorKind
-    }
-    return InstanceCheck(truth=truth, expected=expected)
+    """Exact expectation of all three estimators on one instance: a batch of one."""
+    truth, mean, _, _ = check_batch([inst])
+    return InstanceCheck(truth=float(truth[0]), expected={
+        kind.value: float(row[0]) for kind, row in zip(EstimatorKind, mean)})
 
 
-def _has_weighted_mutual_pair(inst: OracleInstance) -> bool:
-    """True if some mutually relevant pair with backward exposure < 1 gets weight."""
-    eligible = (inst.r_fwd == 1) & (inst.r_bwd == 1) & (inst.theta_bwd < 1.0)
-    return bool(eligible[np.arange(inst.n_users)[:, None], inst.ranking[:, :inst.k]].any())
+def expected_metric_exact(
+    rankings: np.ndarray | Sequence[RankedList], r_fwd: np.ndarray, r_bwd: np.ndarray,
+    theta_fwd: np.ndarray, theta_bwd: np.ndarray, weight: LambdaWeight, which: EstimatorKind,
+) -> float:
+    """Exact expectation of an estimator over the exposure randomness.
+
+    Relevance labels are held fixed; the top ``weight.k`` ranked pairs are
+    checked as one :class:`OracleInstance` and go through :func:`check_batch`.
+    """
+    pairs = _top_pairs(rankings, weight.k)
+    picked = {name: _pick(values, pairs, name) for name, values in (
+        ("r_fwd", r_fwd), ("r_bwd", r_bwd), ("theta_fwd", theta_fwd), ("theta_bwd", theta_bwd))}
+    n_users, depth = picked["r_fwd"].shape
+    ranking = np.tile(np.arange(depth), (n_users, 1))
+    return check_instance(OracleInstance(**picked, ranking=ranking, k=depth)).expected[which.value]
 
 
 @dataclass
@@ -158,6 +214,7 @@ class VerificationReport:
     naive_deviations: int
     ipw1_deviations: int
     ipw1_eligible: int
+    max_ipw2_std: float
     witness: InstanceCheck
     failures: list[OracleInstance] = field(default_factory=list)
 
@@ -173,6 +230,7 @@ class VerificationReport:
         ]
         for kind in EstimatorKind:
             rows.append(f"  {kind.value:<12} {self.max_abs_error[kind.value]:.3e}")
+        rows.append(f"largest exact std of the two-sided estimate: {self.max_ipw2_std:.3e}")
         rows.append(
             f"single-pair witness: naive expectation "
             f"{self.witness.expected['naive']:.6g} vs truth {self.witness.truth:.6g}"
@@ -213,31 +271,18 @@ def run_verification(
         raise ContractViolation("need at least one trial")
     check_settings(tolerance, max_users, max_candidates)
     rng = np.random.default_rng(seed)
-    max_err = {kind.value: 0.0 for kind in EstimatorKind}
-    naive_dev = 0
-    ipw1_dev = 0
-    ipw1_eligible = 0
-    failures: list[OracleInstance] = []
-    for _ in range(trials):
-        inst = random_instance(rng, max_users, max_candidates, theta_one=theta_one)
-        result = check_instance(inst)
-        for kind in EstimatorKind:
-            max_err[kind.value] = max(max_err[kind.value], result.error(kind))
-        if result.error(EstimatorKind.NAIVE) > tolerance:
-            naive_dev += 1
-        if _has_weighted_mutual_pair(inst):
-            ipw1_eligible += 1
-            if result.error(EstimatorKind.IPW1) > tolerance:
-                ipw1_dev += 1
-        if result.error(EstimatorKind.IPW2) > tolerance:
-            failures.append(inst)
+    drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(trials)]
+    truth, mean, var, eligible = check_batch(drawn)
+    err = np.abs(mean - truth)
+    naive, ipw1, ipw2 = err > tolerance
     return VerificationReport(
         trials=trials,
         tolerance=tolerance,
-        max_abs_error=max_err,
-        naive_deviations=naive_dev,
-        ipw1_deviations=ipw1_dev,
-        ipw1_eligible=ipw1_eligible,
+        max_abs_error={kind.value: float(row.max()) for kind, row in zip(EstimatorKind, err)},
+        naive_deviations=int(naive.sum()),
+        ipw1_deviations=int((ipw1 & eligible).sum()),
+        ipw1_eligible=int(eligible.sum()),
+        max_ipw2_std=float(np.sqrt(var[2].max())),
         witness=check_instance(single_pair_witness()),
-        failures=failures,
+        failures=[inst for inst, bad in zip(drawn, ipw2) if bad],
     )

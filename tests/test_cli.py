@@ -379,7 +379,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("r_fwd", [[0.5]]), ("r_bwd", [[2]]), ("r_fwd", [[256]]), ("ranking", [[0.7]]),
-    ], ids=["half-bit", "two", "256", "fractional-ranking"])
+        ("theta_fwd", [[0.0]]), ("theta_bwd", [[1.5]]),
+    ], ids=["half-bit", "two", "256", "fractional-ranking", "theta-zero", "theta-above-one"])
     def test_replay_rejects_bad_bits_and_ranking(self, tmp_path, capsys, field, value):
         instance = tmp_path / "witness.json"
         save_instance(single_pair_witness(), instance)

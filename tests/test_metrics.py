@@ -608,9 +608,11 @@ class TestEvalReportCsv:
         *[([_edit(_GOOD_ROW, i, "1.0")], f"line 2: {column}: invalid literal for int")
           for column, i in (("fold", 0), ("K", 3), ("n_users", 6))],
         (["", _GOOD_ROW, "", "", _edit(_GOOD_ROW, 4, "x")], "line 6: dcg_mean: could not convert"),
+        ([_edit(_GOOD_ROW, 0, "1_0")], "line 2: fold: digit-group underscore in '1_0'"),
+        ([_edit(_GOOD_ROW, 4, "0.2_5")], "line 2: dcg_mean: digit-group underscore in '0.2_5'"),
     ], ids=["extra-column", "short-row",
             *[f"{c}-{bad}" for c in ("eta", "dcg_mean", "dcg_stderr") for bad in ("nan", "inf")],
-            "fold-1.0", "K-1.0", "n_users-1.0", "blank-lines-counted"])
+            "fold-1.0", "K-1.0", "n_users-1.0", "blank-lines-counted", "fold-1_0", "dcg_mean-0.2_5"])
     def test_malformed_row_names_its_line(self, tmp_path, rows, message):
         path = tmp_path / "eval.csv"
         path.write_bytes("\r\n".join(["fold,eta,method,K,dcg_mean,dcg_stderr,n_users", *rows,

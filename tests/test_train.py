@@ -478,8 +478,11 @@ class TestLogAndConfigFiles:
         (["1,0.5,-inf"], "line 2: valid_metric must be finite"),
         (["1.0,0.5,0.25"], "line 2: epoch: invalid literal for int"),
         (["", "1,0.5,0.25", "", "", "2,0.5"], "line 6: expected 3 columns, got 2"),
+        (["1_0,0.5,0.25"], "line 2: epoch: digit-group underscore in '1_0'"),
+        (["1,0.5,0.2_5"], "line 2: valid_metric: digit-group underscore in '0.2_5'"),
     ], ids=["extra-column", "short-row", "train_loss-nan", "train_loss-inf",
-            "valid_metric-nan", "valid_metric-inf", "epoch-1.0", "blank-lines-counted"])
+            "valid_metric-nan", "valid_metric-inf", "epoch-1.0", "blank-lines-counted",
+            "epoch-1_0", "valid_metric-0.2_5"])
     def test_malformed_training_log_row_names_its_line(self, tmp_path, rows, message):
         path = tmp_path / "log.csv"
         path.write_bytes("\r\n".join(["epoch,train_loss,valid_metric", *rows, ""]).encode())

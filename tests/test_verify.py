@@ -5,18 +5,23 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matchltr import (
+    AssumptionViolationError,
     ContractViolation,
     DataFormatError,
     EstimatorKind,
+    LambdaWeight,
     OracleInstance,
     check_instance,
+    estimate_metric,
     random_instance,
     run_verification,
     single_pair_witness,
 )
-from matchltr.verify import load_instance, save_instance
+from matchltr.verify import check_batch, load_instance, save_instance
 
 
 class TestWitness:
@@ -78,6 +83,51 @@ class TestRunVerification:
         assert "max |E[estimate] - truth|" in text
         assert "witness" in text
 
+    def test_exact_std_reported(self):
+        report = run_verification(trials=50, seed=3)
+        assert report.max_ipw2_std > 0.0
+        assert f"largest exact std of the two-sided estimate: {report.max_ipw2_std:.3e}" \
+            in report.lines()
+        # with every pair exposed the estimate is a constant
+        assert run_verification(trials=50, seed=3, theta_one=True).max_ipw2_std == 0.0
+
+
+class TestBatchedOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_users=st.integers(1, 10),
+           max_candidates=st.integers(1, 12), theta_one=st.booleans())
+    @example(seed=0, max_users=10, max_candidates=12, theta_one=False)
+    def test_batch_values_equal_a_batch_of_one(self, seed, max_users, max_candidates, theta_one):
+        # padding to the batch's largest shape must not change a single bit
+        rng = np.random.default_rng(seed)
+        drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(100)]
+        truth, mean, _, _ = check_batch(drawn)
+        for b, inst in enumerate(drawn):
+            alone = check_instance(inst)
+            assert truth[b] == alone.truth
+            for kind, row in zip(EstimatorKind, mean):
+                assert row[b] == alone.expected[kind.value], kind
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_variance_matches_monte_carlo(self, seed):
+        # resample both exposure bits of every pair and re-run the two-sided estimator
+        inst = random_instance(np.random.default_rng(seed))
+        _, _, var, _ = check_batch([inst])
+        exact = var[list(EstimatorKind).index(EstimatorKind.IPW2), 0]
+        assert exact > 0.0
+        rng = np.random.default_rng(100 + seed)
+        n_draws = 20_000
+        o_f = rng.random((n_draws, *inst.r_fwd.shape)) < inst.theta_fwd
+        o_b = rng.random((n_draws, *inst.r_fwd.shape)) < inst.theta_bwd
+        weight = LambdaWeight(k=inst.k)
+        draws = []
+        for i in range(n_draws):
+            y_fwd = o_f[i] * inst.r_fwd
+            y_bwd = y_fwd * o_b[i] * inst.r_bwd
+            draws.append(estimate_metric(EstimatorKind.IPW2, inst.ranking, y_fwd, y_bwd,
+                                         inst.theta_fwd, inst.theta_bwd, weight).value)
+        assert abs(np.var(draws, ddof=1) / exact - 1.0) < 0.10
+
 
 class TestInstanceSerialization:
     def test_round_trip(self, tmp_path):
@@ -132,6 +182,23 @@ class TestInstanceSerialization:
                     theta_bwd=[[0.25, 0.75]], ranking=[[1, 0]], k=2)
         with pytest.raises(ContractViolation, match=message):
             OracleInstance(**{**base, **edit})
+
+    @pytest.mark.parametrize("edit", [
+        {"theta_fwd": [[0.0, 1.0]]}, {"theta_bwd": [[0.25, 1.5]]},
+        {"theta_fwd": [[float("nan"), 1.0]]}, {"theta_bwd": [[0.25, -0.5]]},
+    ], ids=["zero", "above-one", "nan", "negative"])
+    def test_propensities_must_lie_in_the_unit_interval(self, edit):
+        base = dict(r_fwd=[[1, 0]], r_bwd=[[0, 1]], theta_fwd=[[0.5, 1.0]],
+                    theta_bwd=[[0.25, 0.75]], ranking=[[1, 0]], k=2)
+        name = next(iter(edit))
+        with pytest.raises(AssumptionViolationError, match=rf"{name} must lie in \(0, 1\]"):
+            OracleInstance(**{**base, **edit})
+
+    def test_instance_without_users_rejected(self):
+        empty = np.zeros((0, 2))
+        with pytest.raises(ContractViolation, match="1 user"):
+            OracleInstance(r_fwd=empty, r_bwd=empty, theta_fwd=empty + 0.5,
+                           theta_bwd=empty + 0.5, ranking=np.zeros((0, 2), dtype=int), k=1)
 
     def test_ranking_must_be_permutation(self):
         with pytest.raises(Exception):
