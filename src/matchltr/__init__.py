@@ -47,10 +47,7 @@ from .ranker import (
     loss_terms,
     loss_user,
     save_model,
-    score_backward,
-    score_forward,
     score_matrix,
-    score_mutual,
 )
 from .simulate import (
     ExposureModel,

@@ -50,7 +50,12 @@ class LossKind(enum.Enum):
 
 @dataclass(eq=False)
 class RankerModel:
-    """Four embedding tables: (proactive, reactive) x (forward, backward) spaces."""
+    """Four embedding tables: (proactive, reactive) x (forward, backward) spaces.
+
+    Stored as copies in two stacks over a leading space axis (0 = forward):
+    ``pro`` ``(2, n_proactive, dim)`` and ``rea`` ``(2, n_reactive, dim)``.
+    The four named tables are views into the stacks.
+    """
 
     w_pro_fwd: np.ndarray
     w_rea_fwd: np.ndarray
@@ -58,37 +63,37 @@ class RankerModel:
     w_rea_bwd: np.ndarray
 
     def __post_init__(self):
-        for name in TABLES:
-            table = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, table)
+        tables = {name: np.asarray(getattr(self, name), dtype=np.float64) for name in TABLES}
+        for name, table in tables.items():
             if table.ndim != 2:
                 raise ContractViolation(f"{name} must be a 2-d table")
             if not np.all(np.isfinite(table)):
                 raise ContractViolation(f"{name} contains non-finite entries")
-        if not (
-            self.w_pro_fwd.shape[1] == self.w_rea_fwd.shape[1]
-            == self.w_pro_bwd.shape[1] == self.w_rea_bwd.shape[1]
-        ):
+        if len({table.shape[1] for table in tables.values()}) != 1:
             raise ContractViolation("all embedding tables must share one dimension")
-        if self.w_pro_fwd.shape[0] != self.w_pro_bwd.shape[0]:
-            raise ContractViolation("proactive tables must have equal row counts")
-        if self.w_rea_fwd.shape[0] != self.w_rea_bwd.shape[0]:
-            raise ContractViolation("reactive tables must have equal row counts")
+        for side, (fwd, bwd) in (("proactive", TABLES[0::2]), ("reactive", TABLES[1::2])):
+            if tables[fwd].shape[0] != tables[bwd].shape[0]:
+                raise ContractViolation(f"{side} tables must have equal row counts")
+        self.pro = np.stack([tables[name] for name in TABLES[0::2]])
+        self.rea = np.stack([tables[name] for name in TABLES[1::2]])
+        for space, (pro, rea) in enumerate(SPACES):
+            setattr(self, pro, self.pro[space])
+            setattr(self, rea, self.rea[space])
 
     @property
     def dim(self) -> int:
-        return self.w_pro_fwd.shape[1]
+        return self.pro.shape[2]
 
     @property
     def n_proactive(self) -> int:
-        return self.w_pro_fwd.shape[0]
+        return self.pro.shape[1]
 
     @property
     def n_reactive(self) -> int:
-        return self.w_rea_fwd.shape[0]
+        return self.rea.shape[1]
 
     def copy(self) -> "RankerModel":
-        return RankerModel(**{name: getattr(self, name).copy() for name in TABLES})
+        return RankerModel(**{name: getattr(self, name) for name in TABLES})
 
 
 def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> RankerModel:
@@ -104,37 +109,21 @@ def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> Ranker
     })
 
 
-def _check_ids(model: RankerModel, u: int, v: int) -> None:
-    if not (0 <= u < model.n_proactive):
-        raise IndexError(f"proactive index {u} out of range [0, {model.n_proactive})")
-    if not (0 <= v < model.n_reactive):
-        raise IndexError(f"reactive index {v} out of range [0, {model.n_reactive})")
-
-
-def score_forward(model: RankerModel, u: int, v: int) -> float:
-    """sigmoid(w_u . w_v) in the forward space."""
-    _check_ids(model, u, v)
-    return float(sigmoid(model.w_pro_fwd[u] @ model.w_rea_fwd[v]))
-
-
-def score_backward(model: RankerModel, u: int, v: int) -> float:
-    """sigmoid(w_u . w_v) in the backward space."""
-    _check_ids(model, u, v)
-    return float(sigmoid(model.w_pro_bwd[u] @ model.w_rea_bwd[v]))
-
-
-def score_mutual(model: RankerModel, u: int, v: int) -> float:
-    """Product of the two directional scores."""
-    return score_forward(model, u, v) * score_backward(model, u, v)
+def _check_range(ids: np.ndarray, n: int, side: str) -> None:
+    """Reject ids outside ``[0, n)``; numpy would wrap a negative id silently."""
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise IndexError(f"{side} index out of range [0, {n})")
 
 
 def score_matrix(model: RankerModel, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Mutual scores for a block of users x candidates."""
     users = np.asarray(users, dtype=np.intp)
     candidates = np.asarray(candidates, dtype=np.intp)
-    s_fwd = sigmoid(model.w_pro_fwd[users] @ model.w_rea_fwd[candidates].T)
-    s_bwd = sigmoid(model.w_pro_bwd[users] @ model.w_rea_bwd[candidates].T)
-    return s_fwd * s_bwd
+    _check_range(users, model.n_proactive, "proactive")
+    _check_range(candidates, model.n_reactive, "reactive")
+    w_cands = model.rea.take(candidates, axis=1)
+    s = sigmoid(model.pro.take(users, axis=1) @ w_cands.transpose(0, 2, 1))
+    return s[0] * s[1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +136,8 @@ def _loss_inputs(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
         raise ContractViolation(f"user {u} has an empty candidate list")
     if np.unique(candidates).size != candidates.size:
         raise ContractViolation("candidate list contains duplicates")
-    _check_ids(model, u, int(candidates.max()))
-    _check_ids(model, u, int(candidates.min()))
+    _check_range(np.asarray(u), model.n_proactive, "proactive")
+    _check_range(candidates, model.n_reactive, "reactive")
 
     yf = np.asarray(y_fwd, dtype=np.float64)
     yb = np.asarray(y_bwd, dtype=np.float64)
@@ -183,47 +172,52 @@ def accumulate_gradient(
     model: RankerModel,
     users: np.ndarray,
     mask_rows: np.ndarray,
-    coef_fwd: np.ndarray,
-    coef_bwd: np.ndarray,
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Listwise loss of a minibatch and its gradient, per embedding space.
+    coef: np.ndarray,
+    coef_sum: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Listwise loss of a minibatch and its gradient in both embedding spaces.
 
     User ``users[i]`` ranks the reactive candidates where the boolean row
-    ``mask_rows[i]`` is set, with cross-entropy weights from the dense rows
-    ``coef_fwd[i]`` and ``coef_bwd[i]`` (length ``n_reactive``, zero off the
-    mask).  Returns the ``(batch, 2)`` forward and backward loss terms in
-    batch order and, for each space of :data:`SPACES`, a ``(grad_pro,
-    grad_rea)`` pair: row ``i`` of the ``(batch, dim)`` ``grad_pro`` is the
-    gradient of proactive row ``users[i]``, and ``grad_rea`` is the gradient
-    of the whole reactive table.  A user that repeats gets one row per
-    occurrence, which the caller must add up.
+    ``mask_rows[i]`` is set, with cross-entropy weights ``coef[space, i]``
+    (``coef`` is ``(2, batch, n_reactive)``, zero off the mask).
+    ``coef_sum``, the ``(2, batch)`` row sums of ``coef``, may be passed in
+    when they were computed once per run.  Returns the ``(batch, 2)`` forward
+    and backward loss terms in batch order, ``grad_pro`` ``(2, batch, dim)``,
+    whose row ``[space, i]`` is the gradient of proactive row ``users[i]``,
+    and ``grad_rea`` ``(2, n_reactive, dim)``, the gradient of the whole
+    reactive stack.  A user that repeats gets one row per occurrence, which
+    the caller must add up.
 
     In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
     and L = -sum(coef * log p), the derivative is dL/dz_v = (sum(coef) * p_v
     - coef_v) * (1 - s_v).  The probability floor inside the log is ignored
     by the gradient; it only binds at p <= 1e-12, far outside normal
-    operation.  Each space costs three dense GEMMs over all ``n_reactive``
-    columns: the masked-out columns have p = 0 and coef = 0, so they add
-    exact zeros to the loss and the gradient.  The GEMMs sum in another order
-    than a loop over users, so results match per-user calls up to rounding
-    (about 1e-15 relative), not bit for bit.
+    operation.  Both spaces go through one pass of three batched GEMMs over
+    all ``n_reactive`` columns; each runs the same GEMM per space that a
+    single space would.  The masked-out columns have p = 0 and coef = 0, so
+    they add exact zeros to the loss and the gradient.
+    The GEMMs sum in another order than a loop over users, so results match
+    per-user calls up to rounding (about 1e-15 relative), not bit for bit.
     """
     users = np.asarray(users, dtype=np.intp)
-    terms = np.empty((users.size, 2))
-    grads = []
+    if coef_sum is None:
+        coef_sum = coef.sum(axis=2)
+    w_users = model.pro.take(users, axis=1)
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        for space, ((pro, rea), coef) in enumerate(zip(SPACES, (coef_fwd, coef_bwd))):
-            w_rea = getattr(model, rea)
-            w_users = getattr(model, pro).take(users, axis=0)
-            s = sigmoid(w_users @ w_rea.T)
-            p = s * mask_rows
-            p /= p.sum(axis=1, keepdims=True)
-            log_p = np.log(np.maximum(p, PROB_FLOOR))
-            terms[:, space] = -np.einsum("ij,ij->i", coef, log_p)
-            dz = (coef.sum(axis=1, keepdims=True) * p - coef) * (1.0 - s)
-            grads.append((dz @ w_rea, dz.T @ w_users))
-    return terms, tuple(grads)
+        s = sigmoid(w_users @ model.rea.transpose(0, 2, 1))
+        p = s * mask_rows
+        p /= p.sum(axis=2, keepdims=True)
+        log_p = np.maximum(p, PROB_FLOOR)
+        np.log(log_p, out=log_p)
+        terms = np.einsum("sij,sij->si", coef, log_p)
+        np.negative(terms, out=terms)
+        # dz = (sum(coef) * p - coef) * (1 - s), written over p
+        p *= coef_sum[:, :, None]
+        p -= coef
+        np.subtract(1.0, s, out=s)
+        p *= s
+    return terms.T, p @ model.rea, p.transpose(0, 2, 1) @ w_users
 
 
 def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):
@@ -235,7 +229,7 @@ def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     mask[0, cands] = True
     coef = np.zeros((2, 1, model.n_reactive))
     coef[:, 0, cands] = coef_fwd, coef_bwd
-    return accumulate_gradient(model, [u], mask, coef[0], coef[1])
+    return accumulate_gradient(model, [u], mask, coef)
 
 
 def loss_terms(
@@ -249,7 +243,7 @@ def loss_terms(
     kind: LossKind = LossKind.CONVENTIONAL,
 ) -> tuple[float, float]:
     """(forward, backward) cross-entropy terms of the listwise loss for one user."""
-    terms, _ = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    terms, _, _ = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     return float(terms[0, 0]), float(terms[0, 1])
 
 
@@ -282,11 +276,11 @@ def loss_gradient(
 
     Rows of users not touched by the candidate list are zero.
     """
-    _, grads = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    _, g_pro, g_rea = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     out = GradientTables.zeros_like(model)
-    for (pro, rea), (grad_pro, grad_rea) in zip(SPACES, grads):
-        getattr(out, pro)[u] = grad_pro[0]
-        getattr(out, rea)[:] = grad_rea
+    for space, (pro, rea) in enumerate(SPACES):
+        getattr(out, pro)[u] = g_pro[space, 0]
+        getattr(out, rea)[:] = g_rea[space]
     return out
 
 
@@ -338,7 +332,7 @@ def load_model(path) -> RankerModel:
             raw = fh.read(rows * dim * 8)
             if len(raw) != rows * dim * 8:
                 raise DataFormatError(f"checkpoint: truncated table {name}")
-            tables[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, dim).copy()
+            tables[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, dim)
         if fh.read(1):
             raise DataFormatError("checkpoint: trailing bytes after the last table")
     return RankerModel(**tables)

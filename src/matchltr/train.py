@@ -35,8 +35,6 @@ from .metrics import (
     rank_candidates,
 )
 from .ranker import (
-    SPACES,
-    TABLES,
     LossKind,
     RankerModel,
     accumulate_gradient,
@@ -132,16 +130,20 @@ def _per_user_training_data(dataset: FeedbackDataset):
 def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
     """The minibatch kernel's per-run inputs, built once per training run.
 
-    Returns the training mask and dense ``(n_proactive, n_reactive)`` forward
-    and backward loss weights, zero off the training block.
+    Returns the training mask, the ``(2, n_proactive, n_reactive)`` forward
+    and backward loss weights, zero off the training block, and their
+    ``(2, n_proactive)`` row sums.
     """
     mask = dataset.fold_plan.train_mask()
     empty = ~mask.any(axis=1)
     if empty.any():
         raise ContractViolation(f"user {np.argmax(empty)} has an empty training candidate list")
-    coef = feedback_coefficients(kind.paired_metric, dataset.y_fwd, dataset.y_bwd,
-                                 dataset.theta_fwd, dataset.theta_bwd)
-    return mask, *(np.where(mask, c, 0.0) for c in coef)
+    weights = feedback_coefficients(kind.paired_metric, dataset.y_fwd, dataset.y_bwd,
+                                    dataset.theta_fwd, dataset.theta_bwd)
+    coef = np.zeros((2, *mask.shape))
+    for table, w in zip(coef, weights):
+        np.copyto(table, w, where=mask)
+    return mask, coef, coef.sum(axis=2)
 
 
 def _validation_context(dataset: FeedbackDataset):
@@ -190,10 +192,12 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     if gaps.any():
         u, v = np.argwhere(gaps)[0]
         raise ContractViolation(f"user {u} has an unobserved pair (v={v}) outside the test block")
-    mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
+    mask, coef, coef_sum = _loss_tables(dataset, cfg.loss_kind)
     val_ctx = _validation_context(dataset)
     metric_kind = cfg.loss_kind.paired_metric
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
+    pro, rea = model.pro, model.rea
+    keep = 1.0 - cfg.learning_rate * cfg.weight_decay
 
     best_model = None
     best_value = -np.inf
@@ -204,22 +208,20 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
             # a slice of a permutation: no user repeats, so the batch's
             # proactive gradient rows can be subtracted by fancy indexing
             batch = order[start:start + cfg.batch]
-            terms, grads = accumulate_gradient(
-                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch]
+            terms, grad_pro, grad_rea = accumulate_gradient(
+                model, batch, mask[batch], coef.take(batch, axis=1), coef_sum[:, batch]
             )
             # one addition per user in batch order, not a (pairwise) array sum
             for loss in (terms[:, 0] + terms[:, 1]).tolist():
                 loss_sum += loss
-            for space, space_grads in zip(SPACES, grads):
-                for name, rows, grad in zip(space, (batch, slice(None)), space_grads):
-                    table = getattr(model, name)
-                    if cfg.weight_decay > 0.0:
-                        table *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                    table[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
+            if cfg.weight_decay > 0.0:
+                pro *= keep
+                rea *= keep
+            pro[:, batch] -= cfg.learning_rate * (grad_pro * (1.0 / batch.size))
+            rea -= cfg.learning_rate * (grad_rea * (1.0 / batch.size))
         train_loss = loss_sum / plan.n_proactive
         # the last minibatches can overflow the tables while the loss is still finite
-        tables = [getattr(model, name) for name in TABLES]
-        if not (np.isfinite(train_loss) and all(np.isfinite(t).all() for t in tables)):
+        if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
             raise DivergenceError(
                 f"non-finite training loss or embeddings at epoch {epoch} "
                 f"(learning rate {cfg.learning_rate})"

@@ -32,8 +32,11 @@ def derive_seed(master: int, label: str) -> int:
 
 def sigmoid(x):
     """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709."""
+    out = np.negative(x, out=np.empty(np.shape(x)))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def format_float(x: float) -> str:

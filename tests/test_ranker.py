@@ -18,10 +18,7 @@ from matchltr import (
     loss_terms,
     loss_user,
     save_model,
-    score_backward,
-    score_forward,
     score_matrix,
-    score_mutual,
 )
 from matchltr.metrics import feedback_coefficients
 from matchltr.ranker import PROB_FLOOR, SPACES, accumulate_gradient
@@ -62,12 +59,28 @@ def _random_feedback(rng, n):
     return y_fwd, y_bwd
 
 
+def _space_score(model, space, u, v):
+    """One space's score from a 1x1 ``score_matrix`` block.
+
+    With the other space's tables zeroed that space scores exactly 1/2, so
+    the block is half the score.
+    """
+    tables = {name: getattr(model, name) for name in TABLES}
+    for name in SPACES[1 - space]:
+        tables[name] = np.zeros_like(tables[name])
+    return 2.0 * score_matrix(RankerModel(**tables), [u], [v])[0, 0]
+
+
+def _mutual_score(model, u, v):
+    return score_matrix(model, [u], [v])[0, 0]
+
+
 class TestScores:
     def test_zero_embeddings(self):
         model = _zero_model()
-        assert score_forward(model, 0, 0) == 0.5
-        assert score_backward(model, 1, 2) == 0.5
-        assert score_mutual(model, 2, 3) == 0.25
+        assert _space_score(model, 0, 0, 0) == 0.5
+        assert _space_score(model, 1, 1, 2) == 0.5
+        assert _mutual_score(model, 2, 3) == 0.25
 
     def test_sigmoid_of_log3(self):
         # equal vectors with squared norm ln 3 give sigmoid(ln 3) = 3/4
@@ -75,7 +88,7 @@ class TestScores:
         model = _zero_model(dim=1)
         model.w_pro_fwd[0, 0] = w
         model.w_rea_fwd[1, 0] = w
-        assert score_forward(model, 0, 1) == pytest.approx(0.75, abs=1e-12)
+        assert _space_score(model, 0, 0, 1) == pytest.approx(0.75, abs=1e-12)
 
     def test_dot_product_symmetry(self):
         rng = np.random.default_rng(0)
@@ -84,33 +97,37 @@ class TestScores:
         swapped.w_pro_fwd[0], swapped.w_rea_fwd[1] = (
             model.w_rea_fwd[1].copy(), model.w_pro_fwd[0].copy(),
         )
-        assert score_forward(model, 0, 1) == score_forward(swapped, 0, 1)
+        assert _space_score(model, 0, 0, 1) == _space_score(swapped, 0, 0, 1)
 
     def test_backward_independent_of_forward_tables(self):
         rng = np.random.default_rng(1)
         model = _random_model(rng, 2, 2, 3)
-        before = score_backward(model, 0, 1)
-        model.w_pro_fwd[:] = 99.0
-        model.w_rea_fwd[:] = -99.0
-        assert score_backward(model, 0, 1) == before
+        model.w_pro_fwd[:] = 0.0  # forward score 1/2, so the block is half the backward score
+        before = _mutual_score(model, 0, 1)
+        # large but orthogonal forward rows: the forward score stays 1/2
+        model.w_pro_fwd[:] = [99.0, 0.0, 0.0]
+        model.w_rea_fwd[:] = [0.0, -99.0, 0.0]
+        assert _mutual_score(model, 0, 1) == before
 
     def test_mutual_bounded_by_factors(self):
         rng = np.random.default_rng(2)
         model = _random_model(rng, 3, 3, 4)
         for u in range(3):
             for v in range(3):
-                s = score_mutual(model, u, v)
+                s = _mutual_score(model, u, v)
                 assert 0.0 < s < 1.0
-                assert s <= min(score_forward(model, u, v), score_backward(model, u, v))
+                assert s <= min(_space_score(model, 0, u, v), _space_score(model, 1, u, v))
 
     def test_index_errors(self):
         model = _zero_model(n_pro=2, n_rea=3)
         with pytest.raises(IndexError):
-            score_forward(model, 2, 0)
+            score_matrix(model, [2], [0])
         with pytest.raises(IndexError):
-            score_backward(model, 0, 3)
+            score_matrix(model, [0], [3])
         with pytest.raises(IndexError):
-            score_forward(model, -1, 0)
+            score_matrix(model, [-1], [0])
+        with pytest.raises(IndexError):
+            score_matrix(model, [0], [-1])
 
     def test_score_matrix_matches_pointwise(self):
         rng = np.random.default_rng(3)
@@ -120,7 +137,7 @@ class TestScores:
         block = score_matrix(model, users, cands)
         for i, u in enumerate(users):
             for j, v in enumerate(cands):
-                assert block[i, j] == pytest.approx(score_mutual(model, int(u), int(v)),
+                assert block[i, j] == pytest.approx(_mutual_score(model, int(u), int(v)),
                                                     abs=1e-15)
 
     def test_init_model_range_and_determinism(self):
@@ -343,8 +360,8 @@ class TestMinibatchKernel:
         for table in coef:
             table[~mask] = 0.0
 
-        terms, grads = accumulate_gradient(model, users, mask, *coef)
-        out = _scatter(model, users, grads)
+        terms, grad_pro, grad_rea = accumulate_gradient(model, users, mask, np.stack(coef))
+        out = _scatter(model, users, zip(grad_pro, grad_rea))
 
         expected = GradientTables.zeros_like(model)
         user_losses = np.empty(batch)
@@ -425,11 +442,49 @@ class TestMinibatchKernelAtTrainingShapes:
 
         ref_terms, ref_grads = _reference_minibatch(model, users, candidate_sets, groups, *coef)
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            terms, grads = accumulate_gradient(model, users, layout(mask), *map(layout, coef))
-            out = _scatter(model, users, grads)
+            terms, grad_pro, grad_rea = accumulate_gradient(
+                model, users, layout(mask), layout(np.stack(coef))
+            )
+            out = _scatter(model, users, zip(grad_pro, grad_rea))
             assert_close(terms, ref_terms)
             for name in TABLES:
                 assert_close(getattr(out, name), getattr(ref_grads, name))
+
+
+class TestStackedStorage:
+    """The named tables are views of the two stacked space tables."""
+
+    def test_named_table_write_reaches_the_loss(self):
+        rng = np.random.default_rng(19)
+        model = _random_model(rng, 2, 4, 3)
+        cands = np.arange(4)
+        y_fwd, y_bwd = np.ones(4), np.array([1.0, 0.0, 1.0, 0.0])
+        before = loss_user(model, 0, cands, y_fwd, y_bwd, kind=LossKind.CONVENTIONAL)
+        model.w_rea_bwd[2, 1] += 0.5
+        assert model.rea[1, 2, 1] == model.w_rea_bwd[2, 1]
+        assert loss_user(model, 0, cands, y_fwd, y_bwd, kind=LossKind.CONVENTIONAL) != before
+
+    def test_copy_shares_no_memory(self):
+        model = init_model(3, 4, 2, seed=20)
+        twin = model.copy()
+        for name in ("pro", "rea", *TABLES):
+            assert not np.shares_memory(getattr(model, name), getattr(twin, name))
+            assert np.array_equal(getattr(model, name), getattr(twin, name))
+
+    def test_constructor_copies_its_arrays(self):
+        rng = np.random.default_rng(21)
+        tables = {name: rng.normal(size=(3, 2)) for name in TABLES}
+        model = RankerModel(**tables)
+        saved = {name: table.copy() for name, table in tables.items()}
+        for table in tables.values():
+            table[:] = 7.0
+        for name in TABLES:
+            assert np.array_equal(getattr(model, name), saved[name])
+
+    def test_save_load_save_same_bytes(self, tmp_path):
+        save_model(init_model(4, 5, 3, seed=22), tmp_path / "a.bin")
+        save_model(load_model(tmp_path / "a.bin"), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 class TestCheckpoint:

@@ -278,7 +278,7 @@ def _buffered_train(dataset, cfg):
     into full gradient tables, scaled by 1/batch and subtracted from every row."""
     plan = dataset.fold_plan
     model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
-    mask, coef_fwd, coef_bwd = _loss_tables(dataset, cfg.loss_kind)
+    mask, coef, _ = _loss_tables(dataset, cfg.loss_kind)
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
     log, best_model, best_value = TrainingLog(), None, -np.inf
     for epoch in range(1, cfg.epochs + 1):
@@ -286,9 +286,10 @@ def _buffered_train(dataset, cfg):
         loss_sum = 0.0
         for start in range(0, order.size, cfg.batch):
             batch = order[start:start + cfg.batch]
-            terms, pieces = accumulate_gradient(
-                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch]
+            terms, grad_pro, grad_rea = accumulate_gradient(
+                model, batch, mask[batch], coef[:, batch]
             )
+            pieces = zip(grad_pro, grad_rea)
             for loss in (terms[:, 0] + terms[:, 1]).tolist():
                 loss_sum += loss
             grads = GradientTables.zeros_like(model)
@@ -317,6 +318,75 @@ def test_in_place_step_matches_buffered_step(kind, weight_decay):
                       batch=8, seed=6, k_valid=5, weight_decay=weight_decay)
     model, log = train_model(dataset, cfg)
     ref_model, ref_log = _buffered_train(dataset, cfg)
+    for name in TABLES:
+        assert np.array_equal(getattr(model, name), getattr(ref_model, name))
+    assert log.records == ref_log.records
+
+
+def _per_space_kernel(model, users, mask_rows, coef_fwd, coef_bwd):
+    """The minibatch kernel one embedding space at a time, with the sigmoid
+    written out: the byte-level reference for the stacked kernel."""
+    terms = np.empty((users.size, 2))
+    grads = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for space, ((pro, rea), coef) in enumerate(zip(SPACES, (coef_fwd, coef_bwd))):
+            w_rea = getattr(model, rea)
+            w_users = getattr(model, pro).take(users, axis=0)
+            s = 1.0 / (1.0 + np.exp(-(w_users @ w_rea.T)))
+            p = s * mask_rows
+            p /= p.sum(axis=1, keepdims=True)
+            log_p = np.log(np.maximum(p, PROB_FLOOR))
+            terms[:, space] = -np.einsum("ij,ij->i", coef, log_p)
+            dz = (coef.sum(axis=1, keepdims=True) * p - coef) * (1.0 - s)
+            grads.append((dz @ w_rea, dz.T @ w_users))
+    return terms, grads
+
+
+def _per_space_train(dataset, cfg):
+    """train_model with the per-space kernel and one update per named table."""
+    plan = dataset.fold_plan
+    model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
+    mask = plan.train_mask()
+    coef_fwd, coef_bwd = (
+        np.where(mask, c, 0.0)
+        for c in feedback_coefficients(cfg.loss_kind.paired_metric, dataset.y_fwd,
+                                       dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
+    )
+    rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
+    log, best_model, best_value = TrainingLog(), None, -np.inf
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(plan.n_proactive)
+        loss_sum = 0.0
+        for start in range(0, order.size, cfg.batch):
+            batch = order[start:start + cfg.batch]
+            terms, grads = _per_space_kernel(
+                model, batch, mask[batch], coef_fwd[batch], coef_bwd[batch]
+            )
+            for loss in (terms[:, 0] + terms[:, 1]).tolist():
+                loss_sum += loss
+            for space, space_grads in zip(SPACES, grads):
+                for name, rows, grad in zip(space, (batch, slice(None)), space_grads):
+                    table = getattr(model, name)
+                    if cfg.weight_decay > 0.0:
+                        table *= 1.0 - cfg.learning_rate * cfg.weight_decay
+                    table[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
+        value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
+        log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
+        if value > best_value:
+            best_model, best_value = model.copy(), value
+    return best_model, log
+
+
+@pytest.mark.parametrize("batch", [16, 7])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_stacked_step_matches_per_space_step(kind, weight_decay, batch):
+    # 30 users: batches of 16 and 14, or four of 7 and a short one of 2
+    _, _, _, dataset = _world(n=30, eta=1.0)
+    cfg = TrainConfig(loss_kind=kind, dim=8, epochs=5, learning_rate=0.3,
+                      batch=batch, seed=7, k_valid=5, weight_decay=weight_decay)
+    model, log = train_model(dataset, cfg)
+    ref_model, ref_log = _per_space_train(dataset, cfg)
     for name in TABLES:
         assert np.array_equal(getattr(model, name), getattr(ref_model, name))
     assert log.records == ref_log.records
