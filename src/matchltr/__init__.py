@@ -27,7 +27,6 @@ from .metrics import (
     LambdaWeight,
     MetricValue,
     dcg_at_k,
-    dcg_from_gains,
     estimate_metric,
     gain_ipw,
     gain_surrogate,
@@ -44,7 +43,6 @@ from .ranker import (
     init_model,
     load_model,
     loss_gradient,
-    loss_terms,
     loss_user,
     save_model,
     score_matrix,
@@ -75,11 +73,8 @@ from .train import (
     TrainConfig,
     TrainingLog,
     default_method_configs,
-    expected_dcg_gain,
-    load_experiment_config,
     load_training_log,
     run_experiment,
-    save_experiment_config,
     save_training_log,
     test_dcg_records,
     train_model,

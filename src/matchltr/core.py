@@ -204,19 +204,6 @@ class FoldPlan:
             test_fold=test_fold,
         )
 
-    def fold_of_proactive(self) -> np.ndarray:
-        """Vector mapping each proactive user to its fold index."""
-        out = np.empty(self.n_proactive, dtype=np.intp)
-        for f, block in enumerate(self.proactive_folds):
-            out[list(block)] = f
-        return out
-
-    def fold_of_reactive(self) -> np.ndarray:
-        out = np.empty(self.n_reactive, dtype=np.intp)
-        for f, block in enumerate(self.reactive_folds):
-            out[list(block)] = f
-        return out
-
     def _block_mask(self, fold: int) -> np.ndarray:
         mask = np.zeros((self.n_proactive, self.n_reactive), dtype=bool)
         rows = np.asarray(self.proactive_folds[fold], dtype=np.intp)

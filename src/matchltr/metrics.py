@@ -12,6 +12,7 @@ enumerating the four exposure outcomes of each pair).
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,8 @@ class LambdaWeight:
     k: int
 
     def __post_init__(self):
+        # operator.index rejects 2.5 instead of slicing with it later
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
             raise ContractViolation(f"cutoff must be a positive integer, got {self.k}")
 
@@ -276,6 +279,7 @@ def dcg_from_gains(scores: np.ndarray, gains: np.ndarray, k: int) -> np.ndarray:
     ``gains[u, j]`` is the gain of candidate ``j`` for user ``u``.  With fewer
     than ``k`` candidates the sum runs over what is available.
     """
+    k = operator.index(k)
     if k < 1:
         raise ContractViolation(f"cutoff must be a positive integer, got {k}")
     order = rank_candidates(scores)

@@ -232,21 +232,6 @@ def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
     return accumulate_gradient(model, [u], mask, coef)
 
 
-def loss_terms(
-    model: RankerModel,
-    u: int,
-    candidates,
-    y_fwd,
-    y_bwd,
-    theta_fwd=None,
-    theta_bwd=None,
-    kind: LossKind = LossKind.CONVENTIONAL,
-) -> tuple[float, float]:
-    """(forward, backward) cross-entropy terms of the listwise loss for one user."""
-    terms, _, _ = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
-    return float(terms[0, 0]), float(terms[0, 1])
-
-
 def loss_user(
     model: RankerModel,
     u: int,
@@ -258,8 +243,8 @@ def loss_user(
     kind: LossKind = LossKind.CONVENTIONAL,
 ) -> float:
     """Listwise loss of one user's candidate list (sum of both directional terms)."""
-    fwd, bwd = loss_terms(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
-    return fwd + bwd
+    terms, _, _ = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
+    return float(terms[0, 0]) + float(terms[0, 1])
 
 
 def loss_gradient(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -466,12 +466,6 @@ class FeedbackDataset:
     def n_reactive(self) -> int:
         return self.fold_plan.n_reactive
 
-    def with_unit_exposure(self) -> "FeedbackDataset":
-        """Counterfactual twin where everything observed was exposed (O = 1, theta = 1)."""
-        exposed, ones = self.observed.astype(np.int8), np.ones_like(self.theta_fwd)
-        return replace(self, o_fwd=exposed, o_bwd=exposed.copy(), y_fwd=self.r_fwd.copy(),
-                       y_bwd=self.r_fwd * self.r_bwd, theta_fwd=ones, theta_bwd=ones.copy())
-
 
 def sample_dataset(
     m: PreferenceMatrix,
@@ -516,6 +510,14 @@ def sample_dataset(
 # file formats: dataset CSV, fold-plan JSON, exposure JSON
 # ---------------------------------------------------------------------------
 
+def _fold_index(folds) -> np.ndarray:
+    """Vector mapping each user of one side to its fold index, from that side's blocks."""
+    out = np.empty(sum(map(len, folds)), dtype=np.intp)
+    for f, block in enumerate(folds):
+        out[list(block)] = f
+    return out
+
+
 def save_dataset(ds: FeedbackDataset, path) -> None:
     """Write one CSV row per observed pair, in row-major order (schema: the header row).
 
@@ -523,8 +525,8 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
     in blocks of about 65,536, to bound memory; in each block every distinct
     theta is formatted once, and a row's six bits are one of 64 tokens.
     """
-    fold_u = ds.fold_plan.fold_of_proactive().tolist()
-    fold_v = ds.fold_plan.fold_of_reactive().tolist()
+    fold_u = _fold_index(ds.fold_plan.proactive_folds).tolist()
+    fold_v = _fold_index(ds.fold_plan.reactive_folds).tolist()
     tokens = [",".join(format(i, "06b")) for i in range(64)]
     step = max(1, (1 << 16) // max(ds.n_reactive, 1))  # proactive rows per block
     with atomic_open(path, "w") as fh:
@@ -560,8 +562,8 @@ def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:
     except (ContractViolation, AssumptionViolationError) as exc:
         raise DataFormatError(f"dataset CSV: {exc}") from None
     if len(ds) and (
-        not np.array_equal(plan.fold_of_proactive()[table["u"]], table["fold_u"])
-        or not np.array_equal(plan.fold_of_reactive()[table["v"]], table["fold_v"])
+        not np.array_equal(_fold_index(plan.proactive_folds)[table["u"]], table["fold_u"])
+        or not np.array_equal(_fold_index(plan.reactive_folds)[table["v"]], table["fold_v"])
     ):
         raise DataFormatError("dataset CSV: fold labels do not match the fold plan")
     return ds

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     ContractViolation,
-    DataFormatError,
     DivergenceError,
     FoldPlan,
     PreferenceMatrix,
@@ -42,7 +41,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import derive_seed, load_rows, read_json, save_rows, write_json
+from .util import derive_seed, load_rows, save_rows
 
 
 @dataclass(frozen=True)
@@ -397,59 +396,3 @@ def run_experiment(
                         progress(seed=seed, eta=eta, fold=fold, method=kind.value)
     return records
 
-
-# ---------------------------------------------------------------------------
-# experiment config files
-# ---------------------------------------------------------------------------
-
-def save_experiment_config(
-    plan: ExperimentPlan, cfgs: Mapping[LossKind, TrainConfig], path
-) -> None:
-    """Persist a plan plus per-method hyperparameters as JSON."""
-    payload = {
-        "eta_list": list(plan.etas),
-        "folds": plan.folds,
-        "K_list": list(plan.k_values),
-        "seeds": list(plan.seeds),
-        "test_folds": None if plan.test_folds is None else list(plan.test_folds),
-        "methods": {
-            kind.value: {
-                "learning_rate": cfg.learning_rate,
-                "epochs": cfg.epochs,
-                "dim": cfg.dim,
-                "batch": cfg.batch,
-                "k_valid": cfg.k_valid,
-                "weight_decay": cfg.weight_decay,
-            }
-            for kind, cfg in cfgs.items()
-        },
-    }
-    write_json(path, payload)
-
-
-def load_experiment_config(path) -> tuple[ExperimentPlan, dict[LossKind, TrainConfig]]:
-    payload = read_json(path, "experiment config JSON")
-    try:
-        test_folds = payload.get("test_folds")
-        plan = ExperimentPlan(
-            etas=tuple(payload["eta_list"]),
-            folds=payload["folds"],
-            k_values=tuple(payload["K_list"]),
-            seeds=tuple(payload["seeds"]),
-            test_folds=None if test_folds is None else tuple(test_folds),
-        )
-        cfgs = {}
-        for name, entry in payload["methods"].items():
-            kind = LossKind(name)
-            cfgs[kind] = TrainConfig(
-                loss_kind=kind,
-                learning_rate=float(entry["learning_rate"]),
-                epochs=entry["epochs"],
-                dim=entry["dim"],
-                batch=entry.get("batch", 32),
-                k_valid=entry.get("k_valid", 10),
-                weight_decay=float(entry.get("weight_decay", 0.0)),
-            )
-    except (KeyError, TypeError, ValueError, ContractViolation) as exc:
-        raise DataFormatError(f"experiment config JSON: {exc}") from None
-    return plan, cfgs

@@ -15,6 +15,7 @@ from matchltr import (
     metric_ground_truth,
     rank_candidates,
 )
+from matchltr.simulate import _fold_index
 
 
 def rank_of(entries, v, n_candidates=10):
@@ -231,8 +232,8 @@ class TestFoldPlan:
 
     def test_fold_lookup_vectors(self):
         plan = self._plan()
-        assert plan.fold_of_proactive().tolist() == [0, 0, 1, 1]
-        assert plan.fold_of_reactive().tolist() == [0, 1, 1]
+        assert _fold_index(plan.proactive_folds).tolist() == [0, 0, 1, 1]
+        assert _fold_index(plan.reactive_folds).tolist() == [0, 1, 1]
 
     def test_invalid_test_fold(self):
         with pytest.raises(ContractViolation):

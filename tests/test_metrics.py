@@ -35,6 +35,7 @@ from matchltr import (
     metric_ground_truth,
     save_eval_report,
 )
+from matchltr.metrics import dcg_from_gains
 
 NAIVE, IPW1, IPW2 = EstimatorKind.NAIVE, EstimatorKind.IPW1, EstimatorKind.IPW2
 
@@ -84,6 +85,12 @@ class TestLambdaWeight:
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ContractViolation):
             LambdaWeight(k=0)
+
+    def test_cutoff_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="integer"):
+            LambdaWeight(k=2.5)
+        with pytest.raises(TypeError, match="integer"):
+            dcg_from_gains(np.zeros((1, 3)), np.ones((1, 3)), 1.5)
 
 
 class TestGains:

@@ -15,13 +15,12 @@ from matchltr import (
     init_model,
     load_model,
     loss_gradient,
-    loss_terms,
     loss_user,
     save_model,
     score_matrix,
 )
 from matchltr.metrics import feedback_coefficients
-from matchltr.ranker import PROB_FLOOR, SPACES, accumulate_gradient
+from matchltr.ranker import PROB_FLOOR, SPACES, _user_kernel, accumulate_gradient
 from matchltr.util import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
@@ -163,8 +162,9 @@ class TestLoss:
     def test_singleton_positive_forward_term_vanishes(self):
         rng = np.random.default_rng(6)
         model = _random_model(rng, 2, 3, 2)
-        fwd, bwd = loss_terms(model, 0, [1], [1.0], [0.0],
-                              [0.5], [0.5], LossKind.CONVENTIONAL)
+        terms, _, _ = _user_kernel(model, 0, [1], [1.0], [0.0],
+                                   [0.5], [0.5], LossKind.CONVENTIONAL)
+        fwd, bwd = terms[0]
         assert fwd == 0.0 and bwd == 0.0
 
     def test_two_equal_scores_give_log_two(self):
@@ -206,7 +206,7 @@ class TestLoss:
             theta_f = rng.uniform(0.1, 0.9, 4)
             theta_b = rng.uniform(0.1, 0.9, 4)
             terms = {
-                kind: loss_terms(model, 0, cands, y_fwd, y_bwd, theta_f, theta_b, kind)[1]
+                kind: _user_kernel(model, 0, cands, y_fwd, y_bwd, theta_f, theta_b, kind)[0][0, 1]
                 for kind in LossKind
             }
             assert terms[LossKind.IPW2] >= terms[LossKind.IPW1] >= terms[LossKind.CONVENTIONAL]

@@ -43,6 +43,7 @@ from matchltr import (
     synth_preferences,
 )
 from matchltr.cli import main as cli_main
+from matchltr.simulate import _fold_index
 from matchltr.util import format_float
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
@@ -293,14 +294,6 @@ class TestSampleDataset:
         ):
             with pytest.raises(ContractViolation, match=message):
                 replace(ds, **bad)
-
-    def test_unit_exposure_twin(self):
-        m, exp, plan = _uniform_world(n_pro=8, n_rea=8, p_fwd=0.6, p_bwd=0.6, k=4)
-        ds = sample_dataset(m, exp, plan, seed=9)
-        twin = ds.with_unit_exposure()
-        assert (twin.theta_fwd == 1.0).all() and (twin.o_bwd[ds.observed] == 1).all()
-        assert np.array_equal(twin.y_fwd, ds.r_fwd)
-        assert np.array_equal(twin.y_bwd, ds.r_fwd * ds.r_bwd)
 
 
 class TestSynthPreferences:
@@ -664,8 +657,8 @@ def _reference_save_square(square, path):
 
 def _reference_save_dataset(ds, path):
     """One row per observed pair, in row-major order."""
-    fold_u = ds.fold_plan.fold_of_proactive()
-    fold_v = ds.fold_plan.fold_of_reactive()
+    fold_u = _fold_index(ds.fold_plan.proactive_folds)
+    fold_v = _fold_index(ds.fold_plan.reactive_folds)
     rows = [_DATASET_HEADER]
     for u in range(ds.n_proactive):
         for v in range(ds.n_reactive):

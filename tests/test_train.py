@@ -1,7 +1,6 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
 import itertools
-import json
 import warnings
 from dataclasses import replace
 
@@ -27,12 +26,10 @@ from matchltr import (
     estimate_metric,
     exposure_from_popularity,
     init_model,
-    load_experiment_config,
     load_training_log,
     make_folds,
     run_experiment,
     sample_dataset,
-    save_experiment_config,
     save_training_log,
     synth_preferences,
     train_model,
@@ -565,40 +562,17 @@ class TestLogAndConfigFiles:
         with pytest.raises(DataFormatError, match="training log CSV"):
             load_training_log(path)
 
-    def test_experiment_config_round_trip(self, tmp_path):
-        plan = ExperimentPlan(etas=(0.5, 1.0), folds=4, k_values=(3, 10),
-                              seeds=(1, 2), test_folds=(0, 2))
-        cfgs = default_method_configs(TrainConfig(dim=16, epochs=50,
-                                                  learning_rate=0.1, batch=8))
-        path = tmp_path / "experiment.json"
-        save_experiment_config(plan, cfgs, path)
-        plan2, cfgs2 = load_experiment_config(path)
-        assert plan2 == plan
-        for kind in LossKind:
-            assert cfgs2[kind].epochs == 50
-            assert cfgs2[kind].dim == 16
-            assert cfgs2[kind].loss_kind is kind
-
-    @pytest.mark.parametrize("edit", [
-        lambda p: p.update(folds=5.9),
-        lambda p: p.update(K_list=[3, 10.0]),
-        lambda p: p.update(seeds=[1.5]),
-        lambda p: p.update(test_folds=[0.4]),
-        lambda p: p["methods"]["ipw2"].update(epochs=3.0),
-        lambda p: p["methods"]["ipw2"].update(dim=16.5),
-        lambda p: p["methods"]["ipw2"].update(batch=16.7),
-        lambda p: p["methods"]["ipw2"].update(k_valid=10.2),
-    ], ids=["folds", "K_list", "seeds", "test_folds", "epochs", "dim", "batch", "k_valid"])
-    def test_experiment_config_non_integer_rejected(self, tmp_path, edit):
-        path = tmp_path / "experiment.json"
-        save_experiment_config(ExperimentPlan(etas=(0.5,), folds=4, test_folds=(0,)),
-                               default_method_configs(), path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="experiment config JSON: .*integer"):
-            load_experiment_config(path)
-
-    def test_train_config_seed_must_be_an_integer(self):
+    @pytest.mark.parametrize("build", [
+        lambda: TrainConfig(seed=0.5),
+        lambda: ExperimentPlan(etas=(0.5,), folds=5.9),
+        lambda: ExperimentPlan(etas=(0.5,), k_values=(3, 10.0)),
+        lambda: ExperimentPlan(etas=(0.5,), seeds=(1.5,)),
+        lambda: ExperimentPlan(etas=(0.5,), folds=4, test_folds=(0.4,)),
+        lambda: TrainConfig(epochs=3.0),
+        lambda: TrainConfig(dim=16.5),
+        lambda: TrainConfig(batch=16.7),
+        lambda: TrainConfig(k_valid=10.2),
+    ], ids=["seed", "folds", "k_values", "seeds", "test_folds", "epochs", "dim", "batch", "k_valid"])
+    def test_train_config_seed_must_be_an_integer(self, build):
         with pytest.raises(TypeError, match="integer"):
-            TrainConfig(seed=0.5)
+            build()
