@@ -11,8 +11,9 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -49,29 +50,47 @@ class OracleInstance:
     k: int
 
     def __post_init__(self):
-        for name in ("r_fwd", "r_bwd"):  # checked before the cast wraps 256 to 0
-            object.__setattr__(self, name, _as_bits(name, getattr(self, name)).astype(np.int8))
-        for name in ("theta_fwd", "theta_bwd"):
-            theta = np.asarray(getattr(self, name), dtype=np.float64)
-            if not ((theta > 0.0) & (theta <= 1.0)).all():  # NaN fails too
-                raise AssumptionViolationError(f"{name} must lie in (0, 1]")
-            object.__setattr__(self, name, theta)
-        # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking
-        if np.asarray(self.ranking).dtype.kind not in "iu":
-            raise ContractViolation("ranking must hold integer candidate indices")
-        object.__setattr__(self, "ranking", np.asarray(self.ranking, dtype=np.intp))
-        # operator.index rejects 2.5 instead of truncating it
-        object.__setattr__(self, "k", operator.index(self.k))
-        shape = self.r_fwd.shape
-        if len(shape) != 2 or min(shape) < 1:
-            raise ContractViolation("instance arrays must be 2-d with >= 1 user and candidate")
-        for name in ("r_bwd", "theta_fwd", "theta_bwd", "ranking"):
-            if getattr(self, name).shape != shape:
-                raise ContractViolation(f"{name} must match the instance shape {shape}")
-        if self.k < 1:
-            raise ContractViolation("cutoff must be positive")
-        if (np.sort(self.ranking, axis=1) != np.arange(shape[1])).any():
-            raise ContractViolation("each ranking row must be a permutation of candidates")
+        # a batch of one through run_verification's checks; bits are cast after them
+        r_fwd, r_bwd, *tables, k = _checked(*([getattr(self, name)] for name in _FIELDS))
+        for name, table in zip(_FIELDS, (r_fwd.astype(np.int8), r_bwd.astype(np.int8), *tables)):
+            object.__setattr__(self, name, table[0])
+        object.__setattr__(self, "k", int(k[0]))
+
+
+_FIELDS = tuple(f.name for f in fields(OracleInstance))
+
+
+def _checked(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k):
+    """Check instances stacked on a leading axis; return their fields as arrays.
+
+    Bits come back as float64, checked before any cast wraps 256 to 0;
+    propensities as float64, the ranking as intp and the cutoffs as integers.
+    """
+    bits = [_as_bits(name, x) for name, x in (("r_fwd", r_fwd), ("r_bwd", r_bwd))]
+    thetas = [np.asarray(t, dtype=np.float64) for t in (theta_fwd, theta_bwd)]
+    for name, theta in zip(("theta_fwd", "theta_bwd"), thetas):
+        if not ((theta > 0.0) & (theta <= 1.0)).all():  # NaN fails too
+            raise AssumptionViolationError(f"{name} must lie in (0, 1]")
+    # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking, 2.5 no cutoff
+    ranking, k = np.asarray(ranking), np.asarray(k)
+    if ranking.dtype.kind not in "iu":
+        raise ContractViolation("ranking must hold integer candidate indices")
+    if k.dtype.kind not in "iu":
+        raise ContractViolation(f"cutoff must be an integer, got {k.dtype}")
+    shape = bits[0].shape
+    if len(shape) != 3 or min(shape) < 1:
+        raise ContractViolation("instance arrays must be 2-d with >= 1 user and candidate")
+    for name, table in zip(_FIELDS[1:], (bits[1], *thetas, ranking)):
+        if table.shape != shape:
+            raise ContractViolation(f"{name} must match the instance shape {shape[1:]}")
+    if k.shape != shape[:1]:
+        raise ContractViolation("need one cutoff per instance")
+    if (k < 1).any():
+        raise ContractViolation("cutoff must be positive")
+    ranking = ranking.astype(np.intp, copy=False)
+    if (np.sort(ranking, axis=2) != np.arange(shape[2])).any():
+        raise ContractViolation("each ranking row must be a permutation of candidates")
+    return (*bits, *thetas, ranking, k)
 
 
 def save_instance(inst: OracleInstance, path) -> None:
@@ -95,6 +114,26 @@ def single_pair_witness() -> OracleInstance:
     )
 
 
+def _draw(rng: np.random.Generator, max_users: int, max_candidates: int, theta_one: bool):
+    """One random instance's fields, in :class:`OracleInstance` order.
+
+    The draws keep their order: sizes, forward then backward propensities,
+    forward then backward bits (one call draws both tables of a kind as two
+    calls would), one permutation per user (a shuffle in place draws what
+    ``rng.permutation`` would), cutoff.
+    """
+    n_users = int(rng.integers(1, max_users + 1))
+    n_cands = int(rng.integers(1, max_candidates + 1))
+    shape = (2, n_users, n_cands)
+    theta_fwd, theta_bwd = np.ones(shape) if theta_one else rng.uniform(_THETA_LOW, 1.0, shape)
+    r_fwd, r_bwd = rng.integers(0, 2, shape)
+    ranking = np.empty(shape[1:], dtype=np.intp)
+    ranking[:] = np.arange(n_cands)
+    for row in ranking:
+        rng.shuffle(row)
+    return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
+
+
 def random_instance(
     rng: np.random.Generator,
     max_users: int = 4,
@@ -102,23 +141,7 @@ def random_instance(
     theta_one: bool = False,
 ) -> OracleInstance:
     """Draw labels, rankings and propensities (in [0.05, 1)) for one oracle check."""
-    n_users = int(rng.integers(1, max_users + 1))
-    n_cands = int(rng.integers(1, max_candidates + 1))
-    shape = (n_users, n_cands)
-    if theta_one:
-        theta_fwd = np.ones(shape)
-        theta_bwd = np.ones(shape)
-    else:
-        theta_fwd = rng.uniform(_THETA_LOW, 1.0, shape)
-        theta_bwd = rng.uniform(_THETA_LOW, 1.0, shape)
-    return OracleInstance(
-        r_fwd=rng.integers(0, 2, shape),
-        r_bwd=rng.integers(0, 2, shape),
-        theta_fwd=theta_fwd,
-        theta_bwd=theta_bwd,
-        ranking=np.stack([rng.permutation(n_cands) for _ in range(n_users)]),
-        k=int(rng.integers(1, n_cands + 2)),
-    )
+    return OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
 
 
 @dataclass(frozen=True)
@@ -130,6 +153,56 @@ class InstanceCheck:
 
     def error(self, kind: EstimatorKind) -> float:
         return abs(self.expected[kind.value] - self.truth)
+
+
+def _stack(rows, count: int, max_users: int, max_candidates: int):
+    """Pad ``count`` instances, given as field tuples, into batch arrays.
+
+    Each row ``b`` of the ``(count, users, candidates)`` arrays holds one
+    instance in its top-left corner; the padding has zero labels, unit
+    propensities and an identity ranking.  The arrays are trimmed to the
+    largest instance.  Returns the five tables, the cutoffs and each
+    instance's ``(users, candidates)``.
+    """
+    shape = (count, max_users, max_candidates)
+    tables = [np.zeros(shape), np.zeros(shape), np.ones(shape), np.ones(shape),
+              np.broadcast_to(np.arange(max_candidates), shape).copy()]
+    k, sizes = [], []
+    for b, (*arrays, cutoff) in enumerate(rows):
+        users, cands = arrays[0].shape
+        for table, values in zip(tables, arrays):
+            table[b, :users, :cands] = values
+        k.append(cutoff)
+        sizes.append((users, cands))
+    sizes = np.array(sizes, dtype=np.intp)
+    users, cands = sizes.max(axis=0)
+    return [table[:, :users, :cands] for table in tables], np.array(k), sizes
+
+
+def _enumerate(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k, n_users):
+    """:func:`check_batch` on checked, padded batch arrays (see :func:`_stack`)."""
+    rf, rb, tf, tb = (np.take_along_axis(table, ranking, axis=2)
+                      for table in (r_fwd, r_bwd, theta_fwd, theta_bwd))
+    width = ranking.shape[2]
+    ranks = np.arange(1, width + 1)
+    disc = np.where(ranks <= k[:, None, None], LambdaWeight(k=width).weights(ranks), 0.0)
+
+    def user_mean(per_pair, weight):
+        per_user = np.add.accumulate(per_pair * weight, axis=-1)[..., -1]
+        return np.add.accumulate(per_user, axis=-1)[..., -1] / n_users
+
+    # with o_fwd = 0 every estimator's gain is 0, so those two outcomes add
+    # nothing to either moment and only the two with o_fwd = 1 are summed
+    m1, m2 = np.zeros((2, len(EstimatorKind)) + rf.shape)
+    for o_b in (0.0, 1.0):
+        p = tf * (tb if o_b else 1.0 - tb)
+        y_b = rf * o_b * rb
+        g = np.stack([_gain(*_coefficients(kind, rf, y_b, tf, tb)) for kind in EstimatorKind])
+        m1 += p * g
+        m2 += p * g * g
+    var = user_mean(np.maximum(m2 - m1 * m1, 0.0), disc * disc) / n_users
+    eligible = ((rf * rb * disc > 0) & (tb < 1.0)).any(axis=(1, 2))
+    return user_mean(_gain(rf, rf * rb), disc), user_mean(m1, disc), var, eligible
 
 
 def check_batch(instances):
@@ -145,46 +218,20 @@ def check_batch(instances):
     have a row per :class:`EstimatorKind`; ``eligible`` marks instances that
     rank a mutual pair with backward exposure below 1 inside the cutoff.
     """
-    n_users = np.array([inst.r_fwd.shape[0] for inst in instances])
-    width = max(inst.r_fwd.shape[1] for inst in instances)
-    shape = (len(instances), n_users.max(), width)
-    padding = {"r_fwd": 0.0, "r_bwd": 0.0, "theta_fwd": 1.0, "theta_bwd": 1.0}
-    raw = {name: np.full(shape, fill) for name, fill in padding.items()}
-    ranking = np.broadcast_to(np.arange(width), shape).copy()  # padding stays in place
-    for b, inst in enumerate(instances):
-        rows, cols = inst.r_fwd.shape
-        ranking[b, :rows, :cols] = inst.ranking
-        for name, table in raw.items():
-            table[b, :rows, :cols] = getattr(inst, name)
-    rf, rb, tf, tb = (np.take_along_axis(table, ranking, axis=2) for table in raw.values())
-    ranks = np.arange(1, width + 1)
-    cutoff = np.array([inst.k for inst in instances])[:, None, None]
-    disc = np.where(ranks <= cutoff, LambdaWeight(k=width).weights(ranks), 0.0)
+    users, cands = np.max([inst.r_fwd.shape for inst in instances], axis=0)
+    tables, k, sizes = _stack(map(astuple, instances), len(instances), users, cands)
+    return _enumerate(*tables, k, sizes[:, 0])
 
-    def user_mean(per_pair, weight):
-        per_user = np.add.accumulate(per_pair * weight, axis=-1)[..., -1]
-        return np.add.accumulate(per_user, axis=-1)[..., -1] / n_users
 
-    m1, m2 = np.zeros((2, len(EstimatorKind)) + rf.shape)
-    for o_f in (0.0, 1.0):
-        p_f = tf if o_f else 1.0 - tf
-        y_f = o_f * rf
-        for o_b in (0.0, 1.0):
-            p = p_f * (tb if o_b else 1.0 - tb)
-            y_b = y_f * o_b * rb
-            g = np.stack([_gain(*_coefficients(kind, y_f, y_b, tf, tb)) for kind in EstimatorKind])
-            m1 += p * g
-            m2 += p * g * g
-    var = user_mean(np.maximum(m2 - m1 * m1, 0.0), disc * disc) / n_users
-    eligible = ((rf * rb * disc > 0) & (tb < 1.0)).any(axis=(1, 2))
-    return user_mean(_gain(rf, rf * rb), disc), user_mean(m1, disc), var, eligible
+def _instance_check(truth: np.ndarray, mean: np.ndarray, b: int) -> InstanceCheck:
+    return InstanceCheck(truth=float(truth[b]), expected={
+        kind.value: float(row[b]) for kind, row in zip(EstimatorKind, mean)})
 
 
 def check_instance(inst: OracleInstance) -> InstanceCheck:
     """Exact expectation of all three estimators on one instance: a batch of one."""
     truth, mean, _, _ = check_batch([inst])
-    return InstanceCheck(truth=float(truth[0]), expected={
-        kind.value: float(row[0]) for kind, row in zip(EstimatorKind, mean)})
+    return _instance_check(truth, mean, 0)
 
 
 def expected_metric_exact(
@@ -266,15 +313,32 @@ def run_verification(
     seed: int = 0,
     theta_one: bool = False,
 ) -> VerificationReport:
-    """Compare exact estimator expectations with ground truth on random instances."""
+    """Compare exact estimator expectations with ground truth on random instances.
+
+    The instances are drawn straight into one padded batch, with the
+    single-pair witness in its last row, checked once as a whole and
+    enumerated in one sweep; only failing rows become :class:`OracleInstance`.
+    """
+    # operator.index rejects 2.5 instead of truncating it
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ContractViolation("need at least one trial")
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
     check_settings(tolerance, max_users, max_candidates)
     rng = np.random.default_rng(seed)
-    drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(trials)]
-    truth, mean, var, eligible = check_batch(drawn)
-    err = np.abs(mean - truth)
+    drawn = (_draw(rng, max_users, max_candidates, theta_one) for _ in range(trials))
+    rows = itertools.chain(drawn, [astuple(single_pair_witness())])
+    tables, k, sizes = _stack(rows, trials + 1, max_users, max_candidates)
+    *tables, k = _checked(*tables, k)
+    truth, mean, var, eligible = _enumerate(*tables, k, sizes[:, 0])
+    err = np.abs(mean - truth)[:, :trials]
     naive, ipw1, ipw2 = err > tolerance
+    eligible = eligible[:trials]
+    failures = []
+    for b in np.flatnonzero(ipw2):
+        users, cands = sizes[b]
+        failures.append(OracleInstance(*(table[b, :users, :cands] for table in tables), k[b]))
     return VerificationReport(
         trials=trials,
         tolerance=tolerance,
@@ -282,7 +346,7 @@ def run_verification(
         naive_deviations=int(naive.sum()),
         ipw1_deviations=int((ipw1 & eligible).sum()),
         ipw1_eligible=int(eligible.sum()),
-        max_ipw2_std=float(np.sqrt(var[2].max())),
-        witness=check_instance(single_pair_witness()),
-        failures=[inst for inst, bad in zip(drawn, ipw2) if bad],
+        max_ipw2_std=float(np.sqrt(var[2, :trials].max())),
+        witness=_instance_check(truth, mean, trials),
+        failures=failures,
     )

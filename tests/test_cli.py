@@ -415,6 +415,14 @@ class TestVerifyCommand:
         name = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.startswith(f"error: {name} must be at least 1, got 0")
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # numpy's default_rng(-1) would end in a ValueError traceback
+        capsys.readouterr()
+        assert run_cli("verify", "--seed", "-1", "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must be non-negative, got -1")
+        assert "PASSED" not in captured.out
+
 
 class TestReportCommand:
     def _write_grid(self, tmp_path, folds=5, etas=(0.5,), ks=(3, 10, 20, 30)):

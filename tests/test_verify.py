@@ -21,7 +21,16 @@ from matchltr import (
     run_verification,
     single_pair_witness,
 )
-from matchltr.verify import check_batch, load_instance, save_instance
+from matchltr.verify import (
+    _FIELDS,
+    VerificationReport,
+    _checked,
+    _draw,
+    _stack,
+    check_batch,
+    load_instance,
+    save_instance,
+)
 
 
 class TestWitness:
@@ -72,6 +81,7 @@ class TestRunVerification:
         ({"tolerance": float("inf")}, "tolerance"),
         ({"max_users": 0}, "max_users"),
         ({"max_candidates": 0}, "max_candidates"),
+        ({"seed": -1}, "seed"),
     ])
     def test_bad_settings_rejected(self, settings, match):
         with pytest.raises(ContractViolation, match=match):
@@ -90,6 +100,93 @@ class TestRunVerification:
             in report.lines()
         # with every pair exposed the estimate is a constant
         assert run_verification(trials=50, seed=3, theta_one=True).max_ipw2_std == 0.0
+
+
+def _reference_report(trials, max_users, max_candidates, tolerance, seed, theta_one):
+    """run_verification one instance at a time: random_instance, check_batch, check_instance."""
+    rng = np.random.default_rng(seed)
+    drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(trials)]
+    truth, mean, var, eligible = check_batch(drawn)
+    err = np.abs(mean - truth)
+    naive, ipw1, ipw2 = err > tolerance
+    return VerificationReport(
+        trials=trials,
+        tolerance=tolerance,
+        max_abs_error={kind.value: float(row.max()) for kind, row in zip(EstimatorKind, err)},
+        naive_deviations=int(naive.sum()),
+        ipw1_deviations=int((ipw1 & eligible).sum()),
+        ipw1_eligible=int(eligible.sum()),
+        max_ipw2_std=float(np.sqrt(var[2].max())),
+        witness=check_instance(single_pair_witness()),
+        failures=[inst for inst, bad in zip(drawn, ipw2) if bad],
+    )
+
+
+def _draw_by_separate_calls(rng, max_users, max_candidates, theta_one):
+    """The draw as separate calls: one per propensity or bit table, one permutation per user."""
+    n_users = int(rng.integers(1, max_users + 1))
+    n_cands = int(rng.integers(1, max_candidates + 1))
+    shape = (n_users, n_cands)
+    if theta_one:
+        theta_fwd, theta_bwd = np.ones(shape), np.ones(shape)
+    else:
+        theta_fwd = rng.uniform(0.05, 1.0, shape)
+        theta_bwd = rng.uniform(0.05, 1.0, shape)
+    r_fwd = rng.integers(0, 2, shape)
+    r_bwd = rng.integers(0, 2, shape)
+    ranking = np.stack([rng.permutation(n_cands) for _ in range(n_users)])
+    return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
+
+
+class TestBatchDraw:
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-10])
+    @pytest.mark.parametrize("theta_one", [False, True])
+    @pytest.mark.parametrize("caps", [(1, 1), (4, 6), (10, 12)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_instance_path(self, seed, caps, theta_one, tolerance):
+        got = run_verification(trials=50, max_users=caps[0], max_candidates=caps[1],
+                               tolerance=tolerance, seed=seed, theta_one=theta_one)
+        want = _reference_report(50, *caps, tolerance, seed, theta_one)
+        for f in fields(VerificationReport):
+            if f.name != "failures":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert len(got.failures) == len(want.failures)
+        for a, b in zip(got.failures, want.failures):
+            for f in fields(OracleInstance):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert type(x) is type(y) and np.asarray(x).dtype == np.asarray(y).dtype, f.name
+                assert np.array_equal(x, y), f.name
+
+    @pytest.mark.parametrize("theta_one", [False, True])
+    @pytest.mark.parametrize("caps", [(1, 1), (4, 6), (10, 12)])
+    def test_draw_takes_the_separate_call_stream(self, caps, theta_one):
+        # failing_instance.json keeps its bytes only if the draws keep their values
+        for seed in range(20):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                got = _draw(ours, *caps, theta_one)
+                want = _draw_by_separate_calls(theirs, *caps, theta_one)
+                for x, y in zip(got, want):
+                    assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("name, index, value, error, message", [
+        ("r_fwd", (3, 0, 0), 2.0, ContractViolation, "r_fwd must contain bits"),
+        ("theta_fwd", (3, 0, 0), 0.0, AssumptionViolationError, r"theta_fwd must lie in \(0, 1\]"),
+        ("theta_bwd", (3, 0, 0), np.nan, AssumptionViolationError,
+         r"theta_bwd must lie in \(0, 1\]"),
+        ("ranking", (3, 0, slice(0, 2)), 0, ContractViolation, "permutation"),
+        ("k", 3, 0, ContractViolation, "cutoff must be positive"),
+    ], ids=["bit-two", "theta-zero", "theta-nan", "repeated-rank", "zero-cutoff"])
+    def test_batch_checks_reject_one_bad_row(self, name, index, value, error, message):
+        rng = np.random.default_rng(5)
+        rows = [_draw(rng, 4, 6, False) for _ in range(6)]
+        tables, k, _ = _stack(rows, len(rows), 4, 6)
+        batch = dict(zip(_FIELDS, [*tables, k]))
+        assert batch["ranking"].shape[2] >= 2
+        _checked(**batch)
+        batch[name][index] = value
+        with pytest.raises(error, match=message):
+            _checked(**batch)
 
 
 class TestBatchedOracle:
