@@ -122,7 +122,8 @@ def score_matrix(model: RankerModel, users: np.ndarray, candidates: np.ndarray) 
     _check_range(users, model.n_proactive, "proactive")
     _check_range(candidates, model.n_reactive, "reactive")
     w_cands = model.rea.take(candidates, axis=1)
-    s = sigmoid(model.pro.take(users, axis=1) @ w_cands.transpose(0, 2, 1))
+    s = model.pro.take(users, axis=1) @ w_cands.transpose(0, 2, 1)
+    sigmoid(s, out=s)
     return s[0] * s[1]
 
 
@@ -185,7 +186,8 @@ def accumulate_gradient(
     and backward loss terms in batch order, ``grad_pro`` ``(2, batch, dim)``,
     whose row ``[space, i]`` is the gradient of proactive row ``users[i]``,
     and ``grad_rea`` ``(2, n_reactive, dim)``, the gradient of the whole
-    reactive stack.  A user that repeats gets one row per occurrence, which
+    reactive stack.  Both gradients are fresh arrays, which the caller may
+    scale in place.  A user that repeats gets one row per occurrence, which
     the caller must add up.
 
     In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
@@ -205,7 +207,8 @@ def accumulate_gradient(
     w_users = model.pro.take(users, axis=1)
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = sigmoid(w_users @ model.rea.transpose(0, 2, 1))
+        s = w_users @ model.rea.transpose(0, 2, 1)
+        sigmoid(s, out=s)
         p = s * mask_rows
         p /= p.sum(axis=2, keepdims=True)
         log_p = np.maximum(p, PROB_FLOOR)

@@ -22,11 +22,15 @@ from .core import (
     FoldPlan,
     PreferenceMatrix,
     SideAssignment,
+    UndefinedAverageError,
 )
-from .metrics import (
+from .metrics import (  # bench/tracing.py wraps estimate_metric here
     EstimatorKind,
     EvalRecord,
     LambdaWeight,
+    _discounted,
+    _gain,
+    _user_mean,
     dcg_at_k,
     dcg_from_gains,
     estimate_metric,
@@ -145,14 +149,19 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
     return mask, coef, coef.sum(axis=2)
 
 
-def _validation_context(dataset: FeedbackDataset):
-    """Validation users and candidates, and the block's feedback and propensities."""
+def _validation_context(dataset: FeedbackDataset, kind: EstimatorKind):
+    """Per-run validation table: users, candidates, the estimator's per-pair gain
+    over the block (so its bit, feasibility and propensity checks run once) and
+    the ``(n_users, 1)`` row index that picks each user's ranked gains."""
     plan = dataset.fold_plan
     val_users = np.asarray(plan.proactive_folds[plan.validation_fold], dtype=np.intp)
     val_cands = np.asarray(plan.reactive_folds[plan.validation_fold], dtype=np.intp)
+    if val_users.size == 0:
+        raise UndefinedAverageError("the validation block has no users to average over")
     block = np.ix_(val_users, val_cands)
     tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
-    return (val_users, val_cands, *(t[block] for t in tables))
+    gain = _gain(*feedback_coefficients(kind, *(t[block] for t in tables)))
+    return val_users, val_cands, gain, np.arange(val_users.size)[:, None]
 
 
 def validation_metric(
@@ -162,10 +171,15 @@ def validation_metric(
     k: int,
     _ctx=None,
 ) -> float:
-    """Estimator value on the validation block, ranking candidates by mutual score."""
-    val_users, val_cands, *block = _ctx or _validation_context(dataset)
+    """Estimator value on the validation block, ranking candidates by mutual score.
+
+    Bit for bit :func:`estimate_metric` on the block's tables; ``_ctx`` is a
+    training run's :func:`_validation_context`.
+    """
+    k = LambdaWeight(k=k).k
+    val_users, val_cands, gain, rows = _ctx or _validation_context(dataset, kind)
     ranking = rank_candidates(score_matrix(model, val_users, val_cands))
-    return estimate_metric(kind, ranking, *block, LambdaWeight(k=k)).value
+    return _user_mean(_discounted(gain[rows, ranking[:, :k]])).value
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is a DivergenceError, not a warning
@@ -177,12 +191,14 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     With ``epochs=0`` the freshly initialized model is returned unchanged;
     otherwise every pair outside the test block must be observed.
 
-    Each minibatch subtracts ``learning_rate * grad / batch`` in place from the
-    batch's proactive rows and every reactive row, with no gradient buffer;
-    weight decay, when set, first shrinks every row of every table.
+    Each minibatch subtracts ``learning_rate * grad / batch``, scaled in the
+    kernel's own gradient buffers, from the batch's proactive rows and every
+    reactive row; weight decay, when set, first shrinks every row of every
+    table.  The best epoch is copied into stacks allocated once per run.
     """
     plan = dataset.fold_plan
-    model = init_model(plan.n_proactive, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
+    n_pro = plan.n_proactive
+    model = init_model(n_pro, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
     log = TrainingLog()
     if cfg.epochs == 0:
         return model, log
@@ -192,18 +208,18 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         u, v = np.argwhere(gaps)[0]
         raise ContractViolation(f"user {u} has an unobserved pair (v={v}) outside the test block")
     mask, coef, coef_sum = _loss_tables(dataset, cfg.loss_kind)
-    val_ctx = _validation_context(dataset)
     metric_kind = cfg.loss_kind.paired_metric
+    val_ctx = _validation_context(dataset, metric_kind)
     rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
     pro, rea = model.pro, model.rea
     keep = 1.0 - cfg.learning_rate * cfg.weight_decay
 
-    best_model = None
-    best_value = -np.inf
+    best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
+    best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(plan.n_proactive)
+        order = rng.permutation(n_pro)
         loss_sum = 0.0
-        for start in range(0, order.size, cfg.batch):
+        for start in range(0, n_pro, cfg.batch):
             # a slice of a permutation: no user repeats, so the batch's
             # proactive gradient rows can be subtracted by fancy indexing
             batch = order[start:start + cfg.batch]
@@ -216,9 +232,16 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
             if cfg.weight_decay > 0.0:
                 pro *= keep
                 rea *= keep
-            pro[:, batch] -= cfg.learning_rate * (grad_pro * (1.0 / batch.size))
-            rea -= cfg.learning_rate * (grad_rea * (1.0 / batch.size))
-        train_loss = loss_sum / plan.n_proactive
+            # lr * (g * (1/B)) in the kernel's own buffers, as multiplication
+            # commutes; take + setitem is twice as fast as pro[:, batch] -=
+            for grad in (grad_pro, grad_rea):
+                grad *= 1.0 / batch.size
+                grad *= cfg.learning_rate
+            rows = pro.take(batch, axis=1)
+            rows -= grad_pro
+            pro[:, batch] = rows
+            rea -= grad_rea
+        train_loss = loss_sum / n_pro
         # the last minibatches can overflow the tables while the loss is still finite
         if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
             raise DivergenceError(
@@ -229,9 +252,10 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
         log.records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=value))
         if value > best_value:
             best_value = value
-            best_model = model.copy()
+            np.copyto(best_pro, pro)
+            np.copyto(best_rea, rea)
 
-    return best_model, log
+    return RankerModel(best_pro[0], best_rea[0], best_pro[1], best_rea[1]), log
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") % _SEED_MOD
 
 
-def sigmoid(x):
-    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709."""
-    out = np.negative(x, out=np.empty(np.shape(x)))
+def sigmoid(x, out=None):
+    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709.
+
+    The result goes into ``out`` when given, which may be ``x`` itself.
+    """
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0

@@ -21,6 +21,7 @@ from matchltr import (
     RankedList,
     SideAssignment,
     TrainConfig,
+    UndefinedAverageError,
     default_method_configs,
     derive_seed,
     estimate_metric,
@@ -35,9 +36,15 @@ from matchltr import (
     train_model,
     validation_metric,
 )
-from matchltr.metrics import feedback_coefficients
-from matchltr.ranker import PROB_FLOOR, SPACES, GradientTables, accumulate_gradient
-from matchltr.train import EpochRecord, TrainingLog, _loss_tables, _per_user_training_data
+from matchltr.metrics import feedback_coefficients, rank_candidates
+from matchltr.ranker import PROB_FLOOR, SPACES, GradientTables, accumulate_gradient, score_matrix
+from matchltr.train import (
+    EpochRecord,
+    TrainingLog,
+    _loss_tables,
+    _per_user_training_data,
+    _validation_context,
+)
 from matchltr.util import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
@@ -106,11 +113,14 @@ class TestTrainModel:
 
     def test_checkpoint_has_best_validation_value(self):
         _, _, _, dataset = _world()
-        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=4, epochs=15,
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=4, epochs=10,
                           learning_rate=0.3, batch=4, seed=2, k_valid=3)
         model, log = train_model(dataset, cfg)
         values = [r.valid_metric for r in log.records]
         assert log.best_valid_metric == max(values)
+        # training went on past the kept epoch and the last epoch scores lower,
+        # so a snapshot that aliased the live tables would fail the check below
+        assert log.best_epoch < cfg.epochs and values[-1] < max(values)
         recomputed = validation_metric(model, dataset, EstimatorKind.IPW2, 3)
         assert recomputed == max(values)
 
@@ -133,13 +143,11 @@ class TestTrainModel:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
 
     def test_test_block_isolation(self):
-        from matchltr.train import _per_user_training_data, _validation_context
-
         _, _, plan, dataset = _world()
         test_mask = plan.test_mask()
         for u, (cands, *_rest) in enumerate(_per_user_training_data(dataset)):
             assert not test_mask[u, cands].any()
-        val_users, val_cands, *_ = _validation_context(dataset)
+        val_users, val_cands, *_ = _validation_context(dataset, EstimatorKind.IPW2)
         assert not test_mask[np.ix_(val_users, val_cands)].any()
 
     def test_strongly_biased_1000_market(self):
@@ -189,6 +197,46 @@ class TestTrainModel:
             warnings.simplefilter("error")  # and no numpy overflow warnings on the way
             with pytest.raises(DivergenceError, match=r"epoch 1 \(learning rate 1e\+200\)"):
                 train_model(dataset, cfg)
+
+
+class TestValidationTable:
+    """validation_metric reads a per-run gain table; the public estimator pins its bits."""
+
+    @pytest.mark.parametrize("trained", [False, True])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_equals_estimate_metric_bitwise(self, kind, trained):
+        _, _, plan, dataset = _world(n=14, eta=1.2)
+        val_users = np.asarray(plan.proactive_folds[plan.validation_fold])
+        val_cands = np.asarray(plan.reactive_folds[plan.validation_fold])
+        if trained:
+            loss_kind = next(lk for lk in LossKind if lk.paired_metric is kind)
+            cfg = TrainConfig(loss_kind=loss_kind, dim=4, epochs=6, learning_rate=0.3,
+                              batch=4, seed=3, k_valid=3)
+            model, _ = train_model(dataset, cfg)
+        else:
+            model = init_model(plan.n_proactive, plan.n_reactive, 4, seed=3)
+        block = np.ix_(val_users, val_cands)
+        tables = [t[block] for t in (dataset.y_fwd, dataset.y_bwd,
+                                     dataset.theta_fwd, dataset.theta_bwd)]
+        ranking = rank_candidates(score_matrix(model, val_users, val_cands))
+        ctx = _validation_context(dataset, kind)
+        for k in (1, 3, val_cands.size + 5):
+            expected = estimate_metric(kind, ranking, *tables, LambdaWeight(k)).value
+            assert validation_metric(model, dataset, kind, k).hex() == expected.hex()
+            assert validation_metric(model, dataset, kind, k, ctx).hex() == expected.hex()
+
+    def test_empty_validation_block_raises(self):
+        # test fold 0, so the validation block is proactive fold 1, which is empty
+        plan = FoldPlan(k=3, proactive_folds=((0, 1, 2), (), (3, 4, 5)),
+                        reactive_folds=((0, 1), (2, 3), (4, 5)))
+        rng = np.random.default_rng(1)
+        m = PreferenceMatrix(forward=rng.random((6, 6)) * 0.9 + 0.05,
+                             backward=rng.random((6, 6)) * 0.9 + 0.05)
+        dataset = sample_dataset(m, exposure_from_popularity(m, 0.8), plan, seed=2)
+        with pytest.raises(UndefinedAverageError):
+            train_model(dataset, TrainConfig(dim=2, epochs=1))
+        with pytest.raises(UndefinedAverageError):
+            validation_metric(init_model(6, 6, 2, seed=0), dataset, EstimatorKind.IPW2, 3)
 
 
 def _reference_user_gradient(model, u, cands, coef_fwd, coef_bwd, out):
