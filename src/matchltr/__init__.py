@@ -7,6 +7,15 @@ oracles, and trains matrix-factorization rankers under the matching listwise
 losses.
 """
 
+import os
+
+# One BLAS thread unless the environment says otherwise, set before numpy
+# loads: a GEMM split over threads sums in another order, so output bytes
+# would depend on the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .core import (
     AssumptionViolationError,
     ContractViolation,

@@ -25,7 +25,10 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
-from .util import atomic_open, format_float, load_record, open_csv, save_record, sigmoid
+from .util import format_float, load_record, open_csv, save_record, sigmoid, write_blocks
+
+# values per block of the CSV writers, which may format blocks on several cores
+_BLOCK_VALUES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +271,16 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
     The row holds the forward block then the backward block side by side
     (``2 * n_reactive`` columns).  Values use shortest round-trip formatting
     (``repr`` of a Python float is :func:`format_float`); rows end in CRLF.
+    Rows are formatted in blocks of about 65,536 values by :func:`write_blocks`.
     """
     stacked = np.hstack([m.forward, m.backward])
-    with atomic_open(path, "w") as fh:
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in stacked)
+    step = max(1, _BLOCK_VALUES // stacked.shape[1])  # rows per block
+
+    def write_range(fh, lo, hi):
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n"
+                      for row in stacked[lo * step:hi * step])
+
+    write_blocks(path, write_range, -(-len(stacked) // step))
 
 
 def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> np.ndarray:
@@ -522,16 +531,17 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
     """Write one CSV row per observed pair, in row-major order (schema: the header row).
 
     Rows end in CRLF and floats use :func:`format_float`.  Rows are gathered
-    in blocks of about 65,536, to bound memory; in each block every distinct
-    theta is formatted once, and a row's six bits are one of 64 tokens.
+    in blocks of about 65,536 pairs, formatted by :func:`write_blocks`; in
+    each block every distinct theta is formatted once, and a row's six bits
+    are one of 64 tokens.
     """
     fold_u = _fold_index(ds.fold_plan.proactive_folds).tolist()
     fold_v = _fold_index(ds.fold_plan.reactive_folds).tolist()
     tokens = [",".join(format(i, "06b")) for i in range(64)]
-    step = max(1, (1 << 16) // max(ds.n_reactive, 1))  # proactive rows per block
-    with atomic_open(path, "w") as fh:
-        fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
-        for lo in range(0, ds.n_proactive, step):
+    step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
+
+    def write_range(fh, first, stop):
+        for lo in range(first * step, min(stop * step, ds.n_proactive), step):
             rows = slice(lo, lo + step)
             at = np.flatnonzero(ds.observed[rows])  # the block's observed pairs, row-major
             bits = np.zeros(at.size, dtype=np.int8)
@@ -545,6 +555,9 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
                 columns.append(labels[which].tolist())
             fh.writelines(f"{u},{v},{fold_u[u]},{fold_v[v]},{tokens[b]},{tf},{tb}\r\n"
                           for u, v, b, tf, tb in zip(*columns))
+
+    write_blocks(path, write_range, -(-ds.n_proactive // step),
+                 head=",".join(_DATASET_COLUMNS) + "\r\n")
 
 
 def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:

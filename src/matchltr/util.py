@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, the sigmoid, atomic writes, text and JSON I/O,
-the JSON and CSV record codecs, float formatting."""
+"""Small shared helpers: seed derivation, the sigmoid, atomic and forked block writes,
+text and JSON I/O, the JSON and CSV record codecs, float formatting."""
 
 from __future__ import annotations
 
@@ -8,7 +8,11 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import signal
+import sys
 import tempfile
+import traceback
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 
@@ -64,6 +68,75 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_blocks(path: str | os.PathLike, write_range, n_blocks: int, head: str = "") -> None:
+    """Write ``head`` and then blocks ``0 .. n_blocks - 1`` of a text file, atomically.
+
+    ``write_range(fh, lo, hi)`` writes blocks ``lo`` to ``hi - 1`` to the text
+    file ``fh``.  The blocks are cut into one contiguous range per usable core
+    (at most one per block).  This process writes the first range; each other
+    range is written by a forked worker into a ``.part-`` file beside ``path``
+    and appended in order, so the bytes are those of one serial call.  A
+    worker that fails raises :class:`MatchLtrError` naming ``path``; on any
+    error every worker is killed and reaped and no part or target file is left.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on Windows and macOS
+    workers = max(1, min(len(affinity(0)) if affinity else 1, n_blocks))
+    cuts = [n_blocks * i // workers for i in range(workers + 1)]
+    with atomic_open(path, "w") as fh:
+        fh.write(head)
+        if workers == 1:
+            write_range(fh, 0, n_blocks)
+            return
+        for stream in (fh, sys.stdout, sys.stderr):  # a worker inherits no pending output
+            stream.flush()
+        directory = os.path.dirname(os.fspath(path)) or "."
+        pids, parts = [], []
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                fd, part = tempfile.mkstemp(dir=directory, prefix=".part-", suffix="~")
+                parts.append(part)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _write_part(fd, fh.encoding, write_range, lo, hi)
+                finally:
+                    os.close(fd)
+                pids.append(pid)
+            write_range(fh, cuts[0], cuts[1])
+            fh.flush()
+            for part in parts:
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+                del pids[0]
+                if status != 0:
+                    raise MatchLtrError(
+                        f"writing {os.fspath(path)}: a worker exited with status {status}")
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for part in parts:
+                os.unlink(part)
+
+
+def _write_part(fd: int, encoding: str, write_range, lo: int, hi: int) -> None:
+    """A forked worker of :func:`write_blocks`: write blocks ``lo .. hi - 1`` to ``fd``.
+
+    It leaves through ``os._exit``, so none of the parent's exit code runs twice.
+    """
+    status = 1
+    try:
+        with open(fd, "w", encoding=encoding, newline="") as out:
+            write_range(out, lo, hi)
+        status = 0
+    except Exception:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 @contextmanager

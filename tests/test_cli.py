@@ -1,5 +1,6 @@
 """End-to-end command-line flows and their file artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -340,6 +341,28 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
             "--out", str(out), threads=threads)
         checkpoints.append((out / "checkpoint.bin").read_bytes())
     assert checkpoints[0] == checkpoints[1]
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="one usable core runs BLAS on one thread anyway")
+def test_default_blas_threads_give_one_thread_bytes(tmp_path):
+    """At 500x500 and the default batch a GEMM is large enough for OpenBLAS to
+    split it over threads, which changes its summation order; importing
+    matchltr pins BLAS to one thread unless the environment sets a count."""
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in _source_tree_env().items() if k not in thread_vars}
+    digests = []
+    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(thread_vars, "1")})):
+        data, out = tmp_path / name / "data", tmp_path / name / "model"
+        for argv in (("gen-data", "--synth", "500,500,4,0.05", "--eta", "1.0", "--seed", "3",
+                      "--out", str(data)),
+                     ("train", "--data", str(data), "--loss", "ipw2", "--epochs", "2",
+                      "--seed", "4", "--out", str(out))):
+            result = subprocess.run([sys.executable, "-m", "matchltr.cli", *argv], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+        digests.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 class TestVerifyCommand:

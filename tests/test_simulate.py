@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +26,7 @@ from matchltr import (
     FoldInfeasibleError,
     FoldPlan,
     InvalidPopulationError,
+    MatchLtrError,
     PreferenceMatrix,
     SideAssignment,
     assign_sides,
@@ -42,9 +47,10 @@ from matchltr import (
     save_side_assignment,
     synth_preferences,
 )
+from matchltr import simulate
 from matchltr.cli import main as cli_main
 from matchltr.simulate import _fold_index
-from matchltr.util import format_float
+from matchltr.util import format_float, write_blocks
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
            "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
@@ -893,3 +899,73 @@ def test_gen_data_writes_reference_bytes(tmp_path):
                                 tmp_path / "preferences.csv")
     for name in ("dataset.csv", "preferences.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+class TestForkedWriters:
+    """The CSV writers format their blocks on every usable core, to the bytes of one."""
+
+    @staticmethod
+    def _cores(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def _market():
+        m = synth_preferences(23, 31, 3, 0.05, seed=5)
+        plan = make_folds(SideAssignment.trivial(23, 31), 3, seed=6)
+        return m, sample_dataset(m, exposure_from_popularity(m, 0.5), plan, seed=7)
+
+    # 64 leaves a ragged last block in the dataset, 128 in both files
+    @pytest.mark.parametrize("block", [64, 128])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, block):
+        m, ds = self._market()
+        save_preferences(m, tmp_path / "default-prefs.csv")
+        save_dataset(ds, tmp_path / "default-data.csv")
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
+        for cores in (1, 2, 3, 5):
+            self._cores(monkeypatch, cores)
+            save_preferences(m, tmp_path / f"prefs-{cores}.csv")
+            save_dataset(ds, tmp_path / f"data-{cores}.csv")
+        for name in ("prefs", "data"):
+            default = (tmp_path / f"default-{name}.csv").read_bytes()
+            for cores in (1, 2, 3, 5):
+                assert (tmp_path / f"{name}-{cores}.csv").read_bytes() == default
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{name}-{c}.csv" for name in ("prefs", "data") for c in (1, 2, 3, 5)]
+            + ["default-prefs.csv", "default-data.csv"])
+
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    @pytest.mark.parametrize("failing", ["worker", "parent"])
+    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, cores, failing):
+        self._cores(monkeypatch, cores)
+
+        def write_range(fh, lo, hi):
+            if (lo > 0) == (failing == "worker"):
+                raise RuntimeError("formatting failed")
+            time.sleep(0.2 * (lo > 0))  # a worker still running when the parent fails
+            fh.write(f"{lo}-{hi}\r\n")
+
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError if failing == "parent" else MatchLtrError) as err:
+            write_blocks(target, write_range, 7)
+        if failing == "worker":
+            assert str(target) in str(err.value)
+        assert list(tmp_path.iterdir()) == []  # no target, no .part- or .tmp- file
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_gen_data_prints_each_line_once(self, tmp_path):
+        """A worker that left any way but ``os._exit`` would run the rest of
+        the command, or flush the parent's pending output, a second time."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        result = subprocess.run(
+            [sys.executable, "-m", "matchltr.cli", "gen-data", "--synth", "300,300,4,0.05",
+             "--out", str(tmp_path / "data")],
+            env=env, stdout=subprocess.PIPE, text=True, timeout=120, check=True,
+        )
+        lines = result.stdout.splitlines()
+        assert lines.count("[gen-data] resolved config:") == 1
+        assert len(lines) == len(set(lines))
+        assert lines[-1].startswith("[gen-data] wrote ")
