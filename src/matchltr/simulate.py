@@ -541,6 +541,8 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
     step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
 
     def write_range(fh, first, stop):
+        if first == 0:
+            fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
         for lo in range(first * step, min(stop * step, ds.n_proactive), step):
             rows = slice(lo, lo + step)
             at = np.flatnonzero(ds.observed[rows])  # the block's observed pairs, row-major
@@ -556,8 +558,7 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
             fh.writelines(f"{u},{v},{fold_u[u]},{fold_v[v]},{tokens[b]},{tf},{tb}\r\n"
                           for u, v, b, tf, tb in zip(*columns))
 
-    write_blocks(path, write_range, -(-ds.n_proactive // step),
-                 head=",".join(_DATASET_COLUMNS) + "\r\n")
+    write_blocks(path, write_range, -(-ds.n_proactive // step))
 
 
 def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:

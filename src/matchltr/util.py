@@ -12,6 +12,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import threading
 import traceback
 from contextlib import contextmanager
 from dataclasses import astuple, fields
@@ -70,8 +71,8 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
         raise
 
 
-def write_blocks(path: str | os.PathLike, write_range, n_blocks: int, head: str = "") -> None:
-    """Write ``head`` and then blocks ``0 .. n_blocks - 1`` of a text file, atomically.
+def write_blocks(path: str | os.PathLike, write_range, n_blocks: int) -> None:
+    """Write blocks ``0 .. n_blocks - 1`` of a text file, atomically.
 
     ``write_range(fh, lo, hi)`` writes blocks ``lo`` to ``hi - 1`` to the text
     file ``fh``.  The blocks are cut into one contiguous range per usable core
@@ -80,16 +81,18 @@ def write_blocks(path: str | os.PathLike, write_range, n_blocks: int, head: str 
     and appended in order, so the bytes are those of one serial call.  A
     worker that fails raises :class:`MatchLtrError` naming ``path``; on any
     error every worker is killed and reaped and no part or target file is left.
+
+    A forked copy of a threaded process may deadlock on a lock that another
+    thread held, so while another Python thread runs there is one range and
+    no fork.  Threads outside Python are not seen: call this with BLAS on one
+    thread, as importing :mod:`matchltr` before numpy arranges.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # absent on Windows and macOS
-    workers = max(1, min(len(affinity(0)) if affinity else 1, n_blocks))
+    cores = len(affinity(0)) if affinity and threading.active_count() == 1 else 1
+    workers = max(1, min(cores, n_blocks))
     cuts = [n_blocks * i // workers for i in range(workers + 1)]
     with atomic_open(path, "w") as fh:
-        fh.write(head)
-        if workers == 1:
-            write_range(fh, 0, n_blocks)
-            return
-        for stream in (fh, sys.stdout, sys.stderr):  # a worker inherits no pending output
+        for stream in (sys.stdout, sys.stderr):  # a worker inherits no pending output
             stream.flush()
         directory = os.path.dirname(os.fspath(path)) or "."
         pids, parts = [], []

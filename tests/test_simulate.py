@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -952,6 +953,31 @@ class TestForkedWriters:
         assert list(tmp_path.iterdir()) == []  # no target, no .part- or .tmp- file
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_while_another_thread_runs(self, tmp_path, monkeypatch):
+        """A forked copy of a threaded process may deadlock on a lock another thread held."""
+        m, ds = self._market()
+        save_preferences(m, tmp_path / "default-prefs.csv")
+        save_dataset(ds, tmp_path / "default-data.csv")
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 64)
+        self._cores(monkeypatch, 3)
+
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            save_preferences(m, tmp_path / "prefs.csv")
+            save_dataset(ds, tmp_path / "data.csv")
+        finally:
+            stop.set()
+            thread.join()
+        for name in ("prefs", "data"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"default-{name}.csv").read_bytes())
 
     def test_gen_data_prints_each_line_once(self, tmp_path):
         """A worker that left any way but ``os._exit`` would run the rest of
