@@ -33,9 +33,11 @@ from .simulate import (
 )
 from .train import (
     TrainConfig,
+    labels_sub_seeds,
     save_training_log,
     test_dcg_records,
     train_model,
+    training_sub_seeds,
 )
 from .util import derive_seed, format_float, read_json, write_csv, write_json
 from .verify import (
@@ -146,10 +148,7 @@ def _cmd_train(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sub_seeds = {
-        "init": derive_seed(args.seed, "init"),
-        "epochs": derive_seed(args.seed, "epochs"),
-    }
+    sub_seeds = training_sub_seeds(args.seed)
     config = {
         "data": str(data),
         "loss": args.loss,
@@ -217,11 +216,7 @@ def _cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     plan = load_fold_plan(data / "folds.json")
     eta = _resolve_eta(args, data)
-    sub_seeds = {
-        f"test-labels:fold={plan.test_fold}": derive_seed(
-            args.seed, f"test-labels:fold={plan.test_fold}"
-        ),
-    }
+    sub_seeds = labels_sub_seeds(args.seed, plan.test_fold)
     config = {
         "data": str(data),
         "model": args.model,
@@ -236,11 +231,9 @@ def _cmd_evaluate(args) -> int:
 
     m = load_preferences(data / "preferences.csv")
     model = load_model(args.model)
-    records = test_dcg_records(
-        model, m, plan, eta, args.loss, args.k_list,
-        labels_seed=sub_seeds[f"test-labels:fold={plan.test_fold}"],
-        label_mode=args.label_mode,
-    )
+    (labels_seed,) = sub_seeds.values()
+    records = test_dcg_records(model, m, plan, eta, args.loss, args.k_list, labels_seed,
+                               args.label_mode)
     save_eval_report(records, out / "eval.csv")
     _write_run_json(out, "evaluate", config, sub_seeds)
     for r in records:

@@ -73,9 +73,12 @@ def _maybe_scalar(x: np.ndarray):
 
 
 def _check_theta(name: str, t, floor: float = 0.0) -> np.ndarray:
+    """The one propensity rule, (0, 1]; returns ``t`` as float64, clipped at ``floor``."""
     arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() <= 0.0):
-        raise AssumptionViolationError(f"{name} must be strictly positive and finite")
+    if arr.size and not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails too
+        raise AssumptionViolationError(
+            f"{name} must lie in (0, 1], got range [{arr.min()}, {arr.max()}]"
+        )
     if floor > 0.0:
         arr = np.maximum(arr, floor)
     return arr
@@ -200,17 +203,14 @@ def _top_pairs(rankings, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pick(pair_values, pairs: tuple[np.ndarray, np.ndarray], what: str) -> np.ndarray:
-    """``pair_values`` at the ranked pairs, shape ``(n_users, depth)``, in rank order."""
+    """``pair_values`` at the ranked pairs, ``(n_users, depth)``, in rank order, unchecked."""
     rows, cols = pairs
     values = np.asarray(pair_values, dtype=np.float64)
     if values.ndim != 2:
         raise ContractViolation(f"{what} must be a 2-d (proactive x reactive) array")
     if rows.max() >= values.shape[0] or cols.max() >= values.shape[1]:
         raise ContractViolation(f"{what} does not cover the ranked pairs")
-    picked = values[rows[:, None], cols]
-    if not np.all(np.isfinite(picked)):
-        raise ContractViolation(f"{what} has no value for some ranked pair")
-    return picked
+    return values[rows[:, None], cols]
 
 
 def _discounted(top: np.ndarray) -> np.ndarray:
@@ -279,13 +279,14 @@ def dcg_from_gains(scores: np.ndarray, gains: np.ndarray, k: int) -> np.ndarray:
     ``gains[u, j]`` is the gain of candidate ``j`` for user ``u``.  With fewer
     than ``k`` candidates the sum runs over what is available.
     """
-    k = operator.index(k)
-    if k < 1:
-        raise ContractViolation(f"cutoff must be a positive integer, got {k}")
+    k = LambdaWeight(k=k).k
     order = rank_candidates(scores)
     if np.shape(gains) != order.shape:
         raise ContractViolation("gains must have the same shape as scores")
-    return _discounted(_pick(gains, _top_pairs(order, k), "gains"))
+    top = _pick(gains, _top_pairs(order, k), "gains")
+    if not np.all(np.isfinite(top)):
+        raise ContractViolation("gains has no value for some ranked pair")
+    return _discounted(top)
 
 
 def dcg_at_k(scores: np.ndarray, r_fwd: np.ndarray, r_bwd: np.ndarray, k: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
 )
+from .metrics import _check_theta
 from .util import format_float, load_record, open_csv, save_record, sigmoid, write_blocks
 
 # values per block of the CSV writers, which may format blocks on several cores
@@ -106,25 +107,12 @@ class ExposureModel:
     theta_proactive_exposure: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "theta_reactive_exposure",
-            np.asarray(self.theta_reactive_exposure, dtype=np.float64),
-        )
-        object.__setattr__(
-            self, "theta_proactive_exposure",
-            np.asarray(self.theta_proactive_exposure, dtype=np.float64),
-        )
         _check_eta(self.eta)
-        for name, t in (
-            ("theta_reactive_exposure", self.theta_reactive_exposure),
-            ("theta_proactive_exposure", self.theta_proactive_exposure),
-        ):
+        for name in ("theta_reactive_exposure", "theta_proactive_exposure"):
+            t = np.asarray(getattr(self, name), dtype=np.float64)
             if t.ndim != 1 or t.size == 0:
                 raise ContractViolation(f"{name} must be a non-empty vector")
-            if not ((t > 0.0) & (t <= 1.0)).all():  # NaN fails too
-                raise AssumptionViolationError(
-                    f"{name} must lie in (0, 1], got range [{t.min()}, {t.max()}]"
-                )
+            object.__setattr__(self, name, _check_theta(name, t))
             if t.max() != 1.0:
                 raise AssumptionViolationError(
                     f"{name} must be normalized so its most popular user has "
@@ -418,9 +406,7 @@ class FeedbackDataset:
             object.__setattr__(self, name, np.ascontiguousarray(table, dtype=np.int8))
         for name in _THETA_TABLES:
             table = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if not ((table > 0.0) & (table <= 1.0)).all():  # NaN fails too
-                raise AssumptionViolationError(f"{name} must lie in (0, 1]")
-            object.__setattr__(self, name, table)
+            object.__setattr__(self, name, _check_theta(name, table))
         off = ~observed
         if any(getattr(self, name)[off].any() for name in _BIT_TABLES) or any(
             (getattr(self, name)[off] != 1.0).any() for name in _THETA_TABLES

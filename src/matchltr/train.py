@@ -28,13 +28,13 @@ from .metrics import (  # bench/tracing.py wraps estimate_metric here
     EstimatorKind,
     EvalRecord,
     LambdaWeight,
+    _coefficients,
     _discounted,
     _gain,
     _user_mean,
     dcg_at_k,
     dcg_from_gains,
     estimate_metric,
-    feedback_coefficients,
     rank_candidates,
 )
 from .ranker import (
@@ -123,6 +123,17 @@ def load_training_log(path) -> TrainingLog:
 # training
 # ---------------------------------------------------------------------------
 
+def training_sub_seeds(seed: int) -> dict[str, int]:
+    """Sub-seeds of one training run by label: model init and epoch order."""
+    return {label: derive_seed(seed, label) for label in ("init", "epochs")}
+
+
+def labels_sub_seeds(seed: int, fold: int) -> dict[str, int]:
+    """The one sub-seed, by label, that draws a test fold's sampled labels."""
+    label = f"test-labels:fold={fold}"
+    return {label: derive_seed(seed, label)}
+
+
 def _per_user_training_data(dataset: FeedbackDataset):
     """Each user's training candidates with their feedback and propensities."""
     tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
@@ -135,14 +146,15 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
 
     Returns the training mask, the ``(2, n_proactive, n_reactive)`` forward
     and backward loss weights, zero off the training block, and their
-    ``(2, n_proactive)`` row sums.
+    ``(2, n_proactive)`` row sums.  The dataset's tables were checked when it
+    was built, so they go to the coefficient table unchecked and uncast.
     """
     mask = dataset.fold_plan.train_mask()
     empty = ~mask.any(axis=1)
     if empty.any():
         raise ContractViolation(f"user {np.argmax(empty)} has an empty training candidate list")
-    weights = feedback_coefficients(kind.paired_metric, dataset.y_fwd, dataset.y_bwd,
-                                    dataset.theta_fwd, dataset.theta_bwd)
+    weights = _coefficients(kind.paired_metric, dataset.y_fwd, dataset.y_bwd,
+                            dataset.theta_fwd, dataset.theta_bwd)
     coef = np.zeros((2, *mask.shape))
     for table, w in zip(coef, weights):
         np.copyto(table, w, where=mask)
@@ -151,8 +163,8 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
 
 def _validation_context(dataset: FeedbackDataset, kind: EstimatorKind):
     """Per-run validation table: users, candidates, the estimator's per-pair gain
-    over the block (so its bit, feasibility and propensity checks run once) and
-    the ``(n_users, 1)`` row index that picks each user's ranked gains."""
+    over the block (from the dataset's checked tables) and the ``(n_users, 1)``
+    row index that picks each user's ranked gains."""
     plan = dataset.fold_plan
     val_users = np.asarray(plan.proactive_folds[plan.validation_fold], dtype=np.intp)
     val_cands = np.asarray(plan.reactive_folds[plan.validation_fold], dtype=np.intp)
@@ -160,7 +172,7 @@ def _validation_context(dataset: FeedbackDataset, kind: EstimatorKind):
         raise UndefinedAverageError("the validation block has no users to average over")
     block = np.ix_(val_users, val_cands)
     tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
-    gain = _gain(*feedback_coefficients(kind, *(t[block] for t in tables)))
+    gain = _gain(*_coefficients(kind, *(t[block] for t in tables)))
     return val_users, val_cands, gain, np.arange(val_users.size)[:, None]
 
 
@@ -198,7 +210,8 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     """
     plan = dataset.fold_plan
     n_pro = plan.n_proactive
-    model = init_model(n_pro, plan.n_reactive, cfg.dim, derive_seed(cfg.seed, "init"))
+    seeds = training_sub_seeds(cfg.seed)
+    model = init_model(n_pro, plan.n_reactive, cfg.dim, seeds["init"])
     log = TrainingLog()
     if cfg.epochs == 0:
         return model, log
@@ -210,7 +223,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     mask, coef, coef_sum = _loss_tables(dataset, cfg.loss_kind)
     metric_kind = cfg.loss_kind.paired_metric
     val_ctx = _validation_context(dataset, metric_kind)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "epochs"))
+    rng = np.random.default_rng(seeds["epochs"])
     pro, rea = model.pro, model.rea
     keep = 1.0 - cfg.learning_rate * cfg.weight_decay
 
@@ -404,7 +417,7 @@ def run_experiment(
                     m, exposure, fplan,
                     derive_seed(seed, f"sampling:eta={eta!r}:fold={fold}"),
                 )
-                labels_seed = derive_seed(seed, f"test-labels:fold={fold}")
+                (labels_seed,) = labels_sub_seeds(seed, fold).values()
                 for kind, cfg in cfgs.items():
                     cell_cfg = replace(
                         cfg,

@@ -18,11 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AssumptionViolationError, ContractViolation, RankedList
+from .core import ContractViolation, RankedList
 from .metrics import (  # bench/tracing.py wraps metric_ground_truth here
     EstimatorKind,
     LambdaWeight,
     _as_bits,
+    _check_theta,
     _coefficients,
     _gain,
     _pick,
@@ -50,7 +51,7 @@ class OracleInstance:
     k: int
 
     def __post_init__(self):
-        # a batch of one through run_verification's checks; bits are cast after them
+        # a batch of one through _checked; bits are cast after the checks
         r_fwd, r_bwd, *tables, k = _checked(*([getattr(self, name)] for name in _FIELDS))
         for name, table in zip(_FIELDS, (r_fwd.astype(np.int8), r_bwd.astype(np.int8), *tables)):
             object.__setattr__(self, name, table[0])
@@ -61,16 +62,14 @@ _FIELDS = tuple(f.name for f in fields(OracleInstance))
 
 
 def _checked(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k):
-    """Check instances stacked on a leading axis; return their fields as arrays.
+    """Check instances stacked on a leading axis (for :class:`OracleInstance`, a
+    batch of one); return their fields as arrays.
 
     Bits come back as float64, checked before any cast wraps 256 to 0;
     propensities as float64, the ranking as intp and the cutoffs as integers.
     """
     bits = [_as_bits(name, x) for name, x in (("r_fwd", r_fwd), ("r_bwd", r_bwd))]
-    thetas = [np.asarray(t, dtype=np.float64) for t in (theta_fwd, theta_bwd)]
-    for name, theta in zip(("theta_fwd", "theta_bwd"), thetas):
-        if not ((theta > 0.0) & (theta <= 1.0)).all():  # NaN fails too
-            raise AssumptionViolationError(f"{name} must lie in (0, 1]")
+    thetas = [_check_theta(name, t) for name, t in zip(_FIELDS[2:4], (theta_fwd, theta_bwd))]
     # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking, 2.5 no cutoff
     ranking, k = np.asarray(ranking), np.asarray(k)
     if ranking.dtype.kind not in "iu":
@@ -316,8 +315,9 @@ def run_verification(
     """Compare exact estimator expectations with ground truth on random instances.
 
     The instances are drawn straight into one padded batch, with the
-    single-pair witness in its last row, checked once as a whole and
-    enumerated in one sweep; only failing rows become :class:`OracleInstance`.
+    single-pair witness in its last row, and enumerated in one sweep.  The
+    draw only makes valid instances, so the batch is not re-checked; only
+    failing rows become (checked) :class:`OracleInstance` objects.
     """
     # operator.index rejects 2.5 instead of truncating it
     trials, seed = operator.index(trials), operator.index(seed)
@@ -330,7 +330,6 @@ def run_verification(
     drawn = (_draw(rng, max_users, max_candidates, theta_one) for _ in range(trials))
     rows = itertools.chain(drawn, [astuple(single_pair_witness())])
     tables, k, sizes = _stack(rows, trials + 1, max_users, max_candidates)
-    *tables, k = _checked(*tables, k)
     truth, mean, var, eligible = _enumerate(*tables, k, sizes[:, 0])
     err = np.abs(mean - truth)[:, :trials]
     naive, ipw1, ipw2 = err > tolerance

@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matchltr import EvalRecord, load_eval_report, save_eval_report, save_preferences
+from matchltr import (
+    EvalRecord,
+    init_model,
+    load_eval_report,
+    save_eval_report,
+    save_model,
+    save_preferences,
+)
 from matchltr.cli import main
 from matchltr.simulate import load_exposure
 from matchltr.verify import save_instance, single_pair_witness
@@ -117,6 +124,15 @@ class TestTrainEvaluateReport:
                        "--out", str(tmp_path / "rep")) == 0
         assert (tmp_path / "rep" / "report_by_fold.csv").exists()
         assert (tmp_path / "rep" / "report_by_eta.csv").exists()
+
+    def test_untrained_checkpoint_is_the_recorded_init_seed(self, data_dir, tmp_path):
+        # run.json's sub-seeds are the ones training uses, not a restatement of them
+        out = tmp_path / "init"
+        assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "0",
+                       "--dim", "3", "--seed", "5", "--out", str(out)) == 0
+        init = json.loads((out / "run.json").read_text())["sub_seeds"]["init"]
+        save_model(init_model(12, 12, 3, init), tmp_path / "expected.bin")
+        assert (out / "checkpoint.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
     def test_train_determinism(self, data_dir, tmp_path):
         outs = []
@@ -346,23 +362,28 @@ def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="one usable core runs BLAS on one thread anyway")
 def test_default_blas_threads_give_one_thread_bytes(tmp_path):
-    """At 500x500 and the default batch a GEMM is large enough for OpenBLAS to
-    split it over threads, which changes its summation order; importing
-    matchltr pins BLAS to one thread unless the environment sets a count."""
+    """At 500x500 and the default batch, and at 1000x1000 with batch 16, a GEMM
+    is large enough for OpenBLAS to split it over threads, which changes its
+    summation order; importing matchltr pins BLAS to one thread unless the
+    environment sets a count.  The cases run in turn under one test id."""
     thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     unset = {k: v for k, v in _source_tree_env().items() if k not in thread_vars}
-    digests = []
-    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(thread_vars, "1")})):
-        data, out = tmp_path / name / "data", tmp_path / name / "model"
-        for argv in (("gen-data", "--synth", "500,500,4,0.05", "--eta", "1.0", "--seed", "3",
-                      "--out", str(data)),
-                     ("train", "--data", str(data), "--loss", "ipw2", "--epochs", "2",
-                      "--seed", "4", "--out", str(out))):
-            result = subprocess.run([sys.executable, "-m", "matchltr.cli", *argv], env=env,
-                                    capture_output=True, text=True, timeout=300)
-            assert result.returncode == 0, result.stderr
-        digests.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
+    for synth, train_args in (("500,500,4,0.05", ("--epochs", "2")),
+                              ("1000,1000,4,0.05", ("--batch", "16", "--epochs", "1"))):
+        digests = []
+        for name, env in (("unset", unset),
+                          ("one", {**unset, **dict.fromkeys(thread_vars, "1")})):
+            run = tmp_path / synth.split(",")[0] / name
+            data, out = run / "data", run / "model"
+            for argv in (("gen-data", "--synth", synth, "--eta", "1.0", "--seed", "3",
+                          "--out", str(data)),
+                         ("train", "--data", str(data), "--loss", "ipw2", *train_args,
+                          "--seed", "4", "--out", str(out))):
+                result = subprocess.run([sys.executable, "-m", "matchltr.cli", *argv],
+                                        env=env, capture_output=True, text=True, timeout=300)
+                assert result.returncode == 0, result.stderr
+            digests.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
+        assert digests[0] == digests[1], synth
 
 
 class TestVerifyCommand:

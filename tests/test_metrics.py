@@ -22,7 +22,11 @@ from matchltr import (
     DataFormatError,
     EstimatorKind,
     EvalRecord,
+    ExposureModel,
+    FeedbackDataset,
+    FoldPlan,
     LambdaWeight,
+    OracleInstance,
     RankedList,
     UndefinedAverageError,
     dcg_at_k,
@@ -35,7 +39,7 @@ from matchltr import (
     metric_ground_truth,
     save_eval_report,
 )
-from matchltr.metrics import dcg_from_gains
+from matchltr.metrics import dcg_from_gains, feedback_coefficients
 
 NAIVE, IPW1, IPW2 = EstimatorKind.NAIVE, EstimatorKind.IPW1, EstimatorKind.IPW2
 
@@ -119,9 +123,17 @@ class TestGains:
         for yf, yb in ((0, 0), (1, 0), (1, 1)):
             assert gain_ipw(yf, yb, 1.0, 1.0) == gain_surrogate(yf, yb)
 
-    def test_gain_ipw_rejects_bad_theta(self):
-        with pytest.raises(AssumptionViolationError):
-            gain_ipw(1, 0, 0.0, 0.5)
+    # the one propensity rule: 0, values above 1 and NaN are rejected
+    @pytest.mark.parametrize("theta", [0.0, 1.5, np.nan])
+    @pytest.mark.parametrize("reject", [
+        lambda t: gain_ipw(1, 0, t, 0.5),
+        lambda t: gain_ipw(1, 1, 0.5, t),
+        lambda t: feedback_coefficients(IPW1, [1, 0], [0, 0], [0.5, t]),
+        lambda t: feedback_coefficients(IPW2, [1, 1], [1, 0], [0.5, 0.5], [1.0, t]),
+    ], ids=["gain_ipw-fwd", "gain_ipw-bwd", "coefficients-ipw1", "coefficients-ipw2"])
+    def test_gain_ipw_rejects_bad_theta(self, reject, theta):
+        with pytest.raises(AssumptionViolationError, match=r"^theta_\w+ must lie in \(0, 1\]"):
+            reject(theta)
 
     def test_gain_ipw_floor_clips(self):
         assert gain_ipw(1, 0, 0.01, 1.0, theta_floor=0.1) == pytest.approx(10.0)
@@ -324,11 +336,12 @@ class TestIpw2Estimator:
         assert estimate_metric(IPW2, rankings, zero, zero, half, half,
                                LambdaWeight(k=1)).value == 0.0
 
-    def test_theta_zero_rejected(self):
-        rankings, _, _, t_fwd, t_bwd = _single_pair_setup()
+    @pytest.mark.parametrize("theta", [0.0, 1.5, np.nan])
+    def test_bad_theta_rejected(self, theta):
+        rankings, _, _, _, t_bwd = _single_pair_setup()
         y = np.array([[1.0]])
-        with pytest.raises(AssumptionViolationError):
-            estimate_metric(IPW2, rankings, y, np.zeros((1, 1)), np.zeros((1, 1)), t_bwd,
+        with pytest.raises(AssumptionViolationError, match=r"^theta_fwd must lie in \(0, 1\]"):
+            estimate_metric(IPW2, rankings, y, np.zeros((1, 1)), np.full((1, 1), theta), t_bwd,
                             LambdaWeight(k=1))
 
 
@@ -414,6 +427,27 @@ class TestExactOracle:
             expected_metric_exact(rankings, r_fwd, r_bwd, np.full((1, 1), 1.5),
                                   np.full((1, 1), 0.5), LambdaWeight(k=1),
                                   EstimatorKind.IPW2)
+
+
+def test_one_propensity_rule_and_message_everywhere():
+    """Models, datasets, oracle instances and estimators share one rule and message."""
+    plan = FoldPlan(k=2, proactive_folds=((0,), (1,)), reactive_folds=((0,), (1,)))
+    bits = {name: [0] for name in ("r_fwd", "r_bwd", "o_fwd", "o_bwd", "y_fwd", "y_bwd")}
+    rankings, r_fwd, r_bwd, _, t_bwd = _single_pair_setup()
+    bad = np.full((1, 1), 1.5)
+    for build in (
+        lambda: ExposureModel(eta=1.0, theta_reactive_exposure=[1.0, 1.5],
+                              theta_proactive_exposure=[1.0]),
+        lambda: FeedbackDataset.from_columns(plan, [1], [1], **bits, theta_fwd=[1.5],
+                                             theta_bwd=[1.0]),
+        lambda: OracleInstance(r_fwd, r_bwd, bad, t_bwd, [[0]], 1),
+        lambda: estimate_metric(IPW1, rankings, r_fwd, r_bwd * 0, bad, None, LambdaWeight(k=1)),
+    ):
+        with pytest.raises(AssumptionViolationError) as caught:
+            build()
+        name = str(caught.value).split(" ")[0]
+        assert name.startswith("theta_")
+        assert str(caught.value).startswith(f"{name} must lie in (0, 1]")
 
 
 def reference_metric(kind, rankings, y_fwd, y_bwd, theta_fwd, theta_bwd, weight):

@@ -229,11 +229,16 @@ class TestLoss:
         with pytest.raises(ContractViolation):
             loss_user(model, 0, [], [], [], kind=LossKind.CONVENTIONAL)
 
-    def test_nonpositive_theta_rejected(self):
+    @pytest.mark.parametrize("theta", [0.0, 1.5, np.nan])
+    @pytest.mark.parametrize("loss", [loss_user, loss_gradient])
+    def test_bad_theta_rejected(self, loss, theta):
         model = _zero_model()
-        with pytest.raises(AssumptionViolationError):
-            loss_user(model, 0, [0, 1], [1.0, 0.0], [0.0, 0.0],
-                      [0.0, 0.5], [1.0, 1.0], LossKind.IPW1)
+        with pytest.raises(AssumptionViolationError, match=r"^theta_fwd must lie in \(0, 1\]"):
+            loss(model, 0, [0, 1], [1.0, 0.0], [0.0, 0.0], [theta, 0.5], [1.0, 1.0],
+                 LossKind.IPW1)
+        with pytest.raises(AssumptionViolationError, match=r"^theta_bwd must lie in \(0, 1\]"):
+            loss(model, 0, [0, 1], [1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [theta, 1.0],
+                 LossKind.IPW2)
 
     def test_infeasible_feedback_rejected(self):
         model = _zero_model()
