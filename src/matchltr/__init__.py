@@ -11,8 +11,9 @@ import os
 
 # One BLAS thread unless the environment says otherwise, set before numpy
 # loads: a GEMM split over threads sums in another order, so output bytes
-# would depend on the thread count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# would depend on the thread count.  Each run.json records the values in effect.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

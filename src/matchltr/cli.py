@@ -8,9 +8,11 @@ Exit status: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
+from . import _BLAS_THREAD_VARS
 from .core import DataFormatError, MatchLtrError, SideAssignment
 from .metrics import EvalRecord, load_eval_report, save_eval_report
 from .ranker import LossKind, load_model, save_model
@@ -63,7 +65,8 @@ def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
 
 
 def _write_run_json(out_dir: Path, command: str, config: dict, sub_seeds: dict) -> None:
-    payload = {"command": command, "config": config, "sub_seeds": sub_seeds}
+    payload = {"command": command, "config": config, "sub_seeds": sub_seeds,
+               "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}}
     write_json(out_dir / "run.json", payload)
 
 

@@ -11,18 +11,13 @@ optionally reweighted by inverse exposure probabilities.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AssumptionViolationError,
-    ContractViolation,
-    DataFormatError,
-)
+from .core import ContractViolation
 from .metrics import EstimatorKind, feedback_coefficients
-from .util import atomic_open, sigmoid
+from .util import read_arrays, sigmoid, write_arrays
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 
@@ -150,7 +145,7 @@ def _loss_inputs(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
         ("theta_bwd", theta_bwd, kind is LossKind.IPW2),
     ):
         if used and np.shape(theta) != candidates.shape:
-            raise AssumptionViolationError(f"{name} must be aligned with candidates")
+            raise ContractViolation(f"{name} must be aligned with candidates")
     coef_fwd, coef_bwd = feedback_coefficients(kind.paired_metric, yf, yb, theta_fwd, theta_bwd)
     return candidates, coef_fwd, coef_bwd
 
@@ -283,7 +278,8 @@ def save_model(model: RankerModel, path) -> None:
     """Write a checkpoint: magic line, JSON header line, then raw table bytes.
 
     The header records dim and both side sizes; tables follow in a fixed order
-    as little-endian float64, C-order.  Byte-for-byte reproducible.
+    as little-endian float64, C-order (:func:`write_arrays`).  Byte-for-byte
+    reproducible.
     """
     header = {
         "dim": model.dim,
@@ -292,35 +288,19 @@ def save_model(model: RankerModel, path) -> None:
         "tables": list(TABLES),
         "dtype": "<f8",
     }
-    with atomic_open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for name in TABLES:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+    write_arrays(path, _CKPT_MAGIC, header,
+                 [np.asarray(getattr(model, name), dtype="<f8") for name in TABLES])
+
+
+def _checkpoint_layout(header: dict) -> list:
+    dim, n_pro, n_rea = (int(header[key]) for key in ("dim", "n_proactive", "n_reactive"))
+    if header["tables"] != list(TABLES) or header["dtype"] != "<f8":
+        raise ValueError("unsupported table layout")
+    return [(name, "<f8", (n_pro if name.startswith("w_pro") else n_rea, dim))
+            for name in TABLES]
 
 
 def load_model(path) -> RankerModel:
     """Read a checkpoint written by :func:`save_model`."""
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != _CKPT_MAGIC:
-            raise DataFormatError(f"checkpoint: bad magic line {magic!r}")
-        try:
-            header = json.loads(fh.readline().decode("ascii"))
-            dim = int(header["dim"])
-            n_pro = int(header["n_proactive"])
-            n_rea = int(header["n_reactive"])
-            if header["tables"] != list(TABLES) or header["dtype"] != "<f8":
-                raise DataFormatError("checkpoint: unsupported table layout")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"checkpoint: malformed header: {exc}") from None
-        tables = {}
-        for name in TABLES:
-            rows = n_pro if name.startswith("w_pro") else n_rea
-            raw = fh.read(rows * dim * 8)
-            if len(raw) != rows * dim * 8:
-                raise DataFormatError(f"checkpoint: truncated table {name}")
-            tables[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, dim)
-        if fh.read(1):
-            raise DataFormatError("checkpoint: trailing bytes after the last table")
-    return RankerModel(**tables)
+    _, tables = read_arrays(path, _CKPT_MAGIC, "checkpoint", _checkpoint_layout)
+    return RankerModel(**dict(zip(TABLES, tables)))

@@ -9,6 +9,8 @@ gated behind the proactive side's selection.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -26,7 +28,17 @@ from .core import (
     SideAssignment,
 )
 from .metrics import _check_theta
-from .util import format_float, load_record, open_csv, save_record, sigmoid, write_blocks
+from .util import (
+    file_sha256,
+    format_float,
+    load_record,
+    open_csv,
+    read_arrays,
+    save_record,
+    sigmoid,
+    write_arrays,
+    write_blocks,
+)
 
 # values per block of the CSV writers, which may format blocks on several cores
 _BLOCK_VALUES = 1 << 16
@@ -260,6 +272,7 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
     (``2 * n_reactive`` columns).  Values use shortest round-trip formatting
     (``repr`` of a Python float is :func:`format_float`); rows end in CRLF.
     Rows are formatted in blocks of about 65,536 values by :func:`write_blocks`.
+    The parsed block goes into a sidecar (:func:`_save_parsed`).
     """
     stacked = np.hstack([m.forward, m.backward])
     step = max(1, _BLOCK_VALUES // stacked.shape[1])  # rows per block
@@ -269,6 +282,71 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
                       for row in stacked[lo * step:hi * step])
 
     write_blocks(path, write_range, -(-len(stacked) // step))
+    _save_parsed(path, {"preferences": stacked})
+
+
+# ---------------------------------------------------------------------------
+# parsed copies: a sidecar ``<csv>.parsed`` beside each CSV the package writes
+# ---------------------------------------------------------------------------
+
+_PARSED_MAGIC = b"matchltr-parsed v1\n"
+
+
+def _payload_sha256(arrays) -> str:
+    """Hex sha256 of the C-contiguous arrays' bytes, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array)
+    return digest.hexdigest()
+
+
+def _save_parsed(csv_path, arrays: dict) -> None:
+    """Write the sidecar of the CSV just written at ``csv_path``: its tables and its digest.
+
+    Each array is stored with an explicit little-endian dtype; the header
+    holds the CSV's sha256, the payload's sha256 and each array's name,
+    dtype and shape (:func:`write_arrays`).
+    """
+    arrays = {name: np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
+              for name, a in arrays.items()}
+    header = {
+        "csv_sha256": file_sha256(csv_path),
+        "payload_sha256": _payload_sha256(arrays.values()),
+        "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+                   for name, a in arrays.items()],
+    }
+    write_arrays(os.fspath(csv_path) + ".parsed", _PARSED_MAGIC, header, arrays.values())
+
+
+def _load_parsed(csv_path, expected: dict) -> dict | None:
+    """The tables of the CSV at ``csv_path`` from its sidecar, or None to parse the CSV.
+
+    ``expected`` maps each array's name, in order, to its dtype and shape
+    (``None`` for any length).  The sidecar stands in for the CSV only if it
+    reads cleanly, holds exactly those arrays, its payload digest holds and
+    its recorded CSV sha256 is that of the file now at ``csv_path``.
+    """
+    def fits(name, dtype, shape):
+        want_dtype, want_shape = expected[name]
+        return (np.dtype(dtype) == np.dtype(want_dtype) and len(shape) == len(want_shape)
+                and all(want in (None, n) for n, want in zip(shape, want_shape)))
+
+    def layout(header):
+        specs = [(a["name"], a["dtype"], a["shape"]) for a in header["arrays"]]
+        names = [name for name, _, _ in specs]
+        if names != list(expected) or not all(fits(*spec) for spec in specs):
+            raise ValueError("not the expected arrays")
+        return specs
+
+    try:
+        header, arrays = read_arrays(os.fspath(csv_path) + ".parsed", _PARSED_MAGIC,
+                                     "parsed copy", layout)
+        if (header.get("payload_sha256") != _payload_sha256(arrays)
+                or header.get("csv_sha256") != file_sha256(csv_path)):
+            return None
+    except (OSError, DataFormatError):
+        return None
+    return dict(zip(expected, arrays))
 
 
 def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> np.ndarray:
@@ -318,8 +396,10 @@ def _data_lines(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
     return line_of[keep], cells[keep]
 
 
-def _parse_float_csv(path, what: str) -> np.ndarray:
-    data = _read_csv(path, what, np.float64)
+def _parse_float_csv(path, what: str, data: np.ndarray | None = None) -> np.ndarray:
+    """Parse a float CSV of entries in [0, 1], or check ``data`` parsed from it already."""
+    if data is None:
+        data = _read_csv(path, what, np.float64)
     if not data.size:
         raise DataFormatError(f"{what}: file is empty")
     bad = ~((data >= 0.0) & (data <= 1.0)).all(axis=1)
@@ -330,8 +410,14 @@ def _parse_float_csv(path, what: str) -> np.ndarray:
 
 
 def load_preferences(path) -> PreferenceMatrix:
-    """Read a preference matrix written by :func:`save_preferences`."""
-    data = _parse_float_csv(path, "preference CSV")
+    """Read a preference matrix written by :func:`save_preferences`.
+
+    The sidecar of the CSV stands in for parsing it where it may
+    (:func:`_load_parsed`); the checks are the same either way.
+    """
+    parsed = _load_parsed(path, {"preferences": (np.float64, (None, None))})
+    data = _parse_float_csv(path, "preference CSV",
+                            None if parsed is None else parsed["preferences"])
     if data.shape[1] % 2 != 0:
         raise DataFormatError(
             f"preference CSV: expected an even column count (forward block then "
@@ -366,6 +452,7 @@ _DATASET_COLUMNS = (
 )
 _BIT_TABLES = _DATASET_COLUMNS[4:10]
 _THETA_TABLES = _DATASET_COLUMNS[10:]
+_TABLES = ("observed",) + _BIT_TABLES + _THETA_TABLES
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +479,7 @@ class FeedbackDataset:
     def __post_init__(self):
         plan = self.fold_plan
         shape = (plan.n_proactive, plan.n_reactive)
-        for name in ("observed",) + _BIT_TABLES + _THETA_TABLES:
+        for name in _TABLES:
             if np.shape(getattr(self, name)) != shape:
                 raise ContractViolation(f"table {name} must have shape {shape}")
         observed = np.asarray(self.observed)
@@ -519,10 +606,12 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
     Rows end in CRLF and floats use :func:`format_float`.  Rows are gathered
     in blocks of about 65,536 pairs, formatted by :func:`write_blocks`; in
     each block every distinct theta is formatted once, and a row's six bits
-    are one of 64 tokens.
+    are one of 64 tokens.  The tables and both sides' fold labels go into a
+    sidecar (:func:`_save_parsed`).
     """
-    fold_u = _fold_index(ds.fold_plan.proactive_folds).tolist()
-    fold_v = _fold_index(ds.fold_plan.reactive_folds).tolist()
+    folds = {"fold_u": _fold_index(ds.fold_plan.proactive_folds),
+             "fold_v": _fold_index(ds.fold_plan.reactive_folds)}
+    fold_u, fold_v = (labels.tolist() for labels in folds.values())
     tokens = [",".join(format(i, "06b")) for i in range(64)]
     step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
 
@@ -545,25 +634,40 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
                           for u, v, b, tf, tb in zip(*columns))
 
     write_blocks(path, write_range, -(-ds.n_proactive // step))
+    _save_parsed(path, {name: getattr(ds, name) for name in _TABLES} | folds)
 
 
 def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:
     """Read a dataset CSV back against its fold plan.
 
     Rows may come in any order.  Fold labels stored in the file are
-    cross-checked against the plan.
+    cross-checked against the plan.  The sidecar of the CSV stands in for
+    parsing it where it may (:func:`_load_parsed`); the checks and their
+    errors are the same either way.
     """
-    dtype = list(zip(_DATASET_COLUMNS, [np.intp] * 4 + [np.int8] * 6 + [np.float64] * 2))
-    table = _read_csv(path, "dataset CSV", dtype, _DATASET_COLUMNS)
+    shape = (plan.n_proactive, plan.n_reactive)
+    parsed = _load_parsed(path, {
+        "observed": (np.bool_, shape), **dict.fromkeys(_BIT_TABLES, (np.int8, shape)),
+        **dict.fromkeys(_THETA_TABLES, (np.float64, shape)),
+        "fold_u": (np.intp, shape[:1]), "fold_v": (np.intp, shape[1:]),
+    })
     try:
-        ds = FeedbackDataset.from_columns(
-            plan, table["u"], table["v"], **{c: table[c] for c in _DATASET_COLUMNS[4:]}
-        )
+        if parsed is None:
+            dtype = list(zip(_DATASET_COLUMNS, [np.intp] * 4 + [np.int8] * 6 + [np.float64] * 2))
+            table = _read_csv(path, "dataset CSV", dtype, _DATASET_COLUMNS)
+            u, v, fold_u, fold_v = (table[c] for c in _DATASET_COLUMNS[:4])
+            ds = FeedbackDataset.from_columns(
+                plan, u, v, **{c: table[c] for c in _DATASET_COLUMNS[4:]})
+        else:  # the fold labels of the users that the CSV's rows name
+            u = np.flatnonzero(parsed["observed"].any(axis=1))
+            v = np.flatnonzero(parsed["observed"].any(axis=0))
+            fold_u, fold_v = parsed.pop("fold_u")[u], parsed.pop("fold_v")[v]
+            ds = FeedbackDataset(fold_plan=plan, **parsed)
     except (ContractViolation, AssumptionViolationError) as exc:
         raise DataFormatError(f"dataset CSV: {exc}") from None
     if len(ds) and (
-        not np.array_equal(_fold_index(plan.proactive_folds)[table["u"]], table["fold_u"])
-        or not np.array_equal(_fold_index(plan.reactive_folds)[table["v"]], table["fold_v"])
+        not np.array_equal(_fold_index(plan.proactive_folds)[u], fold_u)
+        or not np.array_equal(_fold_index(plan.reactive_folds)[v], fold_v)
     ):
         raise DataFormatError("dataset CSV: fold labels do not match the fold plan")
     return ds

@@ -1,5 +1,6 @@
 """Small shared helpers: seed derivation, the sigmoid, atomic and forked block writes,
-text and JSON I/O, the JSON and CSV record codecs, float formatting."""
+text and JSON I/O, the JSON and CSV record codecs, the binary array codec, file
+digests, float formatting."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import signal
@@ -205,6 +207,66 @@ def load_record(cls, path: str | os.PathLike, what: str):
         return cls(**{f.name: payload[f.name] for f in fields(cls)})
     except (KeyError, TypeError, ValueError, MatchLtrError) as exc:
         raise DataFormatError(f"{what}: {exc}") from None
+
+
+def file_sha256(path: str | os.PathLike) -> str:
+    """Hex sha256 of a file's bytes, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_arrays(path: str | os.PathLike, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, ``header`` and then each array's raw C-order bytes, atomically.
+
+    The header is one line of JSON with sorted keys.  Arrays are written in
+    their own dtypes, so callers pass explicit byte orders such as ``<f8``;
+    the layout has no timestamps, and equal inputs give equal bytes.
+    """
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array))
+
+
+def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tuple[dict, list]:
+    """Read a file written by :func:`write_arrays`: its header and its arrays.
+
+    ``layout(header)`` lists the arrays that follow as ``(name, dtype,
+    shape)``.  The arrays are fresh, writable and aligned.  A wrong magic
+    line, a header that does not parse or that ``layout`` rejects (with
+    ``KeyError``, ``TypeError`` or ``ValueError``), too few bytes for an array
+    or bytes after the last raise :class:`DataFormatError` naming ``what``.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if line != magic:
+            raise DataFormatError(f"{what}: bad magic line {line!r}")
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+            specs = [(name, np.dtype(dtype), tuple(map(operator.index, shape)))
+                     for name, dtype, shape in layout(header)]
+            if any(n < 0 for _, _, shape in specs for n in shape):
+                raise ValueError("negative array dimension")
+        except (KeyError, TypeError, ValueError) as exc:  # json and ascii errors are ValueErrors
+            raise DataFormatError(f"{what}: malformed header: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, dtype, shape in specs:  # sizes first: a corrupt shape allocates nothing
+            left -= math.prod(shape) * dtype.itemsize
+            if left < 0:
+                raise DataFormatError(f"{what}: truncated table {name}")
+        if left:
+            raise DataFormatError(f"{what}: trailing bytes after the last table")
+        arrays = []
+        for name, dtype, shape in specs:
+            array = np.empty(shape, dtype)
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+                raise DataFormatError(f"{what}: truncated table {name}")
+            arrays.append(array)
+    return header, arrays
 
 
 def write_csv(path: str | os.PathLike, header, rows) -> None:

@@ -39,7 +39,8 @@ def data_dir(tmp_path):
 class TestGenData:
     def test_writes_all_artifacts(self, data_dir):
         for name in ("preferences.csv", "sides.json", "folds.json",
-                     "exposure.json", "dataset.csv", "run.json"):
+                     "exposure.json", "dataset.csv", "run.json",
+                     "preferences.csv.parsed", "dataset.csv.parsed"):
             assert (data_dir / name).exists()
 
     def test_dataset_row_count(self, data_dir):
@@ -124,6 +125,26 @@ class TestTrainEvaluateReport:
                        "--out", str(tmp_path / "rep")) == 0
         assert (tmp_path / "rep" / "report_by_fold.csv").exists()
         assert (tmp_path / "rep" / "report_by_eta.csv").exists()
+
+    def test_outputs_do_not_depend_on_sidecars(self, data_dir, tmp_path):
+        """train and evaluate write the same bytes whether they read gen-data's
+        ``.parsed`` sidecars or parse the CSVs."""
+        outputs = []
+        for run in ("sidecars", "csv-only"):
+            if run == "csv-only":
+                for sidecar in data_dir.glob("*.parsed"):
+                    sidecar.unlink()
+            model, evaluation = tmp_path / run / "model", tmp_path / run / "eval"
+            assert run_cli("train", "--data", str(data_dir), "--loss", "ipw2", "--epochs", "3",
+                           "--dim", "4", "--seed", "2", "--out", str(model)) == 0
+            assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                           str(model / "checkpoint.bin"), "--loss", "ipw2",
+                           "--out", str(evaluation)) == 0
+            outputs.append([(model / "checkpoint.bin").read_bytes(),
+                            (model / "train_log.csv").read_bytes(),
+                            (evaluation / "eval.csv").read_bytes()])
+        assert not list(data_dir.glob("*.parsed"))
+        assert outputs[0] == outputs[1]
 
     def test_untrained_checkpoint_is_the_recorded_init_seed(self, data_dir, tmp_path):
         # run.json's sub-seeds are the ones training uses, not a restatement of them
@@ -384,6 +405,23 @@ def test_default_blas_threads_give_one_thread_bytes(tmp_path):
                 assert result.returncode == 0, result.stderr
             digests.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
         assert digests[0] == digests[1], synth
+
+
+@pytest.mark.parametrize("openblas, expected", [(None, "1"), ("2", "2")])
+def test_run_json_records_blas_threads(tmp_path, openblas, expected):
+    """run.json records the BLAS thread variables in effect: the pinned 1
+    where the environment sets none, the environment's value where it does."""
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in _source_tree_env().items() if k not in thread_vars}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    out = tmp_path / "data"
+    subprocess.run([sys.executable, "-m", "matchltr.cli", "gen-data", "--synth", "12,12,2,0.05",
+                    "--folds", "3", "--out", str(out)],
+                   env=env, capture_output=True, check=True, timeout=120)
+    recorded = json.loads((out / "run.json").read_text())["blas_threads"]
+    assert recorded == {"OPENBLAS_NUM_THREADS": expected, "OMP_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "1"}
 
 
 class TestVerifyCommand:

@@ -196,6 +196,18 @@ class TestLoss:
                 assert loss_user(model, 1, cands, y_fwd, y_bwd, theta_f, theta_b,
                                  kind) >= 0.0
 
+    @pytest.mark.parametrize("fn", [loss_user, loss_gradient])
+    @pytest.mark.parametrize("kind, name", [(LossKind.IPW1, "theta_fwd"),
+                                            (LossKind.IPW2, "theta_bwd")])
+    @pytest.mark.parametrize("theta", [None, np.full(2, 0.5)], ids=["none", "wrong-shape"])
+    def test_misaligned_propensities_are_contract_violations(self, fn, kind, name, theta):
+        """A missing or misshapen propensity vector is a caller's error, not
+        a propensity outside (0, 1]."""
+        model = _zero_model(n_pro=1, n_rea=3)
+        thetas = {"theta_fwd": np.full(3, 0.5), "theta_bwd": np.full(3, 0.5), name: theta}
+        with pytest.raises(ContractViolation, match=f"{name} must be aligned with candidates"):
+            fn(model, 0, [0, 1, 2], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], kind=kind, **thetas)
+
     def test_backward_term_weight_ordering(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -520,6 +532,29 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_model(path)
+
+    def test_layout_bytes(self, tmp_path):
+        """Magic line, sorted-key JSON header line, then the four tables as
+        little-endian float64 in C order."""
+        model = init_model(2, 3, 2, seed=19)
+        save_model(model, tmp_path / "model.bin")
+        header = ('{"dim": 2, "dtype": "<f8", "n_proactive": 2, "n_reactive": 3, '
+                  '"tables": ["w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd"]}')
+        expected = (b"matchltr-checkpoint v1\n" + header.encode() + b"\n"
+                    + b"".join(getattr(model, name).astype("<f8").tobytes() for name in TABLES))
+        assert (tmp_path / "model.bin").read_bytes() == expected
+
+    @pytest.mark.parametrize("dim, message", [(10**15, "truncated"), (-1, "malformed header"),
+                                              ("x", "malformed header")])
+    def test_corrupt_header_size_rejected(self, tmp_path, dim, message):
+        """A header size is checked against the file before anything is allocated."""
+        path = tmp_path / "model.bin"
+        save_model(init_model(3, 3, 2, seed=20), path)
+        magic, header, tables = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + header.replace(b'"dim": 2', f'"dim": {dim!r}'.replace(
+            "'", '"').encode()) + b"\n" + tables)
+        with pytest.raises(DataFormatError, match=message):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

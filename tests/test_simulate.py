@@ -930,9 +930,10 @@ class TestForkedWriters:
             default = (tmp_path / f"default-{name}.csv").read_bytes()
             for cores in (1, 2, 3, 5):
                 assert (tmp_path / f"{name}-{cores}.csv").read_bytes() == default
+        csvs = ([f"{name}-{c}.csv" for name in ("prefs", "data") for c in (1, 2, 3, 5)]
+                + ["default-prefs.csv", "default-data.csv"])
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            [f"{name}-{c}.csv" for name in ("prefs", "data") for c in (1, 2, 3, 5)]
-            + ["default-prefs.csv", "default-data.csv"])
+            csvs + [f"{csv}.parsed" for csv in csvs])  # each CSV and its sidecar, no part file
 
     @pytest.mark.parametrize("cores", [2, 3, 5])
     @pytest.mark.parametrize("failing", ["worker", "parent"])
@@ -995,3 +996,215 @@ class TestForkedWriters:
         assert lines.count("[gen-data] resolved config:") == 1
         assert len(lines) == len(set(lines))
         assert lines[-1].startswith("[gen-data] wrote ")
+
+
+class TestParsedSidecar:
+    """``save_dataset`` and ``save_preferences`` leave a ``.parsed`` sidecar that
+    the loaders read in place of parsing the CSV, when it may stand in for it:
+    every load through a sidecar equals the CSV-only load, or fails as it does."""
+
+    # (n_pro, n_rea, eta, k, test_fold); a 1-user side keeps one fold empty
+    MARKETS = {
+        "1x7": (1, 7, 1.0, 2, 1),
+        "1x7-no-rows": (1, 7, 1.0, 2, 0),
+        "7x1": (7, 1, 1.0, 2, 1),
+        "eta-0": (30, 40, 0.0, 3, 0),
+        "eta-3": (30, 40, 3.0, 3, 2),
+        "200x200": (200, 200, 1.0, 5, 0),
+    }
+
+    @staticmethod
+    def _plan(n_pro, n_rea, k, test_fold, seed=1):
+        def blocks(n):
+            if n == 1:
+                return ((0,),) + ((),) * (k - 1)
+            return tuple(tuple(int(i) for i in b)
+                         for b in np.array_split(np.random.default_rng(seed).permutation(n), k))
+        return FoldPlan(k=k, proactive_folds=blocks(n_pro), reactive_folds=blocks(n_rea),
+                        test_fold=test_fold)
+
+    def _write(self, tmp_path, market, seed=3):
+        n_pro, n_rea, eta, k, test_fold = self.MARKETS[market]
+        m = synth_preferences(n_pro, n_rea, 3, 0.0, seed=seed)  # no noise: no zero mass
+        plan = self._plan(n_pro, n_rea, k, test_fold)
+        ds = sample_dataset(m, exposure_from_popularity(m, eta), plan, seed=seed)
+        save_preferences(m, tmp_path / "preferences.csv")
+        save_dataset(ds, tmp_path / "dataset.csv")
+        return plan
+
+    @staticmethod
+    def _no_parsing(monkeypatch):
+        def parse(*args, **kwargs):
+            raise AssertionError("parsed the CSV although its sidecar stands in for it")
+        monkeypatch.setattr(simulate, "_read_csv", parse)
+
+    @staticmethod
+    def _arrays(tmp_path, plan):
+        ds = load_dataset(tmp_path / "dataset.csv", plan)
+        m = load_preferences(tmp_path / "preferences.csv")
+        return {**{name: getattr(ds, name) for name in _TABLES},
+                "forward": m.forward, "backward": m.backward}
+
+    @staticmethod
+    def _outcome(load):
+        """What a load gives: its arrays by name, or the class and message of its error."""
+        try:
+            return {k: v for k, v in vars(load()).items() if isinstance(v, np.ndarray)}
+        except DataFormatError as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def _assert_same(actual, expected):
+        assert type(actual) is type(expected)
+        if isinstance(expected, tuple):  # an error
+            assert actual == expected
+            return
+        assert actual.keys() == expected.keys()
+        for name, array in expected.items():
+            assert actual[name].dtype == array.dtype, name
+            assert actual[name].shape == array.shape, name
+            assert np.array_equal(actual[name], array), name
+            assert actual[name].flags.writeable, name
+
+    @staticmethod
+    def _drop_sidecars(tmp_path):
+        for name in ("dataset.csv.parsed", "preferences.csv.parsed"):
+            (tmp_path / name).unlink()
+
+    @pytest.mark.parametrize("market", list(MARKETS))
+    def test_equals_the_csv_load(self, tmp_path, monkeypatch, market):
+        plan = self._write(tmp_path, market)
+        with monkeypatch.context() as patch:
+            self._no_parsing(patch)
+            through_sidecar = self._arrays(tmp_path, plan)
+        self._drop_sidecars(tmp_path)
+        self._assert_same(through_sidecar, self._arrays(tmp_path, plan))
+
+    @pytest.mark.parametrize("edit", ["other-seed", "valid-byte", "invalid-byte"])
+    def test_changed_csv_loads_as_the_csv_alone(self, tmp_path, edit):
+        plan = self._write(tmp_path, "eta-3")
+        if edit == "other-seed":  # another market's CSVs over these, sidecars kept
+            other = tmp_path / "other"
+            other.mkdir()
+            self._write(other, "eta-3", seed=4)
+            for name in ("dataset.csv", "preferences.csv"):
+                (tmp_path / name).write_bytes((other / name).read_bytes())
+        else:  # the last digit of the file's last float, changed or made non-numeric
+            for name in ("dataset.csv", "preferences.csv"):
+                data = bytearray((tmp_path / name).read_bytes())
+                at = len(data) - 3
+                data[at] = ord("x") if edit == "invalid-byte" else (data[at] - 48 + 1) % 10 + 48
+                (tmp_path / name).write_bytes(bytes(data))
+        loads = {"dataset": lambda: load_dataset(tmp_path / "dataset.csv", plan),
+                 "preferences": lambda: load_preferences(tmp_path / "preferences.csv")}
+        with_sidecar = {kind: self._outcome(load) for kind, load in loads.items()}
+        self._drop_sidecars(tmp_path)
+        for kind, load in loads.items():
+            self._assert_same(with_sidecar[kind], self._outcome(load))
+        if edit == "invalid-byte":
+            assert all(isinstance(outcome, tuple) for outcome in with_sidecar.values())
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "payload-flipped", "empty",
+                                        "header-only", "csv-digest"])
+    def test_damaged_sidecar_falls_back_to_the_csv(self, tmp_path, monkeypatch, damage):
+        plan = self._write(tmp_path, "eta-0")
+        for name in ("dataset.csv.parsed", "preferences.csv.parsed"):
+            path = tmp_path / name
+            data = path.read_bytes()
+            header_end = data.index(b"\n", len(simulate._PARSED_MAGIC)) + 1
+            data = {
+                "truncated": data[:-5],
+                "garbage": np.random.default_rng(0).bytes(len(data)),
+                "payload-flipped": data[:-1] + bytes([data[-1] ^ 1]),
+                "empty": b"",
+                "header-only": data[:header_end],
+                "csv-digest": data.replace(b'"csv_sha256": "', b'"csv_sha256": "0', 1),
+            }[damage]
+            path.write_bytes(data)
+        parsed = []
+        read_csv = simulate._read_csv
+        monkeypatch.setattr(simulate, "_read_csv",
+                            lambda *a, **k: parsed.append(a) or read_csv(*a, **k))
+        fallback = self._arrays(tmp_path, plan)
+        assert len(parsed) == 2  # both CSVs were parsed
+        monkeypatch.undo()
+        self._drop_sidecars(tmp_path)
+        self._assert_same(fallback, self._arrays(tmp_path, plan))
+
+    @pytest.mark.parametrize("change", ["fold-labels", "test-fold", "larger-plan"])
+    def test_other_fold_plan_fails_as_the_csv_does(self, tmp_path, change):
+        plan = self._write(tmp_path, "eta-3")
+        b0, b1, test_block = plan.proactive_folds  # the market's test fold is 2
+        other = {
+            # two non-test blocks swapped: the same test block, other labels
+            "fold-labels": replace(plan, proactive_folds=(b1, b0, test_block)),
+            "test-fold": plan.with_test_fold(0),
+            "larger-plan": replace(plan, reactive_folds=plan.reactive_folds[:-1]
+                                   + (plan.reactive_folds[-1] + (plan.n_reactive,),)),
+        }[change]
+        load = lambda: load_dataset(tmp_path / "dataset.csv", other)  # noqa: E731
+        with_sidecar = self._outcome(load)
+        self._drop_sidecars(tmp_path)
+        self._assert_same(with_sidecar, self._outcome(load))
+        expected = {"fold-labels": r"fold labels do not match the fold plan$",
+                    "test-fold": r"pair \(u=\d+, v=\d+\) lies in the test block$"}
+        if change in expected:
+            assert with_sidecar[0] is DataFormatError
+            assert re.match(r"dataset CSV: " + expected[change], with_sidecar[1])
+
+    @pytest.mark.parametrize("fault", ["out-of-range", "odd-columns", "empty"])
+    def test_preference_checks_run_on_the_sidecar_path(self, tmp_path, monkeypatch, fault):
+        """A sidecar that matches a faulty CSV raises the CSV's error."""
+        data = {"out-of-range": np.array([[0.5, 0.25], [1.5, 0.0]]),
+                "odd-columns": np.array([[0.5, 0.25, 0.0]]),
+                "empty": np.zeros((0, 0))}[fault]
+        path = tmp_path / "preferences.csv"
+        path.write_bytes(b"".join(",".join(map(repr, row)).encode() + b"\r\n"
+                                  for row in data.tolist()))
+        simulate._save_parsed(path, {"preferences": data})
+        with monkeypatch.context() as patch:
+            self._no_parsing(patch)
+            with_sidecar = self._outcome(lambda: load_preferences(path))
+        (tmp_path / "preferences.csv.parsed").unlink()
+        assert isinstance(with_sidecar, tuple)
+        assert with_sidecar == self._outcome(lambda: load_preferences(path))
+
+    def test_dataset_checks_run_on_the_sidecar_path(self, tmp_path, monkeypatch):
+        """A sidecar that matches a CSV breaking y_fwd = o_fwd * r_fwd raises the CSV's error."""
+        plan = self._write(tmp_path, "eta-0")
+        ds = load_dataset(tmp_path / "dataset.csv", plan)
+        lines = (tmp_path / "dataset.csv").read_bytes().split(b"\r\n")
+        cells = lines[1].split(b",")
+        u, v = int(cells[0]), int(cells[1])
+        cells[8] = b"1" if cells[8] == b"0" else b"0"  # y_fwd
+        lines[1] = b",".join(cells)
+        (tmp_path / "dataset.csv").write_bytes(b"\r\n".join(lines))
+        tables = {name: getattr(ds, name).copy() for name in _TABLES}
+        tables["y_fwd"][u, v] ^= 1
+        simulate._save_parsed(tmp_path / "dataset.csv", {
+            **tables, "fold_u": _fold_index(plan.proactive_folds),
+            "fold_v": _fold_index(plan.reactive_folds)})
+        load = lambda: load_dataset(tmp_path / "dataset.csv", plan)  # noqa: E731
+        with monkeypatch.context() as patch:
+            self._no_parsing(patch)
+            with_sidecar = self._outcome(load)
+        (tmp_path / "dataset.csv.parsed").unlink()
+        assert with_sidecar == (DataFormatError,
+                                "dataset CSV: y_fwd must equal o_fwd * r_fwd for every pair")
+        assert with_sidecar == self._outcome(load)
+
+    def test_sidecar_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        m, ds = TestForkedWriters._market()
+        save_preferences(m, tmp_path / "default-prefs.csv")
+        save_dataset(ds, tmp_path / "default-data.csv")
+        save_preferences(m, tmp_path / "again-prefs.csv")
+        save_dataset(ds, tmp_path / "again-data.csv")
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 64)
+        for cores in (1, 2, 5):
+            TestForkedWriters._cores(monkeypatch, cores)
+            save_preferences(m, tmp_path / f"{cores}-prefs.csv")
+            save_dataset(ds, tmp_path / f"{cores}-data.csv")
+        for name in ("prefs", "data"):
+            default = (tmp_path / f"default-{name}.csv.parsed").read_bytes()
+            for run in ("again", 1, 2, 5):
+                assert (tmp_path / f"{run}-{name}.csv.parsed").read_bytes() == default
