@@ -12,46 +12,39 @@ import os
 import sys
 from pathlib import Path
 
-from . import _BLAS_THREAD_VARS
-from .core import DataFormatError, MatchLtrError, SideAssignment
-from .metrics import EvalRecord, load_eval_report, save_eval_report
-from .ranker import LossKind, load_model, save_model
-from .simulate import (
-    _check_eta,
-    assign_sides,
-    exposure_from_popularity,
-    load_dataset,
-    load_fold_plan,
-    load_preferences,
-    load_square_preferences,
-    make_folds,
-    sample_dataset,
-    save_dataset,
-    save_exposure,
-    save_fold_plan,
-    save_preferences,
-    save_side_assignment,
-    synth_preferences,
+from . import _BLAS_THREAD_VARS, _lazy
+from .util import (
+    DataFormatError,
+    EvalRecord,
+    MatchLtrError,
+    derive_seed,
+    format_float,
+    load_eval_report,
+    read_json,
+    save_eval_report,
+    write_csv,
+    write_json,
 )
-from .train import (
-    TrainConfig,
-    labels_sub_seeds,
-    save_training_log,
-    test_dcg_records,
-    train_model,
-    training_sub_seeds,
-)
-from .util import derive_seed, format_float, read_json, write_csv, write_json
-from .verify import (
-    check_instance,
-    check_settings,
-    load_instance,
-    run_verification,
-    save_instance,
-)
-from .metrics import EstimatorKind
 
-_METHOD_ORDER = tuple(kind.value for kind in LossKind)
+# The library names a command needs beyond util, by module.  Commands call them
+# as ``lib.name``, an attribute of this module (``__main__`` under ``python -m``),
+# so the first call imports the module and a process loads only what its
+# command runs; bench/tracing.py wraps them here.
+lib = sys.modules[__name__]
+_, __getattr__ = _lazy(__name__, {
+    "core": "SideAssignment",
+    "metrics": "EstimatorKind",
+    "ranker": "LossKind load_model save_model",
+    "simulate": """_check_eta assign_sides exposure_from_popularity load_dataset load_fold_plan
+        load_preferences load_square_preferences make_folds sample_dataset save_dataset
+        save_exposure save_fold_plan save_preferences save_side_assignment synth_preferences""",
+    "train": """TrainConfig labels_sub_seeds save_training_log test_dcg_records train_model
+        training_sub_seeds""",
+    "verify": "check_instance check_settings load_instance run_verification save_instance",
+})
+
+# the LossKind values, in report column order; a test keeps them equal
+_METHOD_ORDER = ("conventional", "ipw1", "ipw2")
 
 
 def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
@@ -117,23 +110,23 @@ def _cmd_gen_data(args) -> int:
     _print_config("gen-data", config, sub_seeds)
 
     if args.matrix is not None:
-        full = load_square_preferences(args.matrix)
-        assignment = assign_sides(full.n_proactive, sub_seeds["side-split"])
+        full = lib.load_square_preferences(args.matrix)
+        assignment = lib.assign_sides(full.n_proactive, sub_seeds["side-split"])
         m = full.restrict(assignment)
     else:
         n_pro, n_rea, rank, noise = args.synth
-        m = synth_preferences(n_pro, n_rea, rank, noise, sub_seeds["synth"])
-        assignment = SideAssignment.trivial(n_pro, n_rea)
+        m = lib.synth_preferences(n_pro, n_rea, rank, noise, sub_seeds["synth"])
+        assignment = lib.SideAssignment.trivial(n_pro, n_rea)
 
-    plan = make_folds(assignment, args.folds, sub_seeds["folds"], args.test_fold)
-    exposure = exposure_from_popularity(m, args.eta)
-    dataset = sample_dataset(m, exposure, plan, sub_seeds["sampling"])
+    plan = lib.make_folds(assignment, args.folds, sub_seeds["folds"], args.test_fold)
+    exposure = lib.exposure_from_popularity(m, args.eta)
+    dataset = lib.sample_dataset(m, exposure, plan, sub_seeds["sampling"])
 
-    save_preferences(m, out / "preferences.csv")
-    save_side_assignment(assignment, out / "sides.json")
-    save_fold_plan(plan, out / "folds.json")
-    save_exposure(exposure, out / "exposure.json")
-    save_dataset(dataset, out / "dataset.csv")
+    lib.save_preferences(m, out / "preferences.csv")
+    lib.save_side_assignment(assignment, out / "sides.json")
+    lib.save_fold_plan(plan, out / "folds.json")
+    lib.save_exposure(exposure, out / "exposure.json")
+    lib.save_dataset(dataset, out / "dataset.csv")
     _write_run_json(out, "gen-data", config, sub_seeds)
     print(
         f"[gen-data] wrote {len(dataset)} observations "
@@ -151,7 +144,7 @@ def _cmd_train(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sub_seeds = training_sub_seeds(args.seed)
+    sub_seeds = lib.training_sub_seeds(args.seed)
     config = {
         "data": str(data),
         "loss": args.loss,
@@ -165,10 +158,10 @@ def _cmd_train(args) -> int:
     }
     _print_config("train", config, sub_seeds)
 
-    plan = load_fold_plan(data / "folds.json")
-    dataset = load_dataset(data / "dataset.csv", plan)
-    cfg = TrainConfig(
-        loss_kind=LossKind(args.loss),
+    plan = lib.load_fold_plan(data / "folds.json")
+    dataset = lib.load_dataset(data / "dataset.csv", plan)
+    cfg = lib.TrainConfig(
+        loss_kind=lib.LossKind(args.loss),
         learning_rate=args.lr,
         epochs=args.epochs,
         dim=args.dim,
@@ -176,9 +169,9 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         k_valid=args.k_valid,
     )
-    model, log = train_model(dataset, cfg)
-    save_model(model, out / "checkpoint.bin")
-    save_training_log(log, out / "train_log.csv")
+    model, log = lib.train_model(dataset, cfg)
+    lib.save_model(model, out / "checkpoint.bin")
+    lib.save_training_log(log, out / "train_log.csv")
     _write_run_json(out, "train", config, sub_seeds)
     if log.records:
         print(
@@ -209,7 +202,7 @@ def _resolve_eta(args, data: Path) -> float:
             "eta is needed to label report rows; pass --eta or keep the "
             "run.json written by gen-data next to the dataset"
         )
-    _check_eta(eta)
+    lib._check_eta(eta)
     return eta
 
 
@@ -217,9 +210,9 @@ def _cmd_evaluate(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan = load_fold_plan(data / "folds.json")
+    plan = lib.load_fold_plan(data / "folds.json")
     eta = _resolve_eta(args, data)
-    sub_seeds = labels_sub_seeds(args.seed, plan.test_fold)
+    sub_seeds = lib.labels_sub_seeds(args.seed, plan.test_fold)
     config = {
         "data": str(data),
         "model": args.model,
@@ -232,11 +225,11 @@ def _cmd_evaluate(args) -> int:
     }
     _print_config("evaluate", config, sub_seeds)
 
-    m = load_preferences(data / "preferences.csv")
-    model = load_model(args.model)
+    m = lib.load_preferences(data / "preferences.csv")
+    model = lib.load_model(args.model)
     (labels_seed,) = sub_seeds.values()
-    records = test_dcg_records(model, m, plan, eta, args.loss, args.k_list, labels_seed,
-                               args.label_mode)
+    records = lib.test_dcg_records(model, m, plan, eta, args.loss, args.k_list, labels_seed,
+                                   args.label_mode)
     save_eval_report(records, out / "eval.csv")
     _write_run_json(out, "evaluate", config, sub_seeds)
     for r in records:
@@ -254,17 +247,17 @@ def _cmd_evaluate(args) -> int:
 def _cmd_verify(args) -> int:
     out = Path(args.out) if args.out else Path(".")
     if args.replay is not None:
-        check_settings(args.tolerance, args.max_users, args.max_candidates)
-        inst = load_instance(args.replay)
-        result = check_instance(inst)
+        lib.check_settings(args.tolerance, args.max_users, args.max_candidates)
+        inst = lib.load_instance(args.replay)
+        result = lib.check_instance(inst)
         print(f"[verify] replaying {args.replay}")
         print(f"  ground truth        = {result.truth!r}")
-        for kind in EstimatorKind:
+        for kind in lib.EstimatorKind:
             print(
                 f"  E[{kind.value:<5}] = {result.expected[kind.value]!r} "
                 f"(|error| = {result.error(kind):.3e})"
             )
-        ok = result.error(EstimatorKind.IPW2) <= args.tolerance
+        ok = result.error(lib.EstimatorKind.IPW2) <= args.tolerance
         print(f"[verify] two-sided estimator within tolerance: {ok}")
         return 0 if ok else 1
 
@@ -277,7 +270,7 @@ def _cmd_verify(args) -> int:
         "theta_one": args.theta_one,
     }
     _print_config("verify", config, {})
-    report = run_verification(
+    report = lib.run_verification(
         trials=args.trials,
         max_users=args.max_users,
         max_candidates=args.max_candidates,
@@ -290,7 +283,7 @@ def _cmd_verify(args) -> int:
     if not report.passed:
         out.mkdir(parents=True, exist_ok=True)
         target = out / "failing_instance.json"
-        save_instance(report.failures[0], target)
+        lib.save_instance(report.failures[0], target)
         print(f"[verify] FAILED: wrote first failing instance to {target} (replay with --replay)")
         return 1
     print("[verify] PASSED")
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one ranker on a generated dataset")
     p.add_argument("--data", required=True, help="gen-data output directory")
-    p.add_argument("--loss", choices=[k.value for k in LossKind], required=True)
+    p.add_argument("--loss", choices=_METHOD_ORDER, required=True)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--dim", type=int, default=64)
@@ -430,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on the held-out test block")
     p.add_argument("--data", required=True, help="gen-data output directory")
     p.add_argument("--model", required=True, help="checkpoint file")
-    p.add_argument("--loss", choices=[k.value for k in LossKind], required=True,
+    p.add_argument("--loss", choices=_METHOD_ORDER, required=True,
                    help="method label for the report rows")
     p.add_argument("--k-list", type=_parse_k_list, default=(3, 10, 20, 30))
     p.add_argument("--label-mode", choices=("sampled", "expected"), default="sampled")

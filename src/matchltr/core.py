@@ -2,47 +2,46 @@
 
 A market has a proactive side (users who browse and select first) and a
 reactive side (users who respond to selections).  Everything downstream --
-simulation, estimators, rankers -- is expressed over these types.
+simulation, estimators, rankers -- is expressed over these types.  This module
+also holds the numpy helpers that several layers share: the sigmoid and the
+binary array codec.  The error classes live in :mod:`matchltr.util`, which
+needs no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-
-class MatchLtrError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ContractViolation(MatchLtrError):
-    """An argument violated a documented precondition."""
-
-
-class InvalidPopulationError(MatchLtrError, ValueError):
-    """A population is too small to be split into two sides."""
-
-
-class FoldInfeasibleError(MatchLtrError, ValueError):
-    """A side has fewer users than the requested number of folds."""
+from .util import (  # the error classes are re-exported
+    AssumptionViolationError,
+    ContractViolation,
+    DataFormatError,
+    DivergenceError,
+    FoldInfeasibleError,
+    InvalidPopulationError,
+    MatchLtrError,
+    UndefinedAverageError,
+    atomic_open,
+)
 
 
-class AssumptionViolationError(MatchLtrError, ValueError):
-    """An exposure probability left the required (0, 1] range."""
+def sigmoid(x, out=None):
+    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709.
 
+    The result goes into ``out`` when given, which may be ``x`` itself.
+    """
+    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
-class UndefinedAverageError(MatchLtrError, ValueError):
-    """A per-user average was requested over an empty user set."""
-
-
-class DataFormatError(MatchLtrError, ValueError):
-    """A file did not parse against its documented schema."""
-
-
-class DivergenceError(MatchLtrError, RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 @dataclass(frozen=True)
@@ -250,3 +249,54 @@ class RankedList:
     def entry_indices(self) -> np.ndarray:
         """Reactive indices in rank order, as an array."""
         return np.array(self.entries, dtype=np.intp)
+
+
+def write_arrays(path: str | os.PathLike, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, ``header`` and then each array's raw C-order bytes, atomically.
+
+    The header is one line of JSON with sorted keys.  Arrays are written in
+    their own dtypes, so callers pass explicit byte orders such as ``<f8``;
+    the layout has no timestamps, and equal inputs give equal bytes.
+    """
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array))
+
+
+def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tuple[dict, list]:
+    """Read a file written by :func:`write_arrays`: its header and its arrays.
+
+    ``layout(header)`` lists the arrays that follow as ``(name, dtype,
+    shape)``.  The arrays are fresh, writable and aligned.  A wrong magic
+    line, a header that does not parse or that ``layout`` rejects (with
+    ``KeyError``, ``TypeError`` or ``ValueError``), too few bytes for an array
+    or bytes after the last raise :class:`DataFormatError` naming ``what``.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if line != magic:
+            raise DataFormatError(f"{what}: bad magic line {line!r}")
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+            specs = [(name, np.dtype(dtype), tuple(map(operator.index, shape)))
+                     for name, dtype, shape in layout(header)]
+            if any(n < 0 for _, _, shape in specs for n in shape):
+                raise ValueError("negative array dimension")
+        except (KeyError, TypeError, ValueError) as exc:  # json and ascii errors are ValueErrors
+            raise DataFormatError(f"{what}: malformed header: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, dtype, shape in specs:  # sizes first: a corrupt shape allocates nothing
+            left -= math.prod(shape) * dtype.itemsize
+            if left < 0:
+                raise DataFormatError(f"{what}: truncated table {name}")
+        if left:
+            raise DataFormatError(f"{what}: trailing bytes after the last table")
+        arrays = []
+        for name, dtype, shape in specs:
+            array = np.empty(shape, dtype)
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+                raise DataFormatError(f"{what}: truncated table {name}")
+            arrays.append(array)
+    return header, arrays

@@ -24,7 +24,7 @@ from .core import (
     RankedList,
     UndefinedAverageError,
 )
-from .util import load_rows, save_rows
+from .util import EvalRecord, load_eval_report, save_eval_report  # re-exported
 
 
 class EstimatorKind(enum.Enum):
@@ -298,30 +298,3 @@ def dcg_at_k(scores: np.ndarray, r_fwd: np.ndarray, r_bwd: np.ndarray, k: int) -
     """
     return dcg_from_gains(scores, 1.0 + gain_true(r_fwd, r_bwd), k)
 
-
-# ---------------------------------------------------------------------------
-# evaluation reports
-# ---------------------------------------------------------------------------
-
-_REPORT_COLUMNS = ("fold", "eta", "method", "K", "dcg_mean", "dcg_stderr", "n_users")
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One (fold, eta, method, K) cell of an evaluation report."""
-
-    fold: int
-    eta: float
-    method: str
-    k: int
-    dcg_mean: float
-    dcg_stderr: float
-    n_users: int
-
-
-def save_eval_report(records: Sequence[EvalRecord], path) -> None:
-    save_rows(records, _REPORT_COLUMNS, path)
-
-
-def load_eval_report(path) -> list[EvalRecord]:
-    return load_rows(EvalRecord, _REPORT_COLUMNS, path, "eval report CSV")

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation
+from .core import ContractViolation, read_arrays, sigmoid, write_arrays
 from .metrics import EstimatorKind, feedback_coefficients
-from .util import read_arrays, sigmoid, write_arrays
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 

@@ -26,19 +26,12 @@ from .core import (
     InvalidPopulationError,
     PreferenceMatrix,
     SideAssignment,
-)
-from .metrics import _check_theta
-from .util import (
-    file_sha256,
-    format_float,
-    load_record,
-    open_csv,
     read_arrays,
-    save_record,
     sigmoid,
     write_arrays,
-    write_blocks,
 )
+from .metrics import _check_theta
+from .util import file_sha256, format_float, load_record, open_csv, save_record, write_blocks
 
 # values per block of the CSV writers, which may format blocks on several cores
 _BLOCK_VALUES = 1 << 16

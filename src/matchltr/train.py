@@ -26,7 +26,6 @@ from .core import (
 )
 from .metrics import (  # bench/tracing.py wraps estimate_metric here
     EstimatorKind,
-    EvalRecord,
     LambdaWeight,
     _coefficients,
     _discounted,
@@ -45,7 +44,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import derive_seed, load_rows, save_rows
+from .util import EvalRecord, derive_seed, load_rows, save_rows
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Small shared helpers: seed derivation, the sigmoid, atomic and forked block writes,
-text and JSON I/O, the JSON and CSV record codecs, the binary array codec, file
-digests, float formatting."""
+"""Shared helpers that need no numpy: the error classes, seed derivation, atomic and
+forked block writes, text and JSON I/O, the JSON and CSV record codecs, evaluation
+reports, file digests, float formatting.  ``report`` and ``--help`` run on this alone."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import os
 import shutil
 import signal
@@ -17,11 +16,45 @@ import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
-from dataclasses import astuple, fields
+from dataclasses import astuple, dataclass, fields
 
-import numpy as np
+from . import _lazy
 
-from .core import DataFormatError, MatchLtrError
+# the sigmoid and the array codec need numpy, so they live in core; these names reach them
+_, __getattr__ = _lazy(__name__, {"core": "read_arrays sigmoid write_arrays"})
+
+
+class MatchLtrError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class ContractViolation(MatchLtrError):
+    """An argument violated a documented precondition."""
+
+
+class InvalidPopulationError(MatchLtrError, ValueError):
+    """A population is too small to be split into two sides."""
+
+
+class FoldInfeasibleError(MatchLtrError, ValueError):
+    """A side has fewer users than the requested number of folds."""
+
+
+class AssumptionViolationError(MatchLtrError, ValueError):
+    """An exposure probability left the required (0, 1] range."""
+
+
+class UndefinedAverageError(MatchLtrError, ValueError):
+    """A per-user average was requested over an empty user set."""
+
+
+class DataFormatError(MatchLtrError, ValueError):
+    """A file did not parse against its documented schema."""
+
+
+class DivergenceError(MatchLtrError, RuntimeError):
+    """Training produced a non-finite loss."""
+
 
 _SEED_MOD = 2**32
 
@@ -37,17 +70,6 @@ def derive_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") % _SEED_MOD
 
 
-def sigmoid(x, out=None):
-    """Logistic function ``1 / (1 + exp(-x))``; saturates to 0 below about -709.
-
-    The result goes into ``out`` when given, which may be ``x`` itself.
-    """
-    out = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
 
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
@@ -58,13 +80,21 @@ def format_float(x: float) -> str:
 def atomic_open(path: str | os.PathLike, mode: str = "w"):
     """Write to a temp file in the target directory, then rename into place.
 
-    A partially written file never becomes visible under the final name.
+    A partially written file never becomes visible under the final name.  The
+    file is created as ``open`` creates one, so its mode is 0666 less the umask
+    (``mkstemp`` would make it 0600).
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}~")
+        try:
+            fh = open(tmp, mode.replace("w", "x"), newline="" if "b" not in mode else None)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, mode, newline="" if "b" not in mode else None) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -192,7 +222,7 @@ def save_record(record, path: str | os.PathLike) -> None:
     payload = {}
     for f in fields(record):
         value = getattr(record, f.name)
-        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        payload[f.name] = value.tolist() if hasattr(value, "tolist") else value
     write_json(path, payload)
 
 
@@ -216,57 +246,6 @@ def file_sha256(path: str | os.PathLike) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def write_arrays(path: str | os.PathLike, magic: bytes, header: dict, arrays) -> None:
-    """Write ``magic``, ``header`` and then each array's raw C-order bytes, atomically.
-
-    The header is one line of JSON with sorted keys.  Arrays are written in
-    their own dtypes, so callers pass explicit byte orders such as ``<f8``;
-    the layout has no timestamps, and equal inputs give equal bytes.
-    """
-    with atomic_open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for array in arrays:
-            fh.write(np.ascontiguousarray(array))
-
-
-def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tuple[dict, list]:
-    """Read a file written by :func:`write_arrays`: its header and its arrays.
-
-    ``layout(header)`` lists the arrays that follow as ``(name, dtype,
-    shape)``.  The arrays are fresh, writable and aligned.  A wrong magic
-    line, a header that does not parse or that ``layout`` rejects (with
-    ``KeyError``, ``TypeError`` or ``ValueError``), too few bytes for an array
-    or bytes after the last raise :class:`DataFormatError` naming ``what``.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if line != magic:
-            raise DataFormatError(f"{what}: bad magic line {line!r}")
-        try:
-            header = json.loads(fh.readline().decode("ascii"))
-            specs = [(name, np.dtype(dtype), tuple(map(operator.index, shape)))
-                     for name, dtype, shape in layout(header)]
-            if any(n < 0 for _, _, shape in specs for n in shape):
-                raise ValueError("negative array dimension")
-        except (KeyError, TypeError, ValueError) as exc:  # json and ascii errors are ValueErrors
-            raise DataFormatError(f"{what}: malformed header: {exc}") from None
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        for name, dtype, shape in specs:  # sizes first: a corrupt shape allocates nothing
-            left -= math.prod(shape) * dtype.itemsize
-            if left < 0:
-                raise DataFormatError(f"{what}: truncated table {name}")
-        if left:
-            raise DataFormatError(f"{what}: trailing bytes after the last table")
-        arrays = []
-        for name, dtype, shape in specs:
-            array = np.empty(shape, dtype)
-            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
-                raise DataFormatError(f"{what}: truncated table {name}")
-            arrays.append(array)
-    return header, arrays
 
 
 def write_csv(path: str | os.PathLike, header, rows) -> None:
@@ -320,3 +299,31 @@ def load_rows(cls, header, path: str | os.PathLike, what: str) -> list:
                     raise DataFormatError(f"{where}: {column} must be finite")
             records.append(cls(*values))
     return records
+
+
+# ---------------------------------------------------------------------------
+# evaluation reports
+# ---------------------------------------------------------------------------
+
+_REPORT_COLUMNS = ("fold", "eta", "method", "K", "dcg_mean", "dcg_stderr", "n_users")
+
+
+@dataclass(frozen=True)
+class EvalRecord:
+    """One (fold, eta, method, K) cell of an evaluation report."""
+
+    fold: int
+    eta: float
+    method: str
+    k: int
+    dcg_mean: float
+    dcg_stderr: float
+    n_users: int
+
+
+def save_eval_report(records, path) -> None:
+    save_rows(records, _REPORT_COLUMNS, path)
+
+
+def load_eval_report(path) -> list[EvalRecord]:
+    return load_rows(EvalRecord, _REPORT_COLUMNS, path, "eval report CSV")

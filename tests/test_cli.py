@@ -348,12 +348,165 @@ def _source_tree_env():
 
 
 def test_package_imports_without_scipy():
-    """numpy is the only numerical dependency: importing scipy would take
-    more than half of every command's start-up."""
+    """numpy is the only numerical dependency, and importing the command line
+    loads neither: scipy would take more than half of every command's start-up."""
     subprocess.run(
-        [sys.executable, "-c", "import sys, matchltr.cli; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c",
+         "import sys, matchltr.cli; assert not {'scipy', 'numpy'} & set(sys.modules)"],
         env=_source_tree_env(), check=True, timeout=60,
     )
+
+
+# Runs ``main(argv)`` in a fresh interpreter, under the umask in argv[1], and
+# prints the loaded modules as the last line of standard output.
+_CLI_CHILD = """
+import json, os, sys
+os.umask(int(sys.argv[1], 8))
+from matchltr.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def _cli_child(*argv, cwd, umask="022") -> set[str]:
+    """Run one command in a fresh interpreter; returns the modules it loaded."""
+    done = subprocess.run([sys.executable, "-c", _CLI_CHILD, umask, *argv], cwd=cwd,
+                          env=_source_tree_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+_PIPELINE = (
+    ("gen-data", "--synth", "12,12,2,0.05", "--folds", "3", "--out", "data"),
+    ("train", "--data", "data", "--loss", "ipw2", "--epochs", "1", "--dim", "4", "--out", "model"),
+    ("evaluate", "--data", "data", "--model", "model/checkpoint.bin", "--loss", "ipw2",
+     "--out", "eval"),
+    ("report", "eval/eval.csv", "--out", "report"),
+    ("--help",),
+    ("verify", "--trials", "5"),
+)
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The modules each command of a small pipeline loads, by command."""
+    work = tmp_path_factory.mktemp("imports")
+    return {argv[0]: _cli_child(*argv, cwd=work) for argv in _PIPELINE}
+
+
+# each command loads only the modules it runs, and none loads scipy:
+# command -> (modules it loads, modules it does not load)
+_IMPORT_SETS = {
+    "gen-data": ({"matchltr.simulate"},
+                 {"scipy", "matchltr.ranker", "matchltr.train", "matchltr.verify"}),
+    "train": ({"matchltr.train", "matchltr.ranker"}, {"scipy", "matchltr.verify"}),
+    "evaluate": ({"matchltr.train", "matchltr.ranker"}, {"scipy", "matchltr.verify"}),
+    "verify": ({"matchltr.verify"},
+               {"scipy", "matchltr.simulate", "matchltr.train", "matchltr.ranker"}),
+    "report": ({"matchltr.util"}, {"numpy", "matchltr.core"}),
+    "--help": ({"matchltr.cli"}, {"numpy", "matchltr.core"}),
+}
+
+
+@pytest.mark.parametrize("command", _IMPORT_SETS)
+def test_command_loads_only_its_modules(loaded_modules, command):
+    loads, skips = _IMPORT_SETS[command]
+    modules = loaded_modules[command]
+    assert loads <= modules
+    assert not skips & modules
+
+
+@pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])
+def test_output_files_follow_the_umask(tmp_path, umask, mode):
+    for argv in _PIPELINE[:4]:
+        _cli_child(*argv, cwd=tmp_path, umask=umask)
+    modes = {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert set(modes) >= {
+        "data/dataset.csv", "data/dataset.csv.parsed", "data/preferences.csv.parsed",
+        "data/folds.json", "model/checkpoint.bin", "model/train_log.csv", "eval/eval.csv",
+        "report/report_by_fold.csv", "report/report_by_eta.csv"}
+    assert modes == dict.fromkeys(modes, oct(mode))
+
+
+# the package's public names before they loaded lazily, by the module that held them
+_EXPORTS = {
+    "core": """AssumptionViolationError ContractViolation DataFormatError DivergenceError
+        FoldInfeasibleError FoldPlan InvalidPopulationError MatchLtrError PreferenceMatrix
+        RankedList SideAssignment UndefinedAverageError""",
+    "metrics": """EstimatorKind EvalRecord LambdaWeight MetricValue dcg_at_k estimate_metric
+        gain_ipw gain_surrogate gain_true load_eval_report metric_ground_truth
+        rank_candidates save_eval_report""",
+    "ranker": """GradientTables LossKind RankerModel init_model load_model loss_gradient
+        loss_user save_model score_matrix""",
+    "simulate": """ExposureModel FeedbackDataset assign_sides exposure_from_popularity
+        latent_preferences load_dataset load_exposure load_fold_plan load_preferences
+        load_side_assignment load_square_preferences make_folds sample_dataset save_dataset
+        save_exposure save_fold_plan save_preferences save_side_assignment synth_preferences""",
+    "train": """ExperimentPlan TrainConfig TrainingLog default_method_configs load_training_log
+        run_experiment save_training_log test_dcg_records train_model validation_metric""",
+    "util": "derive_seed",
+    "verify": """OracleInstance VerificationReport check_instance expected_metric_exact
+        random_instance run_verification single_pair_witness""",
+}
+
+
+class TestPackageNamespace:
+    names = [name for names in _EXPORTS.values() for name in names.split()]
+
+    def test_every_export_is_listed(self):
+        import matchltr
+
+        assert len(self.names) == 71
+        assert set(self.names) <= set(matchltr.__all__)
+        assert set(self.names) <= set(dir(matchltr))
+
+    @pytest.mark.parametrize("home", sorted(_EXPORTS))
+    def test_exports_are_their_home_objects(self, home):
+        import importlib
+
+        import matchltr
+
+        module = importlib.import_module(f"matchltr.{home}")
+        for name in _EXPORTS[home].split():
+            assert getattr(matchltr, name) is getattr(module, name), name
+
+    def test_moved_helpers_keep_their_old_paths(self):
+        from matchltr import core, util
+
+        for name in ("sigmoid", "write_arrays", "read_arrays"):
+            assert getattr(util, name) is getattr(core, name)
+        assert not hasattr(util, "np")
+
+    def test_star_import_binds_every_export(self):
+        import matchltr
+
+        namespace = {}
+        exec("from matchltr import *", namespace)
+        assert all(namespace[name] is getattr(matchltr, name) for name in self.names)
+
+    def test_unknown_names_raise_attribute_error(self):
+        import matchltr
+        from matchltr import cli, util
+
+        for module in (matchltr, cli, util):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
+
+    @pytest.mark.parametrize("command", ("train", "evaluate"))
+    def test_loss_choices_are_the_loss_kinds(self, command):
+        import argparse
+
+        from matchltr import LossKind
+        from matchltr.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        loss = next(a for a in sub.choices[command]._actions if a.dest == "loss")
+        assert list(loss.choices) == [k.value for k in LossKind]
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):
