@@ -54,7 +54,7 @@ __all__, __getattr__ = _lazy(__name__, {
     "train": """ExperimentPlan TrainConfig TrainingLog default_method_configs load_training_log
         run_experiment save_training_log test_dcg_records train_model validation_metric""",
     "verify": """OracleInstance VerificationReport check_instance expected_metric_exact
-        random_instance run_verification single_pair_witness""",
+        run_verification single_pair_witness""",
 })
 
 

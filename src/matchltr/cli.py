@@ -270,14 +270,7 @@ def _cmd_verify(args) -> int:
         "theta_one": args.theta_one,
     }
     _print_config("verify", config, {})
-    report = lib.run_verification(
-        trials=args.trials,
-        max_users=args.max_users,
-        max_candidates=args.max_candidates,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        theta_one=args.theta_one,
-    )
+    report = lib.run_verification(**config)
     for line in report.lines():
         print(f"[verify] {line}")
     if not report.passed:

@@ -9,6 +9,7 @@ gated behind the proactive side's selection.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import re
@@ -376,17 +377,24 @@ def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> 
 
 
 def _data_lines(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
-    """File line (1-based) and cell count of each non-blank line after the first ``skip``."""
+    """File line (1-based) and cell count of each non-blank line after the first ``skip``.
+
+    Cells are split as the parser splits them: a quote opens a cell only at its
+    start, and a comma inside a quoted cell is part of it.  This runs only after
+    parsing failed, so it may take a Python step per line.
+    """
     buf = np.fromfile(path, np.uint8)
     # Cut at every CR and LF: a CRLF then leaves an empty piece, skipped like
     # a blank line.  A piece's line number counts the line ends before it.
     cuts = np.flatnonzero((buf == 10) | (buf == 13))
     ends_line = (buf[cuts] == 10) | (buf[np.minimum(cuts + 1, buf.size - 1)] != 10)
     line_of = np.concatenate(([1], 1 + np.cumsum(ends_line)))
-    stops = np.append(cuts, buf.size)
-    cells = 1 + np.diff(np.searchsorted(np.flatnonzero(buf == 44), stops), prepend=0)
-    keep = (stops > np.concatenate(([0], cuts + 1))) & (line_of > skip)
-    return line_of[keep], cells[keep]
+    starts, stops = np.concatenate(([0], cuts + 1)), np.append(cuts, buf.size)
+    keep = (stops > starts) & (line_of > skip)
+    data = buf.tobytes()
+    cells = [len(next(csv.reader([data[a:b].decode("utf-8", "replace")])))
+             for a, b in zip(starts[keep].tolist(), stops[keep].tolist())]
+    return line_of[keep], np.array(cells, dtype=np.intp)
 
 
 def _parse_float_csv(path, what: str, data: np.ndarray | None = None) -> np.ndarray:

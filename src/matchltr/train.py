@@ -62,7 +62,6 @@ class TrainConfig:
     batch: int = 32
     seed: int = 0
     k_valid: int = 10
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         # operator.index rejects 16.7 or 3.0 instead of truncating it
@@ -74,10 +73,6 @@ class TrainConfig:
         if not 0.0 < self.learning_rate < np.inf:
             raise ContractViolation(
                 f"learning rate must be finite and positive, got {self.learning_rate}"
-            )
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ContractViolation(
-                f"weight decay must be finite and non-negative, got {self.weight_decay}"
             )
 
 
@@ -204,8 +199,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
 
     Each minibatch subtracts ``learning_rate * grad / batch``, scaled in the
     kernel's own gradient buffers, from the batch's proactive rows and every
-    reactive row; weight decay, when set, first shrinks every row of every
-    table.  The best epoch is copied into stacks allocated once per run.
+    reactive row.  The best epoch is copied into stacks allocated once per run.
     """
     plan = dataset.fold_plan
     n_pro = plan.n_proactive
@@ -224,7 +218,6 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     val_ctx = _validation_context(dataset, metric_kind)
     rng = np.random.default_rng(seeds["epochs"])
     pro, rea = model.pro, model.rea
-    keep = 1.0 - cfg.learning_rate * cfg.weight_decay
 
     best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
     best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
@@ -241,9 +234,6 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
             # one addition per user in batch order, not a (pairwise) array sum
             for loss in (terms[:, 0] + terms[:, 1]).tolist():
                 loss_sum += loss
-            if cfg.weight_decay > 0.0:
-                pro *= keep
-                rea *= keep
             # lr * (g * (1/B)) in the kernel's own buffers, as multiplication
             # commutes; take + setitem is twice as fast as pro[:, batch] -=
             for grad in (grad_pro, grad_rea):
@@ -393,7 +383,6 @@ def run_experiment(
     m: PreferenceMatrix,
     plan: ExperimentPlan,
     cfgs: Mapping[LossKind, TrainConfig] | None = None,
-    label_mode: str = "sampled",
     progress=None,
 ) -> list[EvalRecord]:
     """Run the full (seed, eta, fold, method) grid and collect DCG records.
@@ -425,8 +414,7 @@ def run_experiment(
                     )
                     model, _ = train_model(dataset, cell_cfg)
                     records.extend(test_dcg_records(
-                        model, m, fplan, eta, kind.value, plan.k_values,
-                        labels_seed, label_mode,
+                        model, m, fplan, eta, kind.value, plan.k_values, labels_seed,
                     ))
                     if progress is not None:
                         progress(seed=seed, eta=eta, fold=fold, method=kind.value)

@@ -51,45 +51,35 @@ class OracleInstance:
     k: int
 
     def __post_init__(self):
-        # a batch of one through _checked; bits are cast after the checks
-        r_fwd, r_bwd, *tables, k = _checked(*([getattr(self, name)] for name in _FIELDS))
-        for name, table in zip(_FIELDS, (r_fwd.astype(np.int8), r_bwd.astype(np.int8), *tables)):
-            object.__setattr__(self, name, table[0])
-        object.__setattr__(self, "k", int(k[0]))
+        # bits are checked as floats, before the int8 cast could wrap 256 to 0
+        r_fwd, r_bwd = (_as_bits(name, getattr(self, name)) for name in _FIELDS[:2])
+        thetas = [_check_theta(name, getattr(self, name)) for name in _FIELDS[2:4]]
+        # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking, 2.5 no cutoff
+        ranking, k = np.asarray(self.ranking), np.asarray(self.k)
+        if ranking.dtype.kind not in "iu":
+            raise ContractViolation("ranking must hold integer candidate indices")
+        if k.dtype.kind not in "iu":
+            raise ContractViolation(f"cutoff must be an integer, got {k.dtype}")
+        shape = r_fwd.shape
+        if len(shape) != 2 or min(shape) < 1:
+            raise ContractViolation("instance arrays must be 2-d with >= 1 user and candidate")
+        for name, table in zip(_FIELDS[1:], (r_bwd, *thetas, ranking)):
+            if table.shape != shape:
+                raise ContractViolation(f"{name} must match the instance shape {shape}")
+        if k.shape != ():
+            raise ContractViolation("need one cutoff per instance")
+        if k < 1:
+            raise ContractViolation("cutoff must be positive")
+        ranking = ranking.astype(np.intp)
+        if (np.sort(ranking, axis=1) != np.arange(shape[1])).any():
+            raise ContractViolation("each ranking row must be a permutation of candidates")
+        # copies, so that the frozen instance owns its arrays
+        for name, value in zip(_FIELDS, (r_fwd.astype(np.int8), r_bwd.astype(np.int8),
+                                         *(t.copy() for t in thetas), ranking, int(k))):
+            object.__setattr__(self, name, value)
 
 
 _FIELDS = tuple(f.name for f in fields(OracleInstance))
-
-
-def _checked(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k):
-    """Check instances stacked on a leading axis (for :class:`OracleInstance`, a
-    batch of one); return their fields as arrays.
-
-    Bits come back as float64, checked before any cast wraps 256 to 0;
-    propensities as float64, the ranking as intp and the cutoffs as integers.
-    """
-    bits = [_as_bits(name, x) for name, x in (("r_fwd", r_fwd), ("r_bwd", r_bwd))]
-    thetas = [_check_theta(name, t) for name, t in zip(_FIELDS[2:4], (theta_fwd, theta_bwd))]
-    # integer fields must be JSON integers: [[0.7, 1.2]] is not a ranking, 2.5 no cutoff
-    ranking, k = np.asarray(ranking), np.asarray(k)
-    if ranking.dtype.kind not in "iu":
-        raise ContractViolation("ranking must hold integer candidate indices")
-    if k.dtype.kind not in "iu":
-        raise ContractViolation(f"cutoff must be an integer, got {k.dtype}")
-    shape = bits[0].shape
-    if len(shape) != 3 or min(shape) < 1:
-        raise ContractViolation("instance arrays must be 2-d with >= 1 user and candidate")
-    for name, table in zip(_FIELDS[1:], (bits[1], *thetas, ranking)):
-        if table.shape != shape:
-            raise ContractViolation(f"{name} must match the instance shape {shape[1:]}")
-    if k.shape != shape[:1]:
-        raise ContractViolation("need one cutoff per instance")
-    if (k < 1).any():
-        raise ContractViolation("cutoff must be positive")
-    ranking = ranking.astype(np.intp, copy=False)
-    if (np.sort(ranking, axis=2) != np.arange(shape[2])).any():
-        raise ContractViolation("each ranking row must be a permutation of candidates")
-    return (*bits, *thetas, ranking, k)
 
 
 def save_instance(inst: OracleInstance, path) -> None:
@@ -131,16 +121,6 @@ def _draw(rng: np.random.Generator, max_users: int, max_candidates: int, theta_o
     for row in ranking:
         rng.shuffle(row)
     return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
-
-
-def random_instance(
-    rng: np.random.Generator,
-    max_users: int = 4,
-    max_candidates: int = 6,
-    theta_one: bool = False,
-) -> OracleInstance:
-    """Draw labels, rankings and propensities (in [0.05, 1)) for one oracle check."""
-    return OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
 
 
 @dataclass(frozen=True)

@@ -889,6 +889,31 @@ class TestCsvAgainstReference:
                 load_preferences(path)
             assert _line_of(new_err) == _line_of(ref_err) == at + 1
 
+    @pytest.mark.parametrize("name, at, col", [("dataset.csv", 1, 10), ("preferences.csv", 0, 0)])
+    def test_quoted_comma_names_the_reference_line(self, tmp_path, name, at, col):
+        """A comma inside a quoted cell splits no cell, so the line of the bad value is named."""
+        out = tmp_path / "data"
+        assert cli_main(["gen-data", "--synth", "4,4,1,0.0", "--folds", "2",
+                         "--out", str(out)]) == 0
+        path = out / name
+        lines = path.read_bytes().decode().split("\r\n")
+        cells = lines[at].split(",")
+        cells[col] = '"0,5"'
+        lines[at] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode())  # the sidecar's digest no longer holds
+        if name == "dataset.csv":
+            plan = load_fold_plan(out / "folds.json")
+            readers = _reference_load_dataset_columns, lambda p: load_dataset(p, plan)
+        else:
+            readers = _reference_parse_float_csv, load_preferences
+        errors = []
+        for read in readers:
+            with pytest.raises(DataFormatError) as err:
+                read(path)
+            errors.append(err)
+        assert _line_of(errors[1]) == _line_of(errors[0]) == at + 1
+        assert "could not convert string '0,5'" in str(errors[1].value)
+
 
 def test_gen_data_writes_reference_bytes(tmp_path):
     out = tmp_path / "data"

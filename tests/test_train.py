@@ -45,6 +45,7 @@ from matchltr.train import (
     _per_user_training_data,
     _validation_context,
 )
+from matchltr.train import test_dcg_records as dcg_records  # not a test for pytest to collect
 from matchltr.util import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
@@ -76,7 +77,6 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", np.nan), ("learning_rate", np.inf),
-        ("weight_decay", np.nan), ("weight_decay", np.inf),
     ])
     def test_non_finite_rates_rejected(self, field, value):
         with pytest.raises(ContractViolation, match=field.replace("_", " ")):
@@ -277,8 +277,6 @@ def _reference_train(dataset, cfg):
             for name in TABLES:
                 table, grad = getattr(model, name), getattr(grads, name)
                 grad *= 1.0 / batch.size
-                if cfg.weight_decay > 0.0:
-                    table *= 1.0 - cfg.learning_rate * cfg.weight_decay
                 table -= cfg.learning_rate * grad
         value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
@@ -305,7 +303,7 @@ class TestMinibatchGradientBitIdentity:
         _, _, plan, dataset = _world(n=13, eta=1.2)
         assert len({int(row.sum()) for row in plan.train_mask()}) > 1
         cfg = TrainConfig(loss_kind=kind, dim=6, epochs=6, learning_rate=0.3,
-                          batch=5, seed=4, k_valid=3, weight_decay=0.01)
+                          batch=5, seed=4, k_valid=3)
         model, log = train_model(dataset, cfg)
         ref_model, ref_log = _reference_train(dataset, cfg)
         for name in TABLES:
@@ -344,8 +342,6 @@ def _buffered_train(dataset, cfg):
             for name in TABLES:
                 table, grad = getattr(model, name), getattr(grads, name)
                 grad *= 1.0 / batch.size
-                if cfg.weight_decay > 0.0:
-                    table *= 1.0 - cfg.learning_rate * cfg.weight_decay
                 table -= cfg.learning_rate * grad
         value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
@@ -354,13 +350,12 @@ def _buffered_train(dataset, cfg):
     return best_model, log
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("kind", list(LossKind))
-def test_in_place_step_matches_buffered_step(kind, weight_decay):
+def test_in_place_step_matches_buffered_step(kind):
     # 30 users in batches of 8, 8, 8 and 6
     _, _, _, dataset = _world(n=30, eta=1.0)
     cfg = TrainConfig(loss_kind=kind, dim=8, epochs=5, learning_rate=0.3,
-                      batch=8, seed=6, k_valid=5, weight_decay=weight_decay)
+                      batch=8, seed=6, k_valid=5)
     model, log = train_model(dataset, cfg)
     ref_model, ref_log = _buffered_train(dataset, cfg)
     for name in TABLES:
@@ -411,10 +406,7 @@ def _per_space_train(dataset, cfg):
                 loss_sum += loss
             for space, space_grads in zip(SPACES, grads):
                 for name, rows, grad in zip(space, (batch, slice(None)), space_grads):
-                    table = getattr(model, name)
-                    if cfg.weight_decay > 0.0:
-                        table *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                    table[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
+                    getattr(model, name)[rows] -= cfg.learning_rate * (grad * (1.0 / batch.size))
         value = validation_metric(model, dataset, cfg.loss_kind.paired_metric, cfg.k_valid)
         log.records.append(EpochRecord(epoch, loss_sum / plan.n_proactive, value))
         if value > best_value:
@@ -423,13 +415,12 @@ def _per_space_train(dataset, cfg):
 
 
 @pytest.mark.parametrize("batch", [16, 7])
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("kind", list(LossKind))
-def test_stacked_step_matches_per_space_step(kind, weight_decay, batch):
+def test_stacked_step_matches_per_space_step(kind, batch):
     # 30 users: batches of 16 and 14, or four of 7 and a short one of 2
     _, _, _, dataset = _world(n=30, eta=1.0)
     cfg = TrainConfig(loss_kind=kind, dim=8, epochs=5, learning_rate=0.3,
-                      batch=batch, seed=7, k_valid=5, weight_decay=weight_decay)
+                      batch=batch, seed=7, k_valid=5)
     model, log = train_model(dataset, cfg)
     ref_model, ref_log = _per_space_train(dataset, cfg)
     for name in TABLES:
@@ -534,12 +525,22 @@ class TestRunExperiment:
     def test_labels_shared_across_methods_and_etas(self):
         m = self._matrix()
         plan = ExperimentPlan(etas=(0.0, 1.0), folds=2, k_values=(3,))
-        records = run_experiment(m, plan, default_method_configs(self._cfg()),
-                                 label_mode="expected")
-        # expected-gain labels are deterministic, so any residual differences
-        # across methods come from the models alone; rows must exist per cell
+        records = run_experiment(m, plan, default_method_configs(self._cfg()))
+        # every (eta, fold, method) cell is scored against its fold's labels
         keys = {(r.eta, r.fold, r.method) for r in records}
         assert len(keys) == 2 * 2 * 3
+
+    def test_expected_labels_equal_sampled_labels_when_relevance_is_certain(self):
+        # with 0/1 preferences every sampled bit is certain, so the expected
+        # gain equals the sampled gain and both label modes give the same rows
+        rng = np.random.default_rng(1)
+        m = PreferenceMatrix(forward=(rng.random((10, 10)) < 0.5) * 1.0,
+                             backward=(rng.random((10, 10)) < 0.5) * 1.0)
+        plan = make_folds(SideAssignment.trivial(10, 10), 2, seed=0)
+        model = init_model(10, 10, 3, seed=2)
+        sampled, expected = (dcg_records(model, m, plan, 1.0, "ipw2", (1, 3, 10), 7, mode)
+                             for mode in ("sampled", "expected"))
+        assert sampled == expected
 
     def test_unit_exposure_methods_statistically_indistinguishable(self):
         m = self._matrix(n=14, seed=3)

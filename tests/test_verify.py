@@ -17,16 +17,13 @@ from matchltr import (
     OracleInstance,
     check_instance,
     estimate_metric,
-    random_instance,
     run_verification,
     single_pair_witness,
 )
 from matchltr.verify import (
     _FIELDS,
     VerificationReport,
-    _checked,
     _draw,
-    _stack,
     check_batch,
     load_instance,
     save_instance,
@@ -68,7 +65,7 @@ class TestRunVerification:
         report = run_verification(trials=50, seed=2, tolerance=0.0)
         assert not report.passed
         rng = np.random.default_rng(2)
-        drawn = [random_instance(rng) for _ in range(50)]
+        drawn = [OracleInstance(*_draw(rng, 4, 6, False)) for _ in range(50)]
         breached = [inst for inst in drawn if check_instance(inst).error(EstimatorKind.IPW2) > 0]
         assert len(report.failures) == len(breached)
         for got, want in zip(report.failures, breached):
@@ -103,9 +100,10 @@ class TestRunVerification:
 
 
 def _reference_report(trials, max_users, max_candidates, tolerance, seed, theta_one):
-    """run_verification one instance at a time: random_instance, check_batch, check_instance."""
+    """run_verification one instance at a time: OracleInstance, check_batch, check_instance."""
     rng = np.random.default_rng(seed)
-    drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(trials)]
+    drawn = [OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
+             for _ in range(trials)]
     truth, mean, var, eligible = check_batch(drawn)
     err = np.abs(mean - truth)
     naive, ipw1, ipw2 = err > tolerance
@@ -169,25 +167,6 @@ class TestBatchDraw:
                 for x, y in zip(got, want):
                     assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("name, index, value, error, message", [
-        ("r_fwd", (3, 0, 0), 2.0, ContractViolation, "r_fwd must contain bits"),
-        ("theta_fwd", (3, 0, 0), 0.0, AssumptionViolationError, r"theta_fwd must lie in \(0, 1\]"),
-        ("theta_bwd", (3, 0, 0), np.nan, AssumptionViolationError,
-         r"theta_bwd must lie in \(0, 1\]"),
-        ("ranking", (3, 0, slice(0, 2)), 0, ContractViolation, "permutation"),
-        ("k", 3, 0, ContractViolation, "cutoff must be positive"),
-    ], ids=["bit-two", "theta-zero", "theta-nan", "repeated-rank", "zero-cutoff"])
-    def test_batch_checks_reject_one_bad_row(self, name, index, value, error, message):
-        rng = np.random.default_rng(5)
-        rows = [_draw(rng, 4, 6, False) for _ in range(6)]
-        tables, k, _ = _stack(rows, len(rows), 4, 6)
-        batch = dict(zip(_FIELDS, [*tables, k]))
-        assert batch["ranking"].shape[2] >= 2
-        _checked(**batch)
-        batch[name][index] = value
-        with pytest.raises(error, match=message):
-            _checked(**batch)
-
 
 class TestBatchedOracle:
     @settings(max_examples=25, deadline=None)
@@ -197,7 +176,8 @@ class TestBatchedOracle:
     def test_batch_values_equal_a_batch_of_one(self, seed, max_users, max_candidates, theta_one):
         # padding to the batch's largest shape must not change a single bit
         rng = np.random.default_rng(seed)
-        drawn = [random_instance(rng, max_users, max_candidates, theta_one) for _ in range(100)]
+        drawn = [OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
+                 for _ in range(100)]
         truth, mean, _, _ = check_batch(drawn)
         for b, inst in enumerate(drawn):
             alone = check_instance(inst)
@@ -208,7 +188,7 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_variance_matches_monte_carlo(self, seed):
         # resample both exposure bits of every pair and re-run the two-sided estimator
-        inst = random_instance(np.random.default_rng(seed))
+        inst = OracleInstance(*_draw(np.random.default_rng(seed), 4, 6, False))
         _, _, var, _ = check_batch([inst])
         exact = var[list(EstimatorKind).index(EstimatorKind.IPW2), 0]
         assert exact > 0.0
@@ -229,7 +209,7 @@ class TestBatchedOracle:
 class TestInstanceSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        inst = random_instance(rng)
+        inst = OracleInstance(*_draw(rng, 4, 6, False))
         path = tmp_path / "instance.json"
         save_instance(inst, path)
         again = load_instance(path)
@@ -290,6 +270,25 @@ class TestInstanceSerialization:
         name = next(iter(edit))
         with pytest.raises(AssumptionViolationError, match=rf"{name} must lie in \(0, 1\]"):
             OracleInstance(**{**base, **edit})
+
+    @pytest.mark.parametrize("name, index, value, error, message", [
+        ("r_fwd", (0, 0), 2, ContractViolation, "r_fwd must contain bits"),
+        ("theta_fwd", (0, 0), 0.0, AssumptionViolationError, r"theta_fwd must lie in \(0, 1\]"),
+        ("theta_bwd", (0, 0), np.nan, AssumptionViolationError, r"theta_bwd must lie in \(0, 1\]"),
+        ("ranking", (0, slice(0, 2)), 0, ContractViolation, "permutation"),
+        ("k", None, 0, ContractViolation, "cutoff must be positive"),
+        ("k", None, [2], ContractViolation, "need one cutoff per instance"),
+    ], ids=["bit-two", "theta-zero", "theta-nan", "repeated-rank", "zero-cutoff", "list-cutoff"])
+    def test_checks_reject_one_bad_field(self, name, index, value, error, message):
+        row = dict(zip(_FIELDS, _draw(np.random.default_rng(5), 4, 6, False)))
+        assert row["ranking"].shape[1] >= 2
+        OracleInstance(**row)
+        if index is None:
+            row[name] = value
+        else:
+            row[name][index] = value
+        with pytest.raises(error, match=message):
+            OracleInstance(**row)
 
     def test_instance_without_users_rejected(self):
         empty = np.zeros((0, 2))
