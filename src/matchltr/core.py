@@ -43,6 +43,12 @@ def sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
+def _index(value) -> int:
+    """``operator.index`` (no truncation of 0.7) that also rejects JSON ``true``/``false``."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
 
 @dataclass(frozen=True)
 class PreferenceMatrix:
@@ -121,9 +127,8 @@ class SideAssignment:
     reactive_ids: tuple[int, ...]
 
     def __post_init__(self):
-        # operator.index rejects 0.7 instead of truncating it
-        object.__setattr__(self, "proactive_ids", tuple(map(operator.index, self.proactive_ids)))
-        object.__setattr__(self, "reactive_ids", tuple(map(operator.index, self.reactive_ids)))
+        object.__setattr__(self, "proactive_ids", tuple(map(_index, self.proactive_ids)))
+        object.__setattr__(self, "reactive_ids", tuple(map(_index, self.reactive_ids)))
         overlap = set(self.proactive_ids) & set(self.reactive_ids)
         if overlap:
             raise ContractViolation(f"sides must be disjoint, shared ids: {sorted(overlap)[:5]}")
@@ -152,7 +157,7 @@ class SideAssignment:
 class FoldPlan:
     """Cross-validation folds over both sides, plus the active test fold.
 
-    Each side is partitioned into ``k`` disjoint blocks of side-local indices.
+    Each side is partitioned into ``k`` disjoint sorted blocks of side-local indices.
     The test block is the cartesian product of the two ``test_fold`` blocks;
     the validation block is the product of the two ``(test_fold + 1) % k``
     blocks; every remaining pair is training data.
@@ -164,11 +169,11 @@ class FoldPlan:
     test_fold: int = 0
 
     def __post_init__(self):
-        # operator.index rejects 5.0 or 0.7 instead of truncating it
         for name in ("k", "test_fold"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name)))
+        # a block is a set; sorted, the order it was listed in changes no output
         for name in ("proactive_folds", "reactive_folds"):
-            folds = tuple(tuple(map(operator.index, f)) for f in getattr(self, name))
+            folds = tuple(tuple(sorted(map(_index, f))) for f in getattr(self, name))
             object.__setattr__(self, name, folds)
         if self.k < 2:
             raise ContractViolation(f"fold count must be >= 2, got {self.k}")
@@ -203,11 +208,14 @@ class FoldPlan:
             test_fold=test_fold,
         )
 
+    def block(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
+        """The proactive and the reactive indices of block ``fold``, as ``intp`` arrays."""
+        return (np.asarray(self.proactive_folds[fold], dtype=np.intp),
+                np.asarray(self.reactive_folds[fold], dtype=np.intp))
+
     def _block_mask(self, fold: int) -> np.ndarray:
         mask = np.zeros((self.n_proactive, self.n_reactive), dtype=bool)
-        rows = np.asarray(self.proactive_folds[fold], dtype=np.intp)
-        cols = np.asarray(self.reactive_folds[fold], dtype=np.intp)
-        mask[np.ix_(rows, cols)] = True
+        mask[np.ix_(*self.block(fold))] = True
         return mask
 
     def test_mask(self) -> np.ndarray:

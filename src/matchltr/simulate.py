@@ -74,15 +74,11 @@ def make_folds(assignment: SideAssignment, k: int, seed: int, test_fold: int = 0
                 f"{name} side has {size} users, cannot form {k} folds"
             )
     rng = np.random.default_rng(seed)
-
-    def split(n: int) -> tuple[tuple[int, ...], ...]:
-        perm = rng.permutation(n)
-        return tuple(tuple(sorted(int(i) for i in block)) for block in np.array_split(perm, k))
-
+    # FoldPlan stores each block sorted
     return FoldPlan(
         k=k,
-        proactive_folds=split(assignment.n_proactive),
-        reactive_folds=split(assignment.n_reactive),
+        proactive_folds=np.array_split(rng.permutation(assignment.n_proactive), k),
+        reactive_folds=np.array_split(rng.permutation(assignment.n_reactive), k),
         test_fold=test_fold,
     )
 
@@ -145,18 +141,13 @@ def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     _check_eta(eta)
     colsums = m.forward.sum(axis=0)
     rowsums = m.backward.sum(axis=1)
-    zero_cols = np.nonzero(colsums <= 0.0)[0]
-    if zero_cols.size:
-        raise AssumptionViolationError(
-            f"reactive user {int(zero_cols[0])} has zero incoming preference mass; "
-            "exposure probability would be 0"
-        )
-    zero_rows = np.nonzero(rowsums <= 0.0)[0]
-    if zero_rows.size:
-        raise AssumptionViolationError(
-            f"proactive user {int(zero_rows[0])} has zero incoming preference mass; "
-            "exposure probability would be 0"
-        )
+    for side, sums in (("reactive", colsums), ("proactive", rowsums)):
+        zero = np.flatnonzero(sums <= 0.0)
+        if zero.size:
+            raise AssumptionViolationError(
+                f"{side} user {int(zero[0])} has zero incoming preference mass; "
+                "exposure probability would be 0"
+            )
     return ExposureModel(
         eta=float(eta),
         theta_reactive_exposure=(colsums / colsums.max()) ** eta,

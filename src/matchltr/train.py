@@ -24,7 +24,7 @@ from .core import (
     SideAssignment,
     UndefinedAverageError,
 )
-from .metrics import (  # bench/tracing.py wraps estimate_metric here
+from .metrics import (  # bench/tracing.py wraps dcg_at_k and estimate_metric here
     EstimatorKind,
     LambdaWeight,
     _coefficients,
@@ -34,6 +34,7 @@ from .metrics import (  # bench/tracing.py wraps estimate_metric here
     dcg_at_k,
     dcg_from_gains,
     estimate_metric,
+    gain_true,
     rank_candidates,
 )
 from .ranker import (
@@ -160,8 +161,7 @@ def _validation_context(dataset: FeedbackDataset, kind: EstimatorKind):
     over the block (from the dataset's checked tables) and the ``(n_users, 1)``
     row index that picks each user's ranked gains."""
     plan = dataset.fold_plan
-    val_users = np.asarray(plan.proactive_folds[plan.validation_fold], dtype=np.intp)
-    val_cands = np.asarray(plan.reactive_folds[plan.validation_fold], dtype=np.intp)
+    val_users, val_cands = plan.block(plan.validation_fold)
     if val_users.size == 0:
         raise UndefinedAverageError("the validation block has no users to average over")
     block = np.ix_(val_users, val_cands)
@@ -264,13 +264,6 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
 # test evaluation
 # ---------------------------------------------------------------------------
 
-def expected_dcg_gain(m_fwd: np.ndarray, m_bwd: np.ndarray) -> np.ndarray:
-    """Exact expectation of ``2**(R_fwd*(1+R_bwd))`` under Bernoulli relevance."""
-    m_fwd = np.asarray(m_fwd, dtype=np.float64)
-    m_bwd = np.asarray(m_bwd, dtype=np.float64)
-    return (1.0 - m_fwd) + 2.0 * m_fwd * (1.0 - m_bwd) + 4.0 * m_fwd * m_bwd
-
-
 def test_dcg_records(
     model: RankerModel,
     m: PreferenceMatrix,
@@ -283,9 +276,9 @@ def test_dcg_records(
 ) -> list[EvalRecord]:
     """Score the test block with mutual scores and report DCG@K rows.
 
-    ``label_mode="sampled"`` draws test relevance bits from the preference
-    matrix (seeded per fold, so every method sees the same labels);
-    ``"expected"`` uses the exact expected gain instead of sampled bits.
+    ``label_mode="sampled"`` draws relevance bits from the preference matrix
+    (seeded per fold, so every method sees the same labels); ``"expected"``
+    uses the exact expectation of the ``+1``-floor gain ``2**(r_fwd*(1+r_bwd))``.
     The model, the preference matrix and the fold plan must have equal sizes.
     """
     sizes = {
@@ -296,8 +289,7 @@ def test_dcg_records(
     if len(set(sizes.values())) > 1:
         detail = ", ".join(f"{name} {p}x{r}" for name, (p, r) in sizes.items())
         raise ContractViolation(f"proactive x reactive sizes disagree: {detail}")
-    test_users = np.asarray(plan.proactive_folds[plan.test_fold], dtype=np.intp)
-    test_cands = np.asarray(plan.reactive_folds[plan.test_fold], dtype=np.intp)
+    test_users, test_cands = plan.block(plan.test_fold)
     scores = score_matrix(model, test_users, test_cands)
     block = np.ix_(test_users, test_cands)
 
@@ -305,27 +297,27 @@ def test_dcg_records(
         rng = np.random.default_rng(labels_seed)
         r_fwd = (rng.random(m.forward.shape) < m.forward)[block]
         r_bwd = (rng.random(m.backward.shape) < m.backward)[block]
+        gains = 1.0 + gain_true(r_fwd, r_bwd)
     elif label_mode == "expected":
-        gains = expected_dcg_gain(m.forward[block], m.backward[block])
+        f, b = m.forward[block], m.backward[block]
+        gains = (1.0 - f) + 2.0 * f * (1.0 - b) + 4.0 * f * b
     else:
         raise ContractViolation(f"unknown label mode {label_mode!r}")
 
     records = []
     for k in k_values:
-        if label_mode == "sampled":
-            per_user = dcg_at_k(scores, r_fwd, r_bwd, k)
-        else:
-            per_user = dcg_from_gains(scores, gains, k)
-        n = per_user.shape[0]
+        per_user = dcg_from_gains(scores, gains, k)
+        mean = _user_mean(per_user)
+        n = mean.n_users
         stderr = float(per_user.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
         records.append(EvalRecord(
             fold=plan.test_fold,
             eta=float(eta),
             method=method,
             k=int(k),
-            dcg_mean=float(per_user.mean()),
+            dcg_mean=mean.value,
             dcg_stderr=stderr,
-            n_users=int(n),
+            n_users=n,
         ))
     return records
 

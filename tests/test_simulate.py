@@ -564,8 +564,10 @@ class TestJsonFormats:
         save_side_assignment(a, tmp_path / "sides.json")
         assert load_side_assignment(tmp_path / "sides.json") == a
 
+    # JSON true is no integer: read as 1, "test_fold": true would load as fold 1
     @pytest.mark.parametrize("field, value", [
         ("k", 4.0), ("test_fold", 2.0), ("proactive_folds", 0.7), ("reactive_folds", 0.7),
+        ("k", True), ("test_fold", True), ("reactive_folds", True),
     ])
     def test_fold_plan_non_integer_rejected(self, tmp_path, field, value):
         path = tmp_path / "folds.json"
@@ -583,11 +585,12 @@ class TestJsonFormats:
     def test_side_assignment_non_integer_id_rejected(self, tmp_path, field):
         path = tmp_path / "sides.json"
         save_side_assignment(assign_sides(13, seed=3), path)
-        payload = json.loads(path.read_text())
-        payload[field][0] = 0.7
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="side-assignment JSON: .*integer"):
-            load_side_assignment(path)
+        for value in (0.7, True):
+            payload = json.loads(path.read_text())
+            payload[field][0] = value
+            (tmp_path / "bad.json").write_text(json.dumps(payload))
+            with pytest.raises(DataFormatError, match="side-assignment JSON: .*integer"):
+                load_side_assignment(tmp_path / "bad.json")
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "x.json"

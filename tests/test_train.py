@@ -1,6 +1,7 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
 import itertools
+import json
 import warnings
 from dataclasses import replace
 
@@ -27,10 +28,12 @@ from matchltr import (
     estimate_metric,
     exposure_from_popularity,
     init_model,
+    load_fold_plan,
     load_training_log,
     make_folds,
     run_experiment,
     sample_dataset,
+    save_fold_plan,
     save_training_log,
     synth_preferences,
     train_model,
@@ -541,6 +544,28 @@ class TestRunExperiment:
         sampled, expected = (dcg_records(model, m, plan, 1.0, "ipw2", (1, 3, 10), 7, mode)
                              for mode in ("sampled", "expected"))
         assert sampled == expected
+
+    def test_listed_block_order_changes_no_output(self, tmp_path):
+        # a block is a set: a folds.json that lists each block reversed loads
+        # as the sorted plan and gives the same training and test bits
+        m = synth_preferences(40, 40, rank=3, noise=0.05, seed=2)
+        plan = make_folds(SideAssignment.trivial(40, 40), 4, seed=1, test_fold=2)
+        path = tmp_path / "folds.json"
+        save_fold_plan(plan, path)
+        payload = json.loads(path.read_text())
+        for name in ("proactive_folds", "reactive_folds"):
+            payload[name] = [block[::-1] for block in payload[name]]
+        path.write_text(json.dumps(payload))
+        shuffled = load_fold_plan(path)
+        assert shuffled == plan
+        exposure = exposure_from_popularity(m, 1.0)
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=4, epochs=10, learning_rate=0.2, batch=8)
+        outputs = []
+        for p in (plan, shuffled):
+            model, log = train_model(sample_dataset(m, exposure, p, seed=3), cfg)
+            outputs.append((log.records, [dcg_records(model, m, p, 1.0, "ipw2", (3, 10), 7, mode)
+                                          for mode in ("sampled", "expected")]))
+        assert outputs[0] == outputs[1]
 
     def test_unit_exposure_methods_statistically_indistinguishable(self):
         m = self._matrix(n=14, seed=3)
