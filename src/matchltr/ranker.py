@@ -169,28 +169,31 @@ def accumulate_gradient(
     mask_rows: np.ndarray,
     coef: np.ndarray,
     coef_sum: np.ndarray | None = None,
+    spaces: slice = slice(None),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Listwise loss of a minibatch and its gradient in both embedding spaces.
+    """Listwise loss of a minibatch and its gradient in the embedding spaces ``spaces``.
 
-    User ``users[i]`` ranks the reactive candidates where the boolean row
-    ``mask_rows[i]`` is set, with cross-entropy weights ``coef[space, i]``
-    (``coef`` is ``(2, batch, n_reactive)``, zero off the mask).
-    ``coef_sum``, the ``(2, batch)`` row sums of ``coef``, may be passed in
-    when they were computed once per run.  Returns the ``(batch, 2)`` forward
-    and backward loss terms in batch order, ``grad_pro`` ``(2, batch, dim)``,
-    whose row ``[space, i]`` is the gradient of proactive row ``users[i]``,
-    and ``grad_rea`` ``(2, n_reactive, dim)``, the gradient of the whole
-    reactive stack.  Both gradients are fresh arrays, which the caller may
-    scale in place.  A user that repeats gets one row per occurrence, which
-    the caller must add up.
+    ``spaces`` slices the space axis of the model's stacks; all spaces by
+    default.  With ``S`` spaces, user ``users[i]`` ranks the reactive
+    candidates where the boolean row ``mask_rows[i]`` is set, with
+    cross-entropy weights ``coef[space, i]`` (``coef`` is ``(S, batch,
+    n_reactive)``, zero off the mask).  ``coef_sum``, the ``(S, batch)`` row
+    sums of ``coef``, may be passed in when they were computed once per run.
+    Returns the ``(batch, S)`` loss terms in batch order, ``grad_pro`` ``(S,
+    batch, dim)``, whose row ``[space, i]`` is the gradient of proactive row
+    ``users[i]``, and ``grad_rea`` ``(S, n_reactive, dim)``, the gradient of
+    the whole reactive stack.  Both gradients are fresh arrays, which the
+    caller may scale in place.  A user that repeats gets one row per
+    occurrence, which the caller must add up.
 
     In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
     and L = -sum(coef * log p), the derivative is dL/dz_v = (sum(coef) * p_v
     - coef_v) * (1 - s_v).  The probability floor inside the log is ignored
     by the gradient; it only binds at p <= 1e-12, far outside normal
-    operation.  Both spaces go through one pass of three batched GEMMs over
+    operation.  The spaces go through one pass of three batched GEMMs over
     all ``n_reactive`` columns; each runs the same GEMM per space that a
-    single space would.  The masked-out columns have p = 0 and coef = 0, so
+    single space would, so one space's results are bit for bit those of the
+    stacked call.  The masked-out columns have p = 0 and coef = 0, so
     they add exact zeros to the loss and the gradient.
     The GEMMs sum in another order than a loop over users, so results match
     per-user calls up to rounding (about 1e-15 relative), not bit for bit.
@@ -198,10 +201,11 @@ def accumulate_gradient(
     users = np.asarray(users, dtype=np.intp)
     if coef_sum is None:
         coef_sum = coef.sum(axis=2)
-    w_users = model.pro.take(users, axis=1)
+    pro, rea = model.pro[spaces], model.rea[spaces]
+    w_users = pro.take(users, axis=1)
     # NaNs from exploded embeddings propagate to the caller's divergence check
     with np.errstate(invalid="ignore", divide="ignore"):
-        s = w_users @ model.rea.transpose(0, 2, 1)
+        s = w_users @ rea.transpose(0, 2, 1)
         sigmoid(s, out=s)
         p = s * mask_rows
         p /= p.sum(axis=2, keepdims=True)
@@ -214,7 +218,7 @@ def accumulate_gradient(
         p -= coef
         np.subtract(1.0, s, out=s)
         p *= s
-    return terms.T, p @ model.rea, p.transpose(0, 2, 1) @ w_users
+    return terms.T, p @ rea, p.transpose(0, 2, 1) @ w_users
 
 
 def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):

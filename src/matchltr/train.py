@@ -10,16 +10,24 @@ model on the held-out test block with true-relevance DCG.
 
 from __future__ import annotations
 
+import math
+import mmap
 import operator
+import os
+import select
+import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .core import (
     ContractViolation,
     DivergenceError,
     FoldPlan,
+    MatchLtrError,
     PreferenceMatrix,
     SideAssignment,
     UndefinedAverageError,
@@ -45,7 +53,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .util import EvalRecord, derive_seed, load_rows, save_rows
+from .util import EvalRecord, Worker, derive_seed, load_rows, save_rows, usable_cores
 
 
 @dataclass(frozen=True)
@@ -188,6 +196,15 @@ def validation_metric(
     return _user_mean(_discounted(gain[rows, ranking[:, :k]])).value
 
 
+# A run splits over two processes when n_proactive * n_reactive * dim * epochs
+# reaches this.  A split costs 7-15 ms at 200x200 to 500x500 (the fork, and
+# page faults on memory that both processes then write), so a smaller run
+# gains less than that (BENCH_split_spaces.json).
+_SPLIT_WORK = 1 << 26
+_SPIN_S = 0.05  # how long a barrier polls before it blocks
+_FORWARD, _BACKWARD, _BOTH = slice(0, 1), slice(1, 2), slice(0, 2)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence is a DivergenceError, not a warning
 def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel, TrainingLog]:
     """SGD-train a ranker and return the checkpoint with the best validation value.
@@ -200,6 +217,14 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     Each minibatch subtracts ``learning_rate * grad / batch``, scaled in the
     kernel's own gradient buffers, from the batch's proactive rows and every
     reactive row.  The best epoch is copied into stacks allocated once per run.
+
+    The two embedding spaces step independently, so a big enough run
+    (``n_proactive * n_reactive * dim * epochs`` at least ``_SPLIT_WORK``),
+    with at least two :func:`~matchltr.util.usable_cores` and the BLAS thread
+    variables at ``1``, is split: a forked worker steps the backward space,
+    drawing the same minibatch order, and after each epoch hands this process
+    its loss terms and tables.  The result is bit for bit that of one process.
+    A worker that dies raises :class:`MatchLtrError`.
     """
     plan = dataset.fold_plan
     n_pro = plan.n_proactive
@@ -218,46 +243,137 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     val_ctx = _validation_context(dataset, metric_kind)
     rng = np.random.default_rng(seeds["epochs"])
     pro, rea = model.pro, model.rea
+    terms = np.empty((2, n_pro))  # each user's loss terms per space, in epoch order
 
-    best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
-    best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
-    for epoch in range(1, cfg.epochs + 1):
+    def sgd_epoch(spaces: slice, out: np.ndarray) -> None:
+        """One epoch on the embedding spaces ``spaces``; their loss terms go to ``out``."""
+        space_pro, space_rea = pro[spaces], rea[spaces]
+        space_coef, space_sum = coef[spaces], coef_sum[spaces]
         order = rng.permutation(n_pro)
-        loss_sum = 0.0
         for start in range(0, n_pro, cfg.batch):
             # a slice of a permutation: no user repeats, so the batch's
             # proactive gradient rows can be subtracted by fancy indexing
             batch = order[start:start + cfg.batch]
-            terms, grad_pro, grad_rea = accumulate_gradient(
-                model, batch, mask[batch], coef.take(batch, axis=1), coef_sum[:, batch]
+            batch_terms, grad_pro, grad_rea = accumulate_gradient(
+                model, batch, mask[batch], space_coef.take(batch, axis=1),
+                space_sum[:, batch], spaces,
             )
-            # one addition per user in batch order, not a (pairwise) array sum
-            for loss in (terms[:, 0] + terms[:, 1]).tolist():
-                loss_sum += loss
+            out[:, start:start + batch.size] = batch_terms.T
             # lr * (g * (1/B)) in the kernel's own buffers, as multiplication
             # commutes; take + setitem is twice as fast as pro[:, batch] -=
             for grad in (grad_pro, grad_rea):
                 grad *= 1.0 / batch.size
                 grad *= cfg.learning_rate
-            rows = pro.take(batch, axis=1)
+            rows = space_pro.take(batch, axis=1)
             rows -= grad_pro
-            pro[:, batch] = rows
-            rea -= grad_rea
-        train_loss = loss_sum / n_pro
-        # the last minibatches can overflow the tables while the loss is still finite
-        if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
-            raise DivergenceError(
-                f"non-finite training loss or embeddings at epoch {epoch} "
-                f"(learning rate {cfg.learning_rate})"
-            )
-        value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
-        log.records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=value))
-        if value > best_value:
-            best_value = value
-            np.copyto(best_pro, pro)
-            np.copyto(best_rea, rea)
+            space_pro[:, batch] = rows
+            space_rea -= grad_rea
+
+    # a BLAS thread pool is threads outside Python, which usable_cores cannot
+    # see, and would compete with the worker for the same cores
+    split = (n_pro * plan.n_reactive * cfg.dim * cfg.epochs >= _SPLIT_WORK
+             and all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+             and usable_cores() >= 2)
+    best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
+    best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
+    with ExitStack() as stack:
+        if split:
+            own, receive = _FORWARD, _fork_backward(stack, sgd_epoch, pro, rea, cfg.epochs)
+        else:
+            own, receive = _BOTH, None
+        for epoch in range(1, cfg.epochs + 1):
+            sgd_epoch(own, terms[own])
+            if receive is not None:
+                receive(epoch, terms[1], pro[1], rea[1])
+            # one addition per user in epoch order, not a (pairwise) array sum
+            loss_sum = 0.0
+            for loss in (terms[0] + terms[1]).tolist():
+                loss_sum += loss
+            train_loss = loss_sum / n_pro
+            # the last minibatches can overflow the tables while the loss is still finite
+            if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
+                raise DivergenceError(
+                    f"non-finite training loss or embeddings at epoch {epoch} "
+                    f"(learning rate {cfg.learning_rate})"
+                )
+            value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
+            log.records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=value))
+            if value > best_value:
+                best_value = value
+                np.copyto(best_pro, pro)
+                np.copyto(best_rea, rea)
 
     return RankerModel(best_pro[0], best_rea[0], best_pro[1], best_rea[1]), log
+
+
+def _fork_backward(stack: ExitStack, sgd_epoch, pro, rea, epochs: int):
+    """Step the backward space in a forked :class:`Worker` for ``epochs`` epochs.
+
+    After each epoch the worker puts the space's loss terms and tables into
+    one of two slots of an anonymous shared mapping, by epoch parity, and both
+    processes meet at a barrier.  Returns ``receive(epoch, terms, pro, rea)``,
+    which waits for that epoch and copies it into the given arrays; a slot is
+    written again only two barriers later, after this process has read it.
+    The worker is killed and reaped and its pipes are closed when ``stack``
+    closes; the mapping goes with the last reference to ``receive``.
+    """
+    shapes = [(2, pro.shape[1]), (2, *pro.shape[1:]), (2, *rea.shape[1:])]
+    sizes = [math.prod(shape) for shape in shapes]
+    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
+    slots = [a.reshape(shape)
+             for a, shape in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+    # (read, write) ends: worker to this process, this process to the worker
+    up_r, up_w, down_r, down_w = (stack.enter_context(open(fd, mode, buffering=0))
+                                  for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2))
+    for end in (up_r, down_r):
+        os.set_blocking(end.fileno(), False)
+
+    def backward():
+        up_r.close()  # so that each side sees end-of-file when the other exits
+        down_w.close()
+        for epoch in range(1, epochs + 1):
+            slot_terms, slot_pro, slot_rea = (a[epoch % 2] for a in slots)
+            sgd_epoch(_BACKWARD, slot_terms[None])
+            np.copyto(slot_pro, pro[1])
+            np.copyto(slot_rea, rea[1])
+            if not _barrier(up_w, down_r):
+                return
+
+    try:
+        worker = stack.enter_context(Worker(backward))
+    finally:
+        down_r.close()
+        up_w.close()
+
+    def receive(epoch: int, *into) -> None:
+        if not _barrier(down_w, up_r):
+            raise MatchLtrError(
+                f"training: the backward-space worker exited with status {worker.wait()}")
+        for target, slot in zip(into, slots):
+            np.copyto(target, slot[epoch % 2])
+
+    return receive
+
+
+def _barrier(send, recv) -> bool:
+    """Send the peer process one byte and wait for its byte; False once it has exited.
+
+    ``recv`` is non-blocking.  The wait polls, yielding the core, for up to
+    ``_SPIN_S`` before it blocks in ``select``.  A wait that blocks at once
+    lets the waiting vCPU halt, and waking it every epoch made a split
+    200x200 run slower than one process (BENCH_split_spaces.json).
+    """
+    try:
+        send.write(b"\0")
+    except BrokenPipeError:
+        return False
+    deadline = time.perf_counter() + _SPIN_S
+    while (byte := recv.read(1)) is None:
+        if time.perf_counter() < deadline:
+            os.sched_yield()
+        else:
+            select.select([recv], [], [])
+    return byte == b"\0"  # b"" at end of file
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shared helpers that need no numpy: the error classes, seed derivation, atomic and
-forked block writes, text and JSON I/O, the JSON and CSV record codecs, evaluation
-reports, file digests, float formatting.  ``report`` and ``--help`` run on this alone."""
+"""Shared helpers that need no numpy: the error classes, seed derivation, forked
+workers, atomic and forked block writes, text and JSON I/O, the JSON and CSV record
+codecs, evaluation reports, file digests, float formatting.  ``report`` and
+``--help`` run on this alone."""
 
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ import sys
 import tempfile
 import threading
 import traceback
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 from . import _lazy
 
@@ -103,75 +105,113 @@ def atomic_open(path: str | os.PathLike, mode: str = "w"):
         raise
 
 
+_in_worker = False  # set in a forked worker, so that splits never nest
+
+
+def usable_cores() -> int:
+    """How many cores this process may split work over by forking.
+
+    The cores ``sched_getaffinity`` lists, or 1 where that call is missing
+    (Windows, macOS), inside a forked :class:`Worker`, or while another Python
+    thread runs: a forked copy of a threaded process may deadlock on a lock
+    that another thread held.  Threads outside Python are not seen, so fork
+    with BLAS on one thread, as importing :mod:`matchltr` before numpy arranges.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or _in_worker or threading.active_count() != 1:
+        return 1
+    return len(affinity(0))
+
+
+class Worker:
+    """``run()`` in a forked child process, as a context manager.
+
+    Pending stdio output is flushed first, so that the child inherits none.
+    The child leaves through ``os._exit``, so none of the parent's exit code
+    runs twice: with status 0 when ``run`` returns, or 1 after printing the
+    traceback of what it raised.  :meth:`wait` reaps the child and returns its
+    exit status; on leaving the ``with`` block a child not yet reaped is killed
+    and reaped.
+    """
+
+    def __init__(self, run):
+        for stream in (sys.stdout, sys.stderr):  # None when the fd was closed at start-up
+            if stream is not None:
+                stream.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _run_worker(run)
+
+    def wait(self) -> int:
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        return status
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.wait()
+
+
+def _run_worker(run) -> None:
+    global _in_worker
+    _in_worker = True
+    status = 1
+    try:
+        run()
+        status = 0
+    except Exception:
+        traceback.print_exc()
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def write_blocks(path: str | os.PathLike, write_range, n_blocks: int) -> None:
     """Write blocks ``0 .. n_blocks - 1`` of a text file, atomically.
 
     ``write_range(fh, lo, hi)`` writes blocks ``lo`` to ``hi - 1`` to the text
     file ``fh``.  The blocks are cut into one contiguous range per usable core
-    (at most one per block).  This process writes the first range; each other
-    range is written by a forked worker into a ``.part-`` file beside ``path``
-    and appended in order, so the bytes are those of one serial call.  A
-    worker that fails raises :class:`MatchLtrError` naming ``path``; on any
-    error every worker is killed and reaped and no part or target file is left.
-
-    A forked copy of a threaded process may deadlock on a lock that another
-    thread held, so while another Python thread runs there is one range and
-    no fork.  Threads outside Python are not seen: call this with BLAS on one
-    thread, as importing :mod:`matchltr` before numpy arranges.
+    (:func:`usable_cores`, at most one per block).  This process writes the
+    first range; each other range is written by a forked :class:`Worker` into
+    a ``.part-`` file beside ``path`` and appended in order, so the bytes are
+    those of one serial call.  A worker that fails raises
+    :class:`MatchLtrError` naming ``path``; on any error every worker is
+    killed and reaped and no part or target file is left.
     """
-    affinity = getattr(os, "sched_getaffinity", None)  # absent on Windows and macOS
-    cores = len(affinity(0)) if affinity and threading.active_count() == 1 else 1
-    workers = max(1, min(cores, n_blocks))
+    workers = max(1, min(usable_cores(), n_blocks))
     cuts = [n_blocks * i // workers for i in range(workers + 1)]
-    with atomic_open(path, "w") as fh:
-        for stream in (sys.stdout, sys.stderr):  # a worker inherits no pending output
-            stream.flush()
+    with atomic_open(path, "w") as fh, ExitStack() as stack:
         directory = os.path.dirname(os.fspath(path)) or "."
-        pids, parts = [], []
-        try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                fd, part = tempfile.mkstemp(dir=directory, prefix=".part-", suffix="~")
-                parts.append(part)
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _write_part(fd, fh.encoding, write_range, lo, hi)
-                finally:
-                    os.close(fd)
-                pids.append(pid)
-            write_range(fh, cuts[0], cuts[1])
-            fh.flush()
-            for part in parts:
-                status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-                del pids[0]
-                if status != 0:
-                    raise MatchLtrError(
-                        f"writing {os.fspath(path)}: a worker exited with status {status}")
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            for part in parts:
-                os.unlink(part)
+        parts = []
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-", suffix="~")
+            stack.callback(os.unlink, part)
+            try:
+                worker = stack.enter_context(
+                    Worker(partial(_write_part, fd, fh.encoding, write_range, lo, hi)))
+            finally:
+                os.close(fd)
+            parts.append((worker, part))
+        write_range(fh, cuts[0], cuts[1])
+        fh.flush()
+        for worker, part in parts:
+            status = worker.wait()
+            if status != 0:
+                raise MatchLtrError(
+                    f"writing {os.fspath(path)}: a worker exited with status {status}")
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
 
 
 def _write_part(fd: int, encoding: str, write_range, lo: int, hi: int) -> None:
-    """A forked worker of :func:`write_blocks`: write blocks ``lo .. hi - 1`` to ``fd``.
-
-    It leaves through ``os._exit``, so none of the parent's exit code runs twice.
-    """
-    status = 1
-    try:
-        with open(fd, "w", encoding=encoding, newline="") as out:
-            write_range(out, lo, hi)
-        status = 0
-    except Exception:
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(status)
+    """A forked worker of :func:`write_blocks`: write blocks ``lo .. hi - 1`` to ``fd``."""
+    with open(fd, "w", encoding=encoding, newline="") as out:
+        write_range(out, lo, hi)
 
 
 @contextmanager

@@ -51,7 +51,7 @@ from matchltr import (
 from matchltr import simulate
 from matchltr.cli import main as cli_main
 from matchltr.simulate import _fold_index
-from matchltr.util import format_float, write_blocks
+from matchltr.util import Worker, format_float, usable_cores, write_blocks
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
            "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
@@ -1008,18 +1008,49 @@ class TestForkedWriters:
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"default-{name}.csv").read_bytes())
 
-    def test_gen_data_prints_each_line_once(self, tmp_path):
-        """A worker that left any way but ``os._exit`` would run the rest of
-        the command, or flush the parent's pending output, a second time."""
+    def test_a_worker_forks_no_workers(self, monkeypatch):
+        """Splits never nest: inside a worker there is one usable core."""
+        self._cores(monkeypatch, 3)
+        assert usable_cores() == 3
+
+        def nested():
+            if usable_cores() != 1:
+                raise AssertionError("a worker may fork")
+
+        with Worker(nested) as worker:
+            assert worker.wait() == 0
+
+    @staticmethod
+    def _gen_data(cwd, **kwargs):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(__file__).resolve().parents[1] / "src")]
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-        result = subprocess.run(
+        cwd.mkdir()
+        return subprocess.run(
             [sys.executable, "-m", "matchltr.cli", "gen-data", "--synth", "300,300,4,0.05",
-             "--out", str(tmp_path / "data")],
-            env=env, stdout=subprocess.PIPE, text=True, timeout=120, check=True,
+             "--out", "data"],
+            cwd=cwd, env=env, text=True, timeout=120, **kwargs,
         )
+
+    def test_gen_data_with_stdout_closed(self, tmp_path):
+        """With fd 1 closed at start-up ``sys.stdout`` is None, which the
+        writers must not flush before they fork."""
+        closed = self._gen_data(tmp_path / "closed", preexec_fn=lambda: os.close(1),
+                                stderr=subprocess.PIPE)
+        assert closed.returncode == 0, closed.stderr
+        assert closed.stderr == ""
+        self._gen_data(tmp_path / "open", stdout=subprocess.DEVNULL, check=True)
+        files = sorted(p.name for p in (tmp_path / "open" / "data").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "closed" / "data").iterdir())
+        for name in files:
+            assert ((tmp_path / "closed" / "data" / name).read_bytes()
+                    == (tmp_path / "open" / "data" / name).read_bytes()), name
+
+    def test_gen_data_prints_each_line_once(self, tmp_path):
+        """A worker that left any way but ``os._exit`` would run the rest of
+        the command, or flush the parent's pending output, a second time."""
+        result = self._gen_data(tmp_path / "run", stdout=subprocess.PIPE, check=True)
         lines = result.stdout.splitlines()
         assert lines.count("[gen-data] resolved config:") == 1
         assert len(lines) == len(set(lines))

@@ -1,7 +1,11 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
+import gc
 import itertools
 import json
+import os
+import signal
+import threading
 import warnings
 from dataclasses import replace
 
@@ -18,6 +22,7 @@ from matchltr import (
     FoldPlan,
     LambdaWeight,
     LossKind,
+    MatchLtrError,
     PreferenceMatrix,
     RankedList,
     SideAssignment,
@@ -39,6 +44,7 @@ from matchltr import (
     train_model,
     validation_metric,
 )
+from matchltr import train
 from matchltr.metrics import feedback_coefficients, rank_candidates
 from matchltr.ranker import PROB_FLOOR, SPACES, GradientTables, accumulate_gradient, score_matrix
 from matchltr.train import (
@@ -429,6 +435,191 @@ def test_stacked_step_matches_per_space_step(kind, batch):
     for name in TABLES:
         assert np.array_equal(getattr(model, name), getattr(ref_model, name))
     assert log.records == ref_log.records
+
+
+@pytest.mark.parametrize("n, batch", [(200, 16), (500, 32), (60, 16), (37, 5)])
+def test_one_space_kernel_is_the_stacked_kernel(n, batch):
+    # a split run steps each space alone; its bits must be the stacked call's
+    rng = np.random.default_rng(n)
+    model = init_model(n, n, 64, seed=n)
+    users = rng.permutation(n)[:batch]
+    mask = rng.random((batch, n)) < 0.7
+    coef = rng.random((2, batch, n)) * mask
+    terms, grad_pro, grad_rea = accumulate_gradient(model, users, mask, coef)
+    for space in (slice(0, 1), slice(1, 2)):
+        one = accumulate_gradient(model, users, mask, coef[space], spaces=space)
+        for stacked, alone in zip((terms.T, grad_pro, grad_rea), (one[0].T, *one[1:])):
+            assert np.array_equal(stacked[space], alone)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="counts fds and mappings in /proc")
+class TestSplitSpaces:
+    """A run big enough trains the backward space in a forked worker, to the
+    bytes of one process.  The core count and the work threshold are patched."""
+
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        """A barrier that never returns fails the test instead of hanging it."""
+        def expire(signum, frame):
+            raise TimeoutError("training did not finish in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def _split(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(train, "_SPLIT_WORK", 0)
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @staticmethod
+    def _resources():
+        """Open fds and shared mappings of this process, after a garbage collection."""
+        gc.collect()
+        with open("/proc/self/maps") as maps:
+            shared = sum(" rw-s " in line for line in maps)
+        return sorted(os.listdir("/proc/self/fd")), shared
+
+    def _assert_released(self, before):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self._resources() == before
+
+    @staticmethod
+    def _world():
+        # 23 users in batches of 5 leave a ragged batch of 3; the validation
+        # fold (1) holds one proactive user
+        m = synth_preferences(23, 19, rank=3, noise=0.05, seed=4)
+        plan = FoldPlan(3, (tuple(range(11)), (11,), tuple(range(12, 23))),
+                        (tuple(range(6)), tuple(range(6, 12)), tuple(range(12, 19))))
+        return sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=5)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_split_equals_serial(self, monkeypatch, kind):
+        dataset = self._world()
+        cfg = TrainConfig(loss_kind=kind, dim=6, epochs=7, learning_rate=0.4, batch=5,
+                          seed=8, k_valid=4)
+        serial_model, serial_log = train_model(dataset, cfg)
+        before = self._resources()
+        self._split(monkeypatch, 2)
+        forks = self._count_forks(monkeypatch)
+        model, log = train_model(dataset, cfg)
+        assert len(forks) == 1
+        assert log.records == serial_log.records
+        for name in TABLES:
+            assert np.array_equal(getattr(model, name), getattr(serial_model, name))
+        self._assert_released(before)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_two_processes_on_one_core(self, monkeypatch):
+        """Many barriers while the worker and this process preempt each other on
+        one core: a slot read before it was written, or overwritten before it
+        was read, would change the records."""
+        dataset = _world()[3]
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=4, epochs=300, learning_rate=0.05,
+                          batch=5, seed=4)
+        serial_model, serial_log = train_model(dataset, cfg)
+        cores = os.sched_getaffinity(0)
+        self._split(monkeypatch, 2)
+        os.sched_setaffinity(0, {min(cores)})  # the worker inherits it
+        try:
+            model, log = train_model(dataset, cfg)
+        finally:
+            os.sched_setaffinity(0, cores)
+        assert log.records == serial_log.records
+        assert np.array_equal(model.pro, serial_model.pro)
+        assert np.array_equal(model.rea, serial_model.rea)
+
+    @staticmethod
+    def _diverging(case):
+        """The two divergence cases of ``TestTrainModel`` and the message each gives."""
+        if case == "loss":
+            return _world()[3], TrainConfig(dim=4, epochs=200, learning_rate=1e12, batch=12), "epoch"
+        # the last minibatches overflow the tables while the epoch's loss is finite
+        m = synth_preferences(40, 40, rank=3, noise=0.05, seed=1)
+        plan = make_folds(SideAssignment.trivial(40, 40), 4, seed=0)
+        dataset = sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=1)
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=8, batch=8, epochs=5, learning_rate=1e200)
+        return dataset, cfg, r"epoch 1 \(learning rate 1e\+200\)"
+
+    @pytest.mark.parametrize("case", ["loss", "tables"])
+    def test_divergence_is_the_serial_error(self, monkeypatch, case):
+        dataset, cfg, message = self._diverging(case)
+        with pytest.raises(DivergenceError, match=message) as serial:
+            train_model(dataset, cfg)
+        expected = str(serial.value)
+        del serial
+        before = self._resources()
+        self._split(monkeypatch, 2)
+        forks = self._count_forks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warnings on the way
+            with pytest.raises(DivergenceError) as split:
+                train_model(dataset, cfg)
+        assert len(forks) == 1
+        assert type(split.value) is DivergenceError and str(split.value) == expected
+        del split
+        self._assert_released(before)
+
+    def test_dead_worker_raises(self, monkeypatch):
+        dataset = self._world()
+        parent, calls = os.getpid(), []
+
+        def dies_in_the_worker(*args):
+            calls.append(None)
+            if os.getpid() != parent and len(calls) == 12:  # in the third epoch
+                os._exit(3)
+            return accumulate_gradient(*args)
+
+        before = self._resources()
+        self._split(monkeypatch, 2)
+        monkeypatch.setattr(train, "accumulate_gradient", dies_in_the_worker)
+        with pytest.raises(MatchLtrError, match="backward-space worker exited with status 3") as err:
+            train_model(dataset, TrainConfig(dim=4, epochs=6, batch=5))
+        del err
+        self._assert_released(before)
+
+    @pytest.mark.parametrize("reason", ["thread", "threshold", "blas"])
+    def test_no_fork(self, monkeypatch, reason):
+        dataset = self._world()
+        cfg = TrainConfig(dim=4, epochs=3, batch=5)
+        reference = train_model(dataset, cfg)
+        self._split(monkeypatch, 4)
+
+        def no_fork():
+            raise AssertionError(f"forked ({reason})")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        if reason == "threshold":
+            monkeypatch.setattr(train, "_SPLIT_WORK", 23 * 19 * 4 * 3 + 1)
+        if reason == "blas":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if reason == "thread":
+            thread.start()
+        try:
+            model, log = train_model(dataset, cfg)
+        finally:
+            stop.set()
+            if reason == "thread":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert log.records == reference[1].records
+        assert np.array_equal(model.pro, reference[0].pro)
 
 
 class TestSeparableToy:
