@@ -12,14 +12,20 @@ code it runs.
 
 import importlib
 import os
+import sys
 
 # One BLAS thread unless the environment says otherwise, set before numpy
 # loads: a GEMM split over threads sums in another order, so output bytes
-# would depend on the thread count.  Each run.json records the values in effect.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in _BLAS_THREAD_VARS:
+# would depend on the thread count.  _BLAS_THREADS holds the values BLAS read
+# when numpy loaded, which run.json records and the training split checks.
+_BLAS_THREADS = {var: os.environ.get(var)
+                 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+for _var in _BLAS_THREADS:
     os.environ.setdefault(_var, "1")
+    if "numpy" not in sys.modules:
+        _BLAS_THREADS[_var] = os.environ[_var]
 del _var
+_BLAS_ONE_THREAD = all(value == "1" for value in _BLAS_THREADS.values())
 
 
 def _lazy(module: str, homes: dict) -> tuple:

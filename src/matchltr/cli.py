@@ -8,11 +8,10 @@ Exit status: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from . import _BLAS_THREAD_VARS, _lazy
+from . import _BLAS_THREADS, _lazy
 from .util import (
     DataFormatError,
     EvalRecord,
@@ -59,7 +58,7 @@ def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
 
 def _write_run_json(out_dir: Path, command: str, config: dict, sub_seeds: dict) -> None:
     payload = {"command": command, "config": config, "sub_seeds": sub_seeds,
-               "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}}
+               "blas_threads": _BLAS_THREADS}
     write_json(out_dir / "run.json", payload)
 
 

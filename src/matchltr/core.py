@@ -44,7 +44,8 @@ def sigmoid(x, out=None):
 
 
 def _index(value) -> int:
-    """``operator.index`` (no truncation of 0.7) that also rejects JSON ``true``/``false``."""
+    """The integer rule of every input: ``operator.index`` (2.5 and "2" are
+    rejected, not truncated or parsed) that also rejects JSON ``true``/``false``."""
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
@@ -240,8 +241,8 @@ class RankedList:
     entries: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "owner", int(self.owner))
-        object.__setattr__(self, "entries", tuple(int(j) for j in self.entries))
+        object.__setattr__(self, "owner", _index(self.owner))
+        object.__setattr__(self, "entries", tuple(map(_index, self.entries)))
         if self.owner < 0 or any(j < 0 for j in self.entries):
             raise ContractViolation("ranked-list indices must be non-negative")
         if len(set(self.entries)) != len(self.entries):
@@ -279,8 +280,9 @@ def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tup
     ``layout(header)`` lists the arrays that follow as ``(name, dtype,
     shape)``.  The arrays are fresh, writable and aligned.  A wrong magic
     line, a header that does not parse or that ``layout`` rejects (with
-    ``KeyError``, ``TypeError`` or ``ValueError``), too few bytes for an array
-    or bytes after the last raise :class:`DataFormatError` naming ``what``.
+    ``KeyError``, ``TypeError`` or ``ValueError``), a dimension that is not a
+    non-negative :func:`_index`, too few bytes for an array or bytes after the
+    last raise :class:`DataFormatError` naming ``what``.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -288,7 +290,7 @@ def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tup
             raise DataFormatError(f"{what}: bad magic line {line!r}")
         try:
             header = json.loads(fh.readline().decode("ascii"))
-            specs = [(name, np.dtype(dtype), tuple(map(operator.index, shape)))
+            specs = [(name, np.dtype(dtype), tuple(map(_index, shape)))
                      for name, dtype, shape in layout(header)]
             if any(n < 0 for _, _, shape in specs for n in shape):
                 raise ValueError("negative array dimension")

@@ -12,7 +12,6 @@ enumerating the four exposure outcomes of each pair).
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .core import (
     ContractViolation,
     RankedList,
     UndefinedAverageError,
+    _index,
 )
 from .util import EvalRecord, load_eval_report, save_eval_report  # re-exported
 
@@ -45,8 +45,7 @@ class LambdaWeight:
     k: int
 
     def __post_init__(self):
-        # operator.index rejects 2.5 instead of slicing with it later
-        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "k", _index(self.k))
         if self.k < 1:
             raise ContractViolation(f"cutoff must be a positive integer, got {self.k}")
 

@@ -296,11 +296,10 @@ def save_model(model: RankerModel, path) -> None:
 
 
 def _checkpoint_layout(header: dict) -> list:
-    dim, n_pro, n_rea = (int(header[key]) for key in ("dim", "n_proactive", "n_reactive"))
     if header["tables"] != list(TABLES) or header["dtype"] != "<f8":
         raise ValueError("unsupported table layout")
-    return [(name, "<f8", (n_pro if name.startswith("w_pro") else n_rea, dim))
-            for name in TABLES]
+    sizes = (header["n_proactive"], header["n_reactive"])
+    return [(name, "<f8", (n, header["dim"])) for space in SPACES for name, n in zip(space, sizes)]
 
 
 def load_model(path) -> RankerModel:

@@ -340,7 +340,7 @@ def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> 
     Lines may end in LF, CRLF or CR; blank lines are skipped; cells may be
     quoted and padded with blanks.  Every data line must have as many cells
     as the first (or as ``header``, which must then be line 1).  Errors are
-    :class:`DataFormatError` naming the 1-based line of the file.
+    :class:`DataFormatError` naming the 1-based line where the record starts.
     """
     if header is not None:
         with open_csv(path, what, header):
@@ -349,12 +349,12 @@ def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             return np.loadtxt(path, dtype, comments=None, delimiter=",", quotechar='"',
-                              skiprows=int(header is not None), encoding="utf-8",
+                              skiprows=0 if header is None else 1, encoding="utf-8",
                               ndmin=1 if np.dtype(dtype).names else 2)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{what} {path}: {exc}") from None
     except ValueError as exc:
-        lines, cells = _data_lines(path, int(header is not None))
+        lines, cells = _data_lines(path, what, header)
         width = len(header) if header is not None else cells[0]
         if (cells != width).any():
             bad = np.argmax(cells != width)
@@ -367,25 +367,21 @@ def _read_csv(path, what: str, dtype, header: tuple[str, ...] | None = None) -> 
         raise DataFormatError(f"{what}: line {lines[int(found[2])]}: {found[1]}") from None
 
 
-def _data_lines(path, skip: int) -> tuple[np.ndarray, np.ndarray]:
-    """File line (1-based) and cell count of each non-blank line after the first ``skip``.
+def _data_lines(path, what: str, header=None) -> np.ndarray:
+    """The first file line (1-based) and the cell count of each non-blank record, as two rows.
 
-    Cells are split as the parser splits them: a quote opens a cell only at its
-    start, and a comma inside a quoted cell is part of it.  This runs only after
-    parsing failed, so it may take a Python step per line.
+    The ``csv`` module splits them as the parser does: a quote opens a cell
+    only at its start, and a comma or line end inside a quoted cell is part of
+    it.  This runs only after parsing failed, so it may take a step per record.
     """
-    buf = np.fromfile(path, np.uint8)
-    # Cut at every CR and LF: a CRLF then leaves an empty piece, skipped like
-    # a blank line.  A piece's line number counts the line ends before it.
-    cuts = np.flatnonzero((buf == 10) | (buf == 13))
-    ends_line = (buf[cuts] == 10) | (buf[np.minimum(cuts + 1, buf.size - 1)] != 10)
-    line_of = np.concatenate(([1], 1 + np.cumsum(ends_line)))
-    starts, stops = np.concatenate(([0], cuts + 1)), np.append(cuts, buf.size)
-    keep = (stops > starts) & (line_of > skip)
-    data = buf.tobytes()
-    cells = [len(next(csv.reader([data[a:b].decode("utf-8", "replace")])))
-             for a, b in zip(starts[keep].tolist(), stops[keep].tolist())]
-    return line_of[keep], np.array(cells, dtype=np.intp)
+    found = []
+    with open_csv(path, what, header) as reader:  # past the header, if one is given
+        first = reader.line_num + 1  # the line where the next record starts
+        for row in reader:
+            if row:
+                found.append((first, len(row)))
+            first = reader.line_num + 1
+    return np.array(found, dtype=np.intp).reshape(-1, 2).T
 
 
 def _parse_float_csv(path, what: str, data: np.ndarray | None = None) -> np.ndarray:
@@ -396,7 +392,7 @@ def _parse_float_csv(path, what: str, data: np.ndarray | None = None) -> np.ndar
         raise DataFormatError(f"{what}: file is empty")
     bad = ~((data >= 0.0) & (data <= 1.0)).all(axis=1)
     if bad.any():
-        line = _data_lines(path, 0)[0][np.argmax(bad)]
+        line = _data_lines(path, what)[0][np.argmax(bad)]
         raise DataFormatError(f"{what}: line {line}: entries must be finite and lie in [0, 1]")
     return data
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import operator
 import os
 import select
 import time
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _BLAS_THREAD_VARS
+from . import _BLAS_ONE_THREAD
 from .core import (
     ContractViolation,
     DivergenceError,
@@ -31,6 +30,7 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
     UndefinedAverageError,
+    _index,
 )
 from .metrics import (  # bench/tracing.py wraps dcg_at_k and estimate_metric here
     EstimatorKind,
@@ -73,9 +73,8 @@ class TrainConfig:
     k_valid: int = 10
 
     def __post_init__(self):
-        # operator.index rejects 16.7 or 3.0 instead of truncating it
         for name in ("dim", "epochs", "batch", "seed", "k_valid"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _index(getattr(self, name)))
         if self.dim < 1 or self.epochs < 0 or self.batch < 1 or self.k_valid < 1:
             raise ContractViolation("dim, batch and k_valid must be positive; epochs >= 0")
         # written so that NaN fails too
@@ -188,11 +187,15 @@ def validation_metric(
     """Estimator value on the validation block, ranking candidates by mutual score.
 
     Bit for bit :func:`estimate_metric` on the block's tables; ``_ctx`` is a
-    training run's :func:`_validation_context`.
+    training run's :func:`_validation_context`.  Non-finite scores are a
+    :class:`DivergenceError`.
     """
     k = LambdaWeight(k=k).k
     val_users, val_cands, gain, rows = _ctx or _validation_context(dataset, kind)
-    ranking = rank_candidates(score_matrix(model, val_users, val_cands))
+    scores = score_matrix(model, val_users, val_cands)
+    if not np.isfinite(scores).all():  # finite tables whose products overflow
+        raise DivergenceError("non-finite validation scores")
+    ranking = rank_candidates(scores)
     return _user_mean(_discounted(gain[rows, ranking[:, :k]])).value
 
 
@@ -220,8 +223,8 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
 
     The two embedding spaces step independently, so a big enough run
     (``n_proactive * n_reactive * dim * epochs`` at least ``_SPLIT_WORK``),
-    with at least two :func:`~matchltr.util.usable_cores` and the BLAS thread
-    variables at ``1``, is split: a forked worker steps the backward space,
+    with at least two :func:`~matchltr.util.usable_cores` and BLAS on one
+    thread (``_BLAS_ONE_THREAD``), is split: a forked worker steps the backward space,
     drawing the same minibatch order, and after each epoch hands this process
     its loss terms and tables.  The result is bit for bit that of one process.
     A worker that dies raises :class:`MatchLtrError`.
@@ -272,8 +275,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     # a BLAS thread pool is threads outside Python, which usable_cores cannot
     # see, and would compete with the worker for the same cores
     split = (n_pro * plan.n_reactive * cfg.dim * cfg.epochs >= _SPLIT_WORK
-             and all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
-             and usable_cores() >= 2)
+             and _BLAS_ONE_THREAD and usable_cores() >= 2)
     best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
     best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
     with ExitStack() as stack:
@@ -291,12 +293,12 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
                 loss_sum += loss
             train_loss = loss_sum / n_pro
             # the last minibatches can overflow the tables while the loss is still finite
-            if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
-                raise DivergenceError(
-                    f"non-finite training loss or embeddings at epoch {epoch} "
-                    f"(learning rate {cfg.learning_rate})"
-                )
-            value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
+            try:
+                if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
+                    raise DivergenceError("non-finite training loss or embeddings")
+                value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} at epoch {epoch} (learning rate {cfg.learning_rate})") from None
             log.records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=value))
             if value > best_value:
                 best_value = value
@@ -430,7 +432,7 @@ def test_dcg_records(
             fold=plan.test_fold,
             eta=float(eta),
             method=method,
-            k=int(k),
+            k=_index(k),
             dcg_mean=mean.value,
             dcg_stderr=stderr,
             n_users=n,
@@ -458,12 +460,10 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
-        # operator.index rejects 5.9 or 0.4 instead of truncating it
-        object.__setattr__(self, "folds", operator.index(self.folds))
-        object.__setattr__(self, "k_values", tuple(map(operator.index, self.k_values)))
-        object.__setattr__(self, "seeds", tuple(map(operator.index, self.seeds)))
-        if self.test_folds is not None:
-            object.__setattr__(self, "test_folds", tuple(map(operator.index, self.test_folds)))
+        object.__setattr__(self, "folds", _index(self.folds))
+        for name in ("k_values", "seeds", "test_folds"):
+            if (values := getattr(self, name)) is not None:
+                object.__setattr__(self, name, tuple(map(_index, values)))
         if not self.etas or not self.k_values or not self.seeds:
             raise ContractViolation("etas, k_values and seeds must be non-empty")
         if self.folds < 2:

@@ -216,7 +216,7 @@ def _write_part(fd: int, encoding: str, write_range, lo: int, hi: int) -> None:
 
 @contextmanager
 def open_csv(path: str | os.PathLike, what: str, header):
-    """Open a CSV file whose line 1 must be ``header``; yield a reader of the rest.
+    """Open a CSV file and yield its reader, past line 1 when that must be ``header``.
 
     A wrong header, bytes that do not decode as text, or a row that the CSV
     reader rejects raise :class:`DataFormatError` naming ``what``.
@@ -224,7 +224,7 @@ def open_csv(path: str | os.PathLike, what: str, header):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            if next(reader, None) != list(header):
+            if header is not None and next(reader, None) != list(header):
                 raise DataFormatError(f"{what}: line 1: expected header {','.join(header)}")
             yield reader
         except (UnicodeDecodeError, csv.Error) as exc:

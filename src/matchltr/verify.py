@@ -12,13 +12,12 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, RankedList
+from .core import ContractViolation, RankedList, _index
 from .metrics import (  # bench/tracing.py wraps metric_ground_truth here
     EstimatorKind,
     LambdaWeight,
@@ -299,8 +298,7 @@ def run_verification(
     draw only makes valid instances, so the batch is not re-checked; only
     failing rows become (checked) :class:`OracleInstance` objects.
     """
-    # operator.index rejects 2.5 instead of truncating it
-    trials, seed = operator.index(trials), operator.index(seed)
+    trials, seed = _index(trials), _index(seed)
     if trials < 1:
         raise ContractViolation("need at least one trial")
     if seed < 0:

@@ -560,6 +560,55 @@ def test_default_blas_threads_give_one_thread_bytes(tmp_path):
         assert digests[0] == digests[1], synth
 
 
+# train in a process that imports numpy before matchltr, counting forks;
+# argv: "all-cores" or "one-core", then the train arguments
+_NUMPY_FIRST_TRAIN = """
+import os, sys
+import numpy  # BLAS reads the thread variables now, before matchltr can set them
+from matchltr.cli import main
+forks, fork = [], os.fork
+def counted():
+    forks.append(None)
+    return fork()
+os.fork = counted
+if sys.argv[1] == "one-core":
+    os.sched_getaffinity = lambda pid: {0}
+status = main(["train", *sys.argv[2:]])
+print(len(forks))
+sys.exit(status)
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs two usable cores to split")
+@pytest.mark.parametrize("threads, forks", [(None, 0), ("1", 1)], ids=["unset", "exported"])
+def test_numpy_first_splits_only_on_one_blas_thread(tmp_path, threads, forks):
+    """With numpy imported first, BLAS has loaded before matchltr sets its
+    defaults: with the variables unset it runs a thread per core, so a run above
+    the split threshold (200 * 200 * 64 * 27 >= 2**26) stays in one process;
+    exported as 1, the run splits and gives the bytes of one core."""
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in _source_tree_env().items() if k not in thread_vars}
+    if threads is not None:
+        env.update(dict.fromkeys(thread_vars, threads))
+    data = tmp_path / "data"
+    assert run_cli("gen-data", "--synth", "200,200,4,0.05", "--seed", "3", "--out", str(data)) == 0
+
+    def train(cores: str, out: Path) -> int:
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FIRST_TRAIN, cores, "--data", str(data), "--loss",
+             "ipw2", "--dim", "64", "--epochs", "27", "--seed", "4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return int(done.stdout.split()[-1])
+
+    assert train("all-cores", tmp_path / "all") == forks
+    if forks:
+        assert train("one-core", tmp_path / "one") == 0
+        for name in ("checkpoint.bin", "train_log.csv"):
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 @pytest.mark.parametrize("openblas, expected", [(None, "1"), ("2", "2")])
 def test_run_json_records_blas_threads(tmp_path, openblas, expected):
     """run.json records the BLAS thread variables in effect: the pinned 1

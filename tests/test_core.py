@@ -82,6 +82,12 @@ class TestRankedList:
             metric_ground_truth([RankedList.from_indices(0, [3])], labels, labels,
                                 LambdaWeight(k=1))
 
+    @pytest.mark.parametrize("owner, entries", [(2.7, (1,)), (2, (1.9, 0.2)), (True, (0,)),
+                                                (0, (1, False))])
+    def test_indices_must_be_integers(self, owner, entries):
+        with pytest.raises(TypeError, match="integer"):
+            RankedList(owner=owner, entries=entries)
+
     def test_entry_indices(self):
         lst = RankedList.from_indices(2, np.array([5, 0, 3]))
         assert lst.entry_indices().tolist() == [5, 0, 3]

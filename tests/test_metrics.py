@@ -94,6 +94,8 @@ class TestLambdaWeight:
         with pytest.raises(TypeError, match="integer"):
             LambdaWeight(k=2.5)
         with pytest.raises(TypeError, match="integer"):
+            LambdaWeight(k=True)
+        with pytest.raises(TypeError, match="integer"):
             dcg_from_gains(np.zeros((1, 3)), np.ones((1, 3)), 1.5)
 
 

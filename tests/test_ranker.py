@@ -1,5 +1,7 @@
 """Model scores, listwise losses, analytic gradients, checkpoint format."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -545,15 +547,19 @@ class TestCheckpoint:
                     + b"".join(getattr(model, name).astype("<f8").tobytes() for name in TABLES))
         assert (tmp_path / "model.bin").read_bytes() == expected
 
-    @pytest.mark.parametrize("dim, message", [(10**15, "truncated"), (-1, "malformed header"),
-                                              ("x", "malformed header")])
+    @pytest.mark.parametrize("dim, message", [
+        (10**15, "truncated"), (-1, "malformed header"), ("x", "malformed header"),
+        # a size is a JSON integer: not truncated, parsed or a bool
+        (2.9, "malformed header: .*integer"), (2.0, "malformed header: .*integer"),
+        ("2", "malformed header: .*integer"), (True, "malformed header: .*integer"),
+    ])
     def test_corrupt_header_size_rejected(self, tmp_path, dim, message):
         """A header size is checked against the file before anything is allocated."""
         path = tmp_path / "model.bin"
         save_model(init_model(3, 3, 2, seed=20), path)
         magic, header, tables = path.read_bytes().split(b"\n", 2)
-        path.write_bytes(magic + b"\n" + header.replace(b'"dim": 2', f'"dim": {dim!r}'.replace(
-            "'", '"').encode()) + b"\n" + tables)
+        header = header.replace(b'"dim": 2', f'"dim": {json.dumps(dim)}'.encode())
+        path.write_bytes(magic + b"\n" + header + b"\n" + tables)
         with pytest.raises(DataFormatError, match=message):
             load_model(path)
 

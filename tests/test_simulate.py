@@ -360,6 +360,18 @@ class TestPreferenceCsv:
         with pytest.raises(DataFormatError, match="line 1"):
             load_preferences(path)
 
+    @pytest.mark.parametrize("body, message", [
+        ('0.1,"0.2\n0.3"\n0.4,0.5\n', "line 1: could not convert string"),
+        ('0.1,0.2\n0.3,"0.4\n",0.5\n', "line 2: expected 2 columns, got 3"),
+    ], ids=["bad-value", "extra-cell"])
+    def test_quoted_line_end_names_the_record_line(self, tmp_path, body, message):
+        """A quoted cell may hold a line end, as numpy reads it: the error names
+        the line where the record starts."""
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(body.encode())
+        with pytest.raises(DataFormatError, match=f"^preference CSV: {message}"):
+            load_preferences(path)
+
     def test_odd_column_count_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("0.0,0.0,0.0\n")

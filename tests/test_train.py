@@ -207,6 +207,14 @@ class TestTrainModel:
             with pytest.raises(DivergenceError, match=r"epoch 1 \(learning rate 1e\+200\)"):
                 train_model(dataset, cfg)
 
+    def test_divergence_of_finite_tables_raises(self):
+        # the tables stay finite while their products overflow (inf - inf) in validation
+        dataset, cfg, message = TestSplitSpaces._diverging("products")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=message):
+                train_model(dataset, cfg)
+
 
 class TestValidationTable:
     """validation_metric reads a per-run gain table; the public estimator pins its bits."""
@@ -543,11 +551,15 @@ class TestSplitSpaces:
         assert np.array_equal(model.pro, serial_model.pro)
         assert np.array_equal(model.rea, serial_model.rea)
 
-    @staticmethod
-    def _diverging(case):
-        """The two divergence cases of ``TestTrainModel`` and the message each gives."""
+    @classmethod
+    def _diverging(cls, case):
+        """The three divergence cases of ``TestTrainModel`` and the message each gives."""
         if case == "loss":
             return _world()[3], TrainConfig(dim=4, epochs=200, learning_rate=1e12, batch=12), "epoch"
+        if case == "products":
+            cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=8, learning_rate=1e12, batch=5, seed=0)
+            return cls._world(), cfg, (r"^non-finite validation scores at epoch 11 "
+                                       r"\(learning rate 1000000000000\.0\)$")
         # the last minibatches overflow the tables while the epoch's loss is finite
         m = synth_preferences(40, 40, rank=3, noise=0.05, seed=1)
         plan = make_folds(SideAssignment.trivial(40, 40), 4, seed=0)
@@ -555,7 +567,7 @@ class TestSplitSpaces:
         cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=8, batch=8, epochs=5, learning_rate=1e200)
         return dataset, cfg, r"epoch 1 \(learning rate 1e\+200\)"
 
-    @pytest.mark.parametrize("case", ["loss", "tables"])
+    @pytest.mark.parametrize("case", ["loss", "tables", "products"])
     def test_divergence_is_the_serial_error(self, monkeypatch, case):
         dataset, cfg, message = self._diverging(case)
         with pytest.raises(DivergenceError, match=message) as serial:
@@ -605,8 +617,8 @@ class TestSplitSpaces:
         monkeypatch.setattr(os, "fork", no_fork)
         if reason == "threshold":
             monkeypatch.setattr(train, "_SPLIT_WORK", 23 * 19 * 4 * 3 + 1)
-        if reason == "blas":
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        if reason == "blas":  # BLAS loaded on more than one thread
+            monkeypatch.setattr(train, "_BLAS_ONE_THREAD", False)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if reason == "thread":
@@ -837,7 +849,10 @@ class TestLogAndConfigFiles:
         lambda: TrainConfig(dim=16.5),
         lambda: TrainConfig(batch=16.7),
         lambda: TrainConfig(k_valid=10.2),
-    ], ids=["seed", "folds", "k_values", "seeds", "test_folds", "epochs", "dim", "batch", "k_valid"])
+        lambda: TrainConfig(epochs=True),
+        lambda: ExperimentPlan(etas=(0.5,), seeds=(True,)),
+    ], ids=["seed", "folds", "k_values", "seeds", "test_folds", "epochs", "dim", "batch", "k_valid",
+            "epochs-true", "seeds-true"])
     def test_train_config_seed_must_be_an_integer(self, build):
         with pytest.raises(TypeError, match="integer"):
             build()

@@ -84,6 +84,11 @@ class TestRunVerification:
         with pytest.raises(ContractViolation, match=match):
             run_verification(trials=5, **settings)
 
+    @pytest.mark.parametrize("settings", [{"trials": 2.5}, {"trials": True}, {"seed": True}])
+    def test_integer_settings_must_be_integers(self, settings):
+        with pytest.raises(TypeError, match="integer"):
+            run_verification(**{"trials": 5, **settings})
+
     def test_report_lines_render(self):
         report = run_verification(trials=20, seed=3)
         text = "\n".join(report.lines())
