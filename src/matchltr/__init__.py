@@ -16,8 +16,8 @@ import sys
 
 # One BLAS thread unless the environment says otherwise, set before numpy
 # loads: a GEMM split over threads sums in another order, so output bytes
-# would depend on the thread count.  _BLAS_THREADS holds the values BLAS read
-# when numpy loaded, which run.json records and the training split checks.
+# would depend on the thread count.  _BLAS_THREADS holds what BLAS loads with
+# (as set before, if numpy came first); run.json records it, training checks it.
 _BLAS_THREADS = {var: os.environ.get(var)
                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 for _var in _BLAS_THREADS:

@@ -280,9 +280,9 @@ def read_arrays(path: str | os.PathLike, magic: bytes, what: str, layout) -> tup
     ``layout(header)`` lists the arrays that follow as ``(name, dtype,
     shape)``.  The arrays are fresh, writable and aligned.  A wrong magic
     line, a header that does not parse or that ``layout`` rejects (with
-    ``KeyError``, ``TypeError`` or ``ValueError``), a dimension that is not a
-    non-negative :func:`_index`, too few bytes for an array or bytes after the
-    last raise :class:`DataFormatError` naming ``what``.
+    ``KeyError``, ``TypeError`` or ``ValueError``), a dimension that
+    :func:`_index` rejects or that is negative, too few bytes for an array or
+    bytes after the last raise :class:`DataFormatError` naming ``what``.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
