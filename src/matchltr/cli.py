@@ -8,6 +8,7 @@ Exit status: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -450,13 +451,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatchLtrError as exc:
+    except (MatchLtrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+
+def run() -> None:
+    """Entry of ``matchltr`` and ``python -m matchltr.cli``: exit with main's status after
+    ``gc.freeze()``, so that shutdown's full collections skip what numpy and the package
+    loaded (stdio is still flushed, atexit still runs); :func:`main` leaves gc alone."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

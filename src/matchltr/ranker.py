@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, read_arrays, sigmoid, write_arrays
+from .core import ContractViolation, _index, read_arrays, sigmoid, write_arrays
 from .metrics import EstimatorKind, feedback_coefficients
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
@@ -92,6 +92,7 @@ class RankerModel:
 
 def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> RankerModel:
     """Uniform init in [-1/sqrt(dim), 1/sqrt(dim)] so initial scores sit near 0.5."""
+    n_proactive, n_reactive, dim = map(_index, (n_proactive, n_reactive, dim))
     if dim < 1:
         raise ContractViolation(f"embedding dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)

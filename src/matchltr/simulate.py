@@ -27,6 +27,7 @@ from .core import (
     InvalidPopulationError,
     PreferenceMatrix,
     SideAssignment,
+    _index,
     read_arrays,
     sigmoid,
     write_arrays,
@@ -49,6 +50,7 @@ def assign_sides(n_users: int, seed: int) -> SideAssignment:
     reactive side gets the extra user when ``n_users`` is odd) and is
     deterministic for a fixed seed.
     """
+    n_users = _index(n_users)
     if n_users < 2:
         raise InvalidPopulationError(
             f"need at least 2 users to form two sides, got {n_users}"
@@ -66,6 +68,7 @@ def make_folds(assignment: SideAssignment, k: int, seed: int, test_fold: int = 0
 
     Block sizes differ by at most one (earlier blocks take the remainder).
     """
+    k = _index(k)
     if k < 2:
         raise ContractViolation(f"fold count must be >= 2, got {k}")
     for name, size in (("proactive", assignment.n_proactive), ("reactive", assignment.n_reactive)):
@@ -225,6 +228,7 @@ def synth_preferences(
     Both directions are low-rank factor models squashed through a sigmoid;
     ``noise`` perturbs the probabilities and is truncated back into [0, 1].
     """
+    n_proactive, n_reactive, rank = map(_index, (n_proactive, n_reactive, rank))
     if rank < 1:
         raise ContractViolation(f"rank must be >= 1, got {rank}")
     if n_proactive < 1 or n_reactive < 1:
@@ -593,14 +597,15 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
 
     Rows end in CRLF and floats use :func:`format_float`.  Rows are gathered
     in blocks of about 65,536 pairs, formatted by :func:`write_blocks`; in
-    each block every distinct theta is formatted once, and a row's six bits
-    are one of 64 tokens.  The tables and both sides' fold labels go into a
-    sidecar (:func:`_save_parsed`).
+    each block every distinct theta is formatted once, and a row's ids, fold
+    labels and six bits (one of 64 tokens) are looked up pre-formatted.  The
+    tables and both sides' fold labels go into a sidecar (:func:`_save_parsed`).
     """
     folds = {"fold_u": _fold_index(ds.fold_plan.proactive_folds),
              "fold_v": _fold_index(ds.fold_plan.reactive_folds)}
-    fold_u, fold_v = (labels.tolist() for labels in folds.values())
-    tokens = [",".join(format(i, "06b")) for i in range(64)]
+    ids = [f"{i}," for i in range(max(ds.n_proactive, ds.n_reactive))]
+    fold_u, fold_v = ([f"{f}," for f in labels.tolist()] for labels in folds.values())
+    tokens = [",".join(format(i, "06b")) + "," for i in range(64)]
     step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
 
     def write_range(fh, first, stop):
@@ -618,7 +623,7 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
                 values, which = np.unique(getattr(ds, name)[rows].ravel()[at], return_inverse=True)
                 labels = np.array([format_float(x) for x in values], dtype=object)
                 columns.append(labels[which].tolist())
-            fh.writelines(f"{u},{v},{fold_u[u]},{fold_v[v]},{tokens[b]},{tf},{tb}\r\n"
+            fh.writelines(f"{ids[u]}{ids[v]}{fold_u[u]}{fold_v[v]}{tokens[b]}{tf},{tb}\r\n"
                           for u, v, b, tf, tb in zip(*columns))
 
     write_blocks(path, write_range, -(-ds.n_proactive // step))

@@ -279,7 +279,7 @@ def check_settings(tolerance: float, max_users: int, max_candidates: int) -> Non
     if not 0.0 <= tolerance < np.inf:  # NaN fails too
         raise ContractViolation(f"tolerance must be finite and non-negative, got {tolerance}")
     for name, cap in (("max_users", max_users), ("max_candidates", max_candidates)):
-        if cap < 1:
+        if _index(cap) < 1:
             raise ContractViolation(f"{name} must be at least 1, got {cap}")
 
 

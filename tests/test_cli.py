@@ -1,5 +1,6 @@
 """End-to-end command-line flows and their file artifacts."""
 
+import gc
 import hashlib
 import json
 import os
@@ -418,6 +419,83 @@ def test_command_loads_only_its_modules(loaded_modules, command):
     modules = loaded_modules[command]
     assert loads <= modules
     assert not skips & modules
+
+
+# the entry before run(): main's status straight to sys.exit, without gc.freeze()
+_MAIN_ENTRY = "import sys; from matchltr.cli import main; sys.exit(main())"
+
+# a success, a runtime failure and a usage error: status and arguments, run in ``evaluated``
+_EXIT_CASES = {
+    "report": (0, ("report", "eval/eval.csv")),
+    "no-checkpoint": (1, ("evaluate", "--data", "data", "--model", "missing.bin",
+                          "--loss", "ipw2", "--out", "eval-missing")),
+    "usage": (2, ("train", "--data", "data")),
+}
+
+
+@pytest.fixture(scope="module")
+def evaluated(tmp_path_factory):
+    """A directory with a small gen-data output in ``data`` and its ``eval/eval.csv``."""
+    work = tmp_path_factory.mktemp("exit")
+    data, model = str(work / "data"), str(work / "model")
+    for argv in (("gen-data", "--synth", "12,12,2,0.05", "--folds", "3", "--out", data),
+                 ("train", "--data", data, "--loss", "ipw2", "--epochs", "1", "--dim", "4",
+                  "--out", model),
+                 ("evaluate", "--data", data, "--model", f"{model}/checkpoint.bin",
+                  "--loss", "ipw2", "--out", str(work / "eval"))):
+        assert run_cli(*argv) == 0
+    return work
+
+
+def _run_entry(entry, argv, stdout, cwd):
+    """One command in a fresh interpreter, its stdout a pipe, closed, or a pipe
+    whose reader has gone (so that flushing it fails)."""
+    cmd = [sys.executable, *entry, *argv]
+    # a pipe block-buffered, as by default, so that an exit that skips the flush shows
+    env = {k: v for k, v in _source_tree_env().items() if k != "PYTHONUNBUFFERED"}
+    if stdout == "closed":
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+    if stdout != "reader-gone":
+        return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(cmd, cwd=cwd, env=env, stdout=write, stderr=subprocess.PIPE,
+                              timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "closed", "reader-gone"])
+@pytest.mark.parametrize("case", _EXIT_CASES)
+def test_module_entry_exits_as_main_did(evaluated, case, stdout):
+    """``python -m matchltr.cli`` exits through run(), with the status and the
+    stdout and stderr bytes of ``sys.exit(main())``."""
+    status, argv = _EXIT_CASES[case]
+    new, old = ((done.returncode, done.stdout, done.stderr)
+                for done in (_run_entry(("-m", "matchltr.cli"), argv, stdout, evaluated),
+                             _run_entry(("-c", _MAIN_ENTRY), argv, stdout, evaluated)))
+    assert new == old
+    if stdout != "reader-gone":  # there the failed write sets the status
+        assert new[0] == status
+        assert new[2].startswith(b"error: ") == (case == "no-checkpoint")
+
+
+def test_main_leaves_the_collector_as_it_found_it(evaluated, monkeypatch):
+    monkeypatch.chdir(evaluated)
+    before = gc.get_freeze_count(), gc.isenabled()
+    for status, argv in _EXIT_CASES.values():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code == status
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_exits_through_run():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert '\nmatchltr = "matchltr.cli:run"\n' in pyproject
 
 
 @pytest.mark.parametrize("umask, mode", [("022", 0o644), ("077", 0o600)])

@@ -150,6 +150,15 @@ class TestScores:
             assert np.abs(table).max() <= bound
             assert np.array_equal(table, getattr(b, name))
 
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [6.5, True])
+    def test_init_model_sizes_must_be_integers(self, at, bad):
+        sizes = [5, 6, 8]  # n_proactive, n_reactive, dim
+        sizes[at] = bad
+        with pytest.raises(TypeError, match="integer") as err:
+            init_model(*sizes, seed=4)
+        assert err.traceback[-1].name == "_index"  # rejected before numpy sees it
+
 
 class TestLoss:
     def test_zero_feedback_zero_loss(self):

@@ -76,6 +76,12 @@ class TestAssignSides:
     def test_seeds_differ(self):
         assert assign_sides(100, seed=7) != assign_sides(100, seed=8)
 
+    @pytest.mark.parametrize("n_users", [6.5, True])
+    def test_user_count_must_be_an_integer(self, n_users):
+        with pytest.raises(TypeError, match="integer") as err:
+            assign_sides(n_users, seed=0)
+        assert err.traceback[-1].name == "_index"  # rejected before numpy sees it
+
 
 class TestMakeFolds:
     def test_exact_division(self):
@@ -103,6 +109,12 @@ class TestMakeFolds:
         assert flat == list(range(23))
         flat = sorted(i for f in plan.reactive_folds for i in f)
         assert flat == list(range(19))
+
+    @pytest.mark.parametrize("k", [6.5, True])
+    def test_fold_count_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match="integer") as err:
+            make_folds(SideAssignment.trivial(10, 10), k, seed=0)
+        assert err.traceback[-1].name == "_index"  # rejected before numpy sees it
 
 
 class TestExposure:
@@ -324,6 +336,15 @@ class TestSynthPreferences:
     def test_noise_requires_rng(self):
         with pytest.raises(ContractViolation):
             latent_preferences(np.ones((2, 1)), np.ones((2, 1)), noise=0.1)
+
+    @pytest.mark.parametrize("at", range(3))
+    @pytest.mark.parametrize("bad", [6.5, True])
+    def test_sizes_and_rank_must_be_integers(self, at, bad):
+        sizes = [10, 11, 2]  # n_proactive, n_reactive, rank
+        sizes[at] = bad
+        with pytest.raises(TypeError, match="integer") as err:
+            synth_preferences(*sizes, noise=0.05, seed=0)
+        assert err.traceback[-1].name == "_index"  # rejected before numpy sees it
 
 
 class TestPreferenceCsv:
@@ -769,11 +790,14 @@ def preference_matrices(draw):
 
 @st.composite
 def feedback_datasets(draw):
-    n_pro, n_rea = draw(st.integers(2, 30)), draw(st.integers(2, 30))
-    plan = make_folds(SideAssignment.trivial(n_pro, n_rea), 2,
-                      seed=draw(st.integers(0, 99)), test_fold=draw(st.integers(0, 1)))
+    """Up to 12 folds, so that fold labels reach two digits, and one side of up to 120
+    users against one of up to 30, so that ids run past the other side's count."""
+    k = draw(st.integers(2, 12))
+    n_pro, n_rea = draw(st.permutations([draw(st.integers(k, 120)), draw(st.integers(k, 30))]))
+    plan = make_folds(SideAssignment.trivial(n_pro, n_rea), k,
+                      seed=draw(st.integers(0, 99)), test_fold=draw(st.integers(0, k - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    keep = ~plan.test_mask() & (rng.random((n_pro, n_rea)) < draw(st.floats(0.1, 1.0)))
+    keep = ~plan.test_mask() & (rng.random((n_pro, n_rea)) < draw(st.floats(0.02, 1.0)))
     u, v = np.nonzero(keep)
     r_fwd, r_bwd, o_fwd, o_bwd = (rng.random((4, u.size)) < 0.5).astype(np.int8)
     y_fwd = o_fwd * r_fwd
@@ -931,15 +955,18 @@ class TestCsvAgainstReference:
 
 
 def test_gen_data_writes_reference_bytes(tmp_path):
-    out = tmp_path / "data"
-    assert cli_main(["gen-data", "--synth", "200,200,4,0.05", "--eta", "1.0",
-                     "--seed", "9", "--out", str(out)]) == 0
-    plan = load_fold_plan(out / "folds.json")
-    _reference_save_dataset(load_dataset(out / "dataset.csv", plan), tmp_path / "dataset.csv")
-    _reference_save_preferences(load_preferences(out / "preferences.csv"),
-                                tmp_path / "preferences.csv")
-    for name in ("dataset.csv", "preferences.csv"):
-        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    """Square with the default 5 folds, and 230x170 with 11 (two-digit fold labels)."""
+    for synth, folds in (("200,200,4,0.05", "5"), ("230,170,4,0.05", "11")):
+        out, ref = tmp_path / synth / "data", tmp_path / synth / "ref"
+        assert cli_main(["gen-data", "--synth", synth, "--eta", "1.0", "--folds", folds,
+                         "--seed", "9", "--out", str(out)]) == 0
+        ref.mkdir()
+        plan = load_fold_plan(out / "folds.json")
+        _reference_save_dataset(load_dataset(out / "dataset.csv", plan), ref / "dataset.csv")
+        _reference_save_preferences(load_preferences(out / "preferences.csv"),
+                                    ref / "preferences.csv")
+        for name in ("dataset.csv", "preferences.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (synth, name)
 
 
 class TestForkedWriters:

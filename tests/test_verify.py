@@ -84,10 +84,14 @@ class TestRunVerification:
         with pytest.raises(ContractViolation, match=match):
             run_verification(trials=5, **settings)
 
-    @pytest.mark.parametrize("settings", [{"trials": 2.5}, {"trials": True}, {"seed": True}])
+    @pytest.mark.parametrize("settings", [
+        {"trials": 2.5}, {"trials": True}, {"seed": True},
+        {"max_users": 6.5}, {"max_users": True}, {"max_candidates": 6.5}, {"max_candidates": True},
+    ])
     def test_integer_settings_must_be_integers(self, settings):
-        with pytest.raises(TypeError, match="integer"):
+        with pytest.raises(TypeError, match="integer") as err:
             run_verification(**{"trials": 5, **settings})
+        assert err.traceback[-1].name == "_index"  # rejected before numpy sees it
 
     def test_report_lines_render(self):
         report = run_verification(trials=20, seed=3)
