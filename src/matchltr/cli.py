@@ -2,13 +2,15 @@
 
 Every command prints the resolved configuration (including all derived
 sub-seeds) before doing work and writes a ``run.json`` next to its outputs.
-Exit status: 0 on success, 1 on runtime failure, 2 on usage errors.
+Exit status: 0 on success, 1 on runtime failure, 2 on usage errors, and 141
+(128 + SIGPIPE) when a command that would have succeeded finds stdout's reader gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -378,8 +380,14 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own ignores a failed write
+        if (file := file or sys.stdout) is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchltr",
         description=(
             "Simulate biased two-sided matching feedback, train rankers under "
@@ -447,10 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader has gone: 128 + SIGPIPE, as a killed writer
+        return 141
     except (MatchLtrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -461,9 +470,17 @@ def run() -> None:
     ``gc.freeze()``, so that shutdown's full collections skip what numpy and the package
     loaded (stdio is still flushed, atexit still runs); :func:`main` leaves gc alone."""
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        status = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        status = exc.code
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = status or 141
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -200,15 +200,6 @@ class FoldPlan:
     def validation_fold(self) -> int:
         return (self.test_fold + 1) % self.k
 
-    def with_test_fold(self, test_fold: int) -> "FoldPlan":
-        """Same partition, different active test fold."""
-        return FoldPlan(
-            k=self.k,
-            proactive_folds=self.proactive_folds,
-            reactive_folds=self.reactive_folds,
-            test_fold=test_fold,
-        )
-
     def block(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """The proactive and the reactive indices of block ``fold``, as ``intp`` arrays."""
         return (np.asarray(self.proactive_folds[fold], dtype=np.intp),

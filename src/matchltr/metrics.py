@@ -133,8 +133,7 @@ def gain_true(r_fwd, r_bwd):
     This is the naive row applied to fully exposed feedback ``(r_fwd, r_fwd * r_bwd)``.
     """
     rf = _as_bits("r_fwd", r_fwd)
-    rb = _as_bits("r_bwd", r_bwd)
-    return _maybe_scalar(_gain(*feedback_coefficients(EstimatorKind.NAIVE, rf, rf * rb)))
+    return _maybe_scalar(_gain(rf, rf * _as_bits("r_bwd", r_bwd)))
 
 
 def gain_surrogate(y_fwd, y_bwd):
@@ -166,13 +165,11 @@ def gain_ipw(y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor: float = 0.0):
 
 @dataclass(frozen=True)
 class MetricValue:
-    """A per-user-averaged metric and the number of users averaged over."""
+    """A per-user-averaged metric, the number of users averaged over and its standard error."""
 
     value: float
     n_users: int
-
-    def __float__(self) -> float:
-        return self.value
+    stderr: float
 
 
 def _top_pairs(rankings, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +216,8 @@ def _discounted(top: np.ndarray) -> np.ndarray:
 
 def _user_mean(per_user: np.ndarray) -> MetricValue:
     n = per_user.shape[0]
-    return MetricValue(value=float(per_user.sum() / n), n_users=n)
+    stderr = float(per_user.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return MetricValue(value=float(per_user.sum() / n), n_users=n, stderr=stderr)
 
 
 def metric_ground_truth(

@@ -424,18 +424,15 @@ def test_dcg_records(
 
     records = []
     for k in k_values:
-        per_user = dcg_from_gains(scores, gains, k)
-        mean = _user_mean(per_user)
-        n = mean.n_users
-        stderr = float(per_user.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        mean = _user_mean(dcg_from_gains(scores, gains, k))
         records.append(EvalRecord(
             fold=plan.test_fold,
             eta=float(eta),
             method=method,
             k=_index(k),
             dcg_mean=mean.value,
-            dcg_stderr=stderr,
-            n_users=n,
+            dcg_stderr=mean.stderr,
+            n_users=mean.n_users,
         ))
     return records
 
@@ -476,10 +473,6 @@ class ExperimentPlan:
             if min(self.test_folds) < 0 or max(self.test_folds) >= self.folds:
                 raise ContractViolation("test_folds must lie in [0, folds)")
 
-    @property
-    def folds_to_run(self) -> tuple[int, ...]:
-        return self.test_folds if self.test_folds is not None else tuple(range(self.folds))
-
 
 def default_method_configs(base: TrainConfig | None = None) -> dict[LossKind, TrainConfig]:
     """One config per loss variant, sharing every other hyperparameter."""
@@ -507,8 +500,8 @@ def run_experiment(
         base_folds = make_folds(sides, plan.folds, derive_seed(seed, "folds"))
         for eta in plan.etas:
             exposure = exposure_from_popularity(m, eta)
-            for fold in plan.folds_to_run:
-                fplan = base_folds.with_test_fold(fold)
+            for fold in plan.test_folds or range(plan.folds):
+                fplan = replace(base_folds, test_fold=fold)
                 dataset = sample_dataset(
                     m, exposure, fplan,
                     derive_seed(seed, f"sampling:eta={eta!r}:fold={fold}"),

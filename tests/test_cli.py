@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -424,9 +425,10 @@ def test_command_loads_only_its_modules(loaded_modules, command):
 # the entry before run(): main's status straight to sys.exit, without gc.freeze()
 _MAIN_ENTRY = "import sys; from matchltr.cli import main; sys.exit(main())"
 
-# a success, a runtime failure and a usage error: status and arguments, run in ``evaluated``
+# two successes, a runtime failure and a usage error: status and arguments, run in ``evaluated``
 _EXIT_CASES = {
     "report": (0, ("report", "eval/eval.csv")),
+    "help": (0, ("--help",)),
     "no-checkpoint": (1, ("evaluate", "--data", "data", "--model", "missing.bin",
                           "--loss", "ipw2", "--out", "eval-missing")),
     "usage": (2, ("train", "--data", "data")),
@@ -449,14 +451,17 @@ def evaluated(tmp_path_factory):
 
 def _run_entry(entry, argv, stdout, cwd):
     """One command in a fresh interpreter, its stdout a pipe, closed, or a pipe
-    whose reader has gone (so that flushing it fails)."""
+    whose reader has gone (so that writing or flushing it fails), block-buffered
+    as by default or, for ``reader-gone-unbuffered``, with ``PYTHONUNBUFFERED``."""
     cmd = [sys.executable, *entry, *argv]
     # a pipe block-buffered, as by default, so that an exit that skips the flush shows
     env = {k: v for k, v in _source_tree_env().items() if k != "PYTHONUNBUFFERED"}
     if stdout == "closed":
         cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
-    if stdout != "reader-gone":
+    if not stdout.startswith("reader-gone"):
         return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=120)
+    if stdout == "reader-gone-unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     read, write = os.pipe()
     os.close(read)
     try:
@@ -466,19 +471,51 @@ def _run_entry(entry, argv, stdout, cwd):
         os.close(write)
 
 
-@pytest.mark.parametrize("stdout", ["pipe", "closed", "reader-gone"])
+@pytest.mark.parametrize("stdout", ["pipe", "closed", "reader-gone", "reader-gone-unbuffered"])
 @pytest.mark.parametrize("case", _EXIT_CASES)
 def test_module_entry_exits_as_main_did(evaluated, case, stdout):
     """``python -m matchltr.cli`` exits through run(), with the status and the
-    stdout and stderr bytes of ``sys.exit(main())``."""
+    stdout and stderr bytes of ``sys.exit(main())``.  When stdout's reader has
+    gone, it writes to stderr only what the command writes there and exits with
+    the command's failure status, or with 141 (128 + SIGPIPE) if it succeeded;
+    ``sys.exit(main())`` alone lets the exit flush fail."""
     status, argv = _EXIT_CASES[case]
+    module = ("-m", "matchltr.cli")
+    if stdout.startswith("reader-gone"):
+        # unbuffered, the first write fails, and evaluate prints its config before it fails
+        if stdout.endswith("unbuffered") and case == "no-checkpoint":
+            status, expected_err = 0, b""
+        else:
+            expected_err = _run_entry(module, argv, "pipe", evaluated).stderr
+        done = _run_entry(module, argv, stdout, evaluated)
+        assert (done.returncode, done.stderr) == (status or 141, expected_err)
+        return
     new, old = ((done.returncode, done.stdout, done.stderr)
-                for done in (_run_entry(("-m", "matchltr.cli"), argv, stdout, evaluated),
+                for done in (_run_entry(module, argv, stdout, evaluated),
                              _run_entry(("-c", _MAIN_ENTRY), argv, stdout, evaluated)))
     assert new == old
-    if stdout != "reader-gone":  # there the failed write sets the status
-        assert new[0] == status
-        assert new[2].startswith(b"error: ") == (case == "no-checkpoint")
+    assert new[0] == status
+    assert new[2].startswith(b"error: ") == (case == "no-checkpoint")
+
+
+def test_main_returns_141_and_leaves_the_descriptors(evaluated, monkeypatch):
+    """In process, main() reports a reader that has gone by its status alone."""
+
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def state():
+        return (sorted(os.listdir("/proc/self/fd")), os.fstat(1).st_ino,
+                gc.get_freeze_count(), gc.isenabled())
+
+    monkeypatch.chdir(evaluated)
+    before = state()
+    for case in ("help", "report"):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", Gone())
+            assert main(list(_EXIT_CASES[case][1])) == 141
+        assert state() == before
 
 
 def test_main_leaves_the_collector_as_it_found_it(evaluated, monkeypatch):

@@ -1,5 +1,7 @@
 """Domain-type contracts: ranked lists, observed pairs, matrices, folds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,10 +233,12 @@ class TestFoldPlan:
         assert (test | val | train).all()
 
     def test_with_test_fold(self):
-        plan = self._plan().with_test_fold(1)
+        plan = replace(self._plan(), test_fold=1)
         assert plan.test_fold == 1
         assert plan.validation_fold == 0
         assert plan.test_mask()[2, 1] and not plan.test_mask()[0, 0]
+        with pytest.raises(ContractViolation, match="test_fold"):  # __post_init__ runs again
+            replace(plan, test_fold=2)
 
     def test_fold_lookup_vectors(self):
         plan = self._plan()

@@ -9,6 +9,7 @@ against both the per-pair closed-form expectation and the ground-truth metric.
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from matchltr import (
     FeedbackDataset,
     FoldPlan,
     LambdaWeight,
+    MetricValue,
     OracleInstance,
     RankedList,
     UndefinedAverageError,
@@ -345,6 +347,45 @@ class TestIpw2Estimator:
         with pytest.raises(AssumptionViolationError, match=r"^theta_fwd must lie in \(0, 1\]"):
             estimate_metric(IPW2, rankings, y, np.zeros((1, 1)), np.full((1, 1), theta), t_bwd,
                             LambdaWeight(k=1))
+
+
+class TestStandardError:
+    """The metric's standard error over users, beside its mean and user count."""
+
+    @staticmethod
+    def _metrics(n_users, seed=11):
+        """Each metric as ``f(rankings)`` on one random market of ``n_users`` x 5."""
+        rng = np.random.default_rng(seed)
+        r_fwd = rng.integers(0, 2, (n_users, 5)).astype(float)
+        r_bwd = rng.integers(0, 2, (n_users, 5)).astype(float)
+        y_fwd = r_fwd * rng.integers(0, 2, (n_users, 5))
+        y_bwd = y_fwd * r_bwd * rng.integers(0, 2, (n_users, 5))
+        t_fwd, t_bwd = rng.uniform(0.05, 1.0, (2, n_users, 5))
+        w = LambdaWeight(k=3)
+        return {"truth": lambda lists: metric_ground_truth(lists, r_fwd, r_bwd, w),
+                **{kind.value: lambda lists, kind=kind: estimate_metric(
+                    kind, lists, y_fwd, y_bwd, t_fwd, t_bwd, w) for kind in EstimatorKind}}
+
+    def test_fields(self):
+        assert [f.name for f in fields(MetricValue)] == ["value", "n_users", "stderr"]
+
+    def test_zero_for_one_user(self):
+        for metric in self._metrics(3).values():
+            got = metric([RankedList.from_indices(1, [4, 0, 2, 1])])
+            assert (got.n_users, got.stderr) == (1, 0.0)
+
+    @pytest.mark.parametrize("n_users", [2, 7])
+    def test_is_the_sample_std_over_root_n(self, n_users):
+        rng = np.random.default_rng(n_users)
+        lists = [RankedList.from_indices(u, rng.permutation(5)) for u in range(n_users)]
+        for metric in self._metrics(n_users).values():
+            per_user = np.array([metric([ranked]).value for ranked in lists])
+            got = metric(lists)
+            assert got.n_users == n_users
+            assert got.value == pytest.approx(per_user.mean(), rel=1e-12, abs=1e-12)
+            assert got.stderr == pytest.approx(
+                float(per_user.std(ddof=1) / np.sqrt(n_users)), rel=1e-12, abs=1e-12)
+            assert got.stderr > 0.0 or np.ptp(per_user) == 0.0
 
 
 class TestExactOracle:

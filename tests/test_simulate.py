@@ -1236,7 +1236,7 @@ class TestParsedSidecar:
         other = {
             # two non-test blocks swapped: the same test block, other labels
             "fold-labels": replace(plan, proactive_folds=(b1, b0, test_block)),
-            "test-fold": plan.with_test_fold(0),
+            "test-fold": replace(plan, test_fold=0),
             "larger-plan": replace(plan, reactive_folds=plan.reactive_folds[:-1]
                                    + (plan.reactive_folds[-1] + (plan.n_reactive,),)),
         }[change]

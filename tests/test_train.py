@@ -221,8 +221,8 @@ class TestValidationTable:
 
     @pytest.mark.parametrize("trained", [False, True])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    def test_equals_estimate_metric_bitwise(self, kind, trained):
-        _, _, plan, dataset = _world(n=14, eta=1.2)
+    def test_equals_estimate_metric_bitwise(self, kind, trained, eta=1.2):
+        _, _, plan, dataset = _world(n=14, eta=eta)
         val_users = np.asarray(plan.proactive_folds[plan.validation_fold])
         val_cands = np.asarray(plan.reactive_folds[plan.validation_fold])
         if trained:
@@ -241,6 +241,13 @@ class TestValidationTable:
             expected = estimate_metric(kind, ranking, *tables, LambdaWeight(k)).value
             assert validation_metric(model, dataset, kind, k).hex() == expected.hex()
             assert validation_metric(model, dataset, kind, k, ctx).hex() == expected.hex()
+
+    @pytest.mark.parametrize("trained", [False, True])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_equals_estimate_metric_bitwise_at_strong_bias(self, kind, trained):
+        """At eta 10 the smallest propensities are 4.0e-3 and 1.9e-2, so the
+        largest ipw2 weight is 1.3e4."""
+        self.test_equals_estimate_metric_bitwise(kind, trained, eta=10.0)
 
     def test_empty_validation_block_raises(self):
         # test fold 0, so the validation block is proactive fold 1, which is empty
