@@ -18,7 +18,7 @@ import threading
 import traceback
 from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
-from functools import partial
+from functools import cache, partial
 
 from . import _lazy
 
@@ -76,6 +76,91 @@ def derive_seed(master: int, label: str) -> int:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
+
+
+@cache
+def _float_tables():
+    """The byte tables of :func:`format_float_rows`, built on first use."""
+    import numpy as np
+
+    heads = [b"0." + b"0" * zeros + b"%d" % lead for zeros in range(4) for lead in range(10)]
+    heads = b"".join(h.rjust(8, b"\0") for h in heads + [b"0.0", b"1.0"])
+    return (np.frombuffer(heads, np.uint64),
+            (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(
+                np.uint8).view(np.uint32).ravel(),
+            np.frombuffer(b"".join(b"\xff" * (16 - cut) + b"\0" * cut for cut in range(17)),
+                          np.uint64).reshape(17, 2),
+            np.frombuffer(b",\0\0\0\0\0\0\0\r\n\0\0\0\0\0\0", np.uint64),
+            np.array([10**j for j in range(17)], np.uint64),
+            np.array([5**k for k in range(17, 21)], np.uint64))
+
+
+def format_float_rows(table) -> str:
+    """CSV text of a 2-d float64 table: each cell :func:`format_float`, cells
+    joined by ``,``, every row ending in CRLF.
+
+    Finite ``x`` in [1e-4, 1), powers of two aside, gets repr's digits from
+    exact integer arithmetic (Steele & White 1990; Adams 2018).  With
+    ``x * 10**k = q + r / 2**s`` and ``k = 16 + zeros``, the 17-digit integers
+    that read back as ``x`` run from ``lo`` to ``hi``; the digits are the
+    multiple of ``10**cut`` nearest ``x * 10**k`` for the largest ``cut`` with a
+    multiple in that range.  Exact ties between two multiples and all other
+    values but 0.0 and 1.0 go through ``repr``.  Integers stay unsigned with
+    ``np.uint64`` scalars (uint64 mixed with int64 gives float64), and
+    remainders are ``a - a // c * c`` (``%`` divides in hardware).
+    """
+    import numpy as np
+
+    heads, digits, tails, separators, tens, fives = _float_tables()
+    u64 = np.uint64
+    values = np.ascontiguousarray(table, np.float64)
+    n, n_cols = values.size, values.shape[1]
+    flat = values.ravel()
+    bits = flat.view(u64)
+    fast = (bits >= np.float64(1e-4).view(u64)) & (bits < np.float64(1.0).view(u64)) & (
+        bits & u64(2**52 - 1) != 0)
+    x = np.where(fast, flat, 0.1 + 0.2)  # off the path: 17 digits end the scan at once
+    zeros = (x < 0.1).view(np.uint8) + (x < 0.01).view(np.uint8) + (x < 0.001).view(np.uint8)
+    five = fives[zeros]  # P = m * 5**k = x * 10**k * 2**s, in two 64-bit limbs
+    m = (x.view(u64) & u64(2**52 - 1)) | u64(2**52)
+    s = u64(1058) - (x.view(u64) >> u64(52)) - zeros  # 36 .. 46
+    low32 = u64(2**32 - 1)
+    m_hi, m_lo, f_hi, f_lo = m >> u64(32), m & low32, five >> u64(32), five & low32
+    low, mid = m_lo * f_lo, m_hi * f_lo + m_lo * f_hi
+    p_lo = low + (mid << u64(32))
+    q = ((m_hi * f_hi + (mid >> u64(32)) + (p_lo < low)) << (u64(64) - s)) | (p_lo >> s)
+    one_s, half_five = u64(1) << s, five >> u64(1)
+    r = p_lo & (one_s - u64(1))  # x * 10**k = q + r / 2**s
+    lo, hi = q + u64(1) - ((half_five + one_s - r) >> s), q + ((r + half_five) >> s)
+    cut = np.zeros(n, np.uint8)
+    for p in tens[1:]:
+        ok = hi // p * p >= lo
+        if not ok.any():
+            break
+        cut += ok
+    p = tens[cut]
+    base = q // p * p
+    rest, half, r_half = q - base, p >> u64(1), (one_s >> u64(1)) * (cut == 0)
+    out = base + p * ((rest > half) | (rest == half) & (r > r_half))  # <= hi < 10**17: no carry
+    top = out // u64(10**8)
+    lead = top // u64(10**8)
+    head = zeros * np.uint8(10) + lead.astype(np.uint8)
+    zero, one = bits == u64(0), bits == np.float64(1.0).view(u64)
+    head[zero], head[one], cut[zero | one] = 40, 41, 16
+    cells = np.empty((n, 32), np.uint8)  # head, 16 digits, separator: 8 bytes each
+    words, quads = cells.view(u64), cells.view(np.uint32)
+    words[:, 0] = heads[head]
+    for at, group in ((2, (top - lead * u64(10**8)).astype(np.uint32)),
+                      (4, (out - top * u64(10**8)).astype(np.uint32))):
+        quads[:, at] = digits[group // np.uint32(10**4)]
+        quads[:, at + 1] = digits[group - group // np.uint32(10**4) * np.uint32(10**4)]
+    words[:, 1:3] &= np.take(tails, cut, axis=0)
+    words[:, 3] = separators[0]
+    words[n_cols - 1::n_cols, 3] = separators[1]
+    slow = np.flatnonzero(~fast & ~zero & ~one | fast & (rest == half) & (r == r_half))
+    cells[slow, :24] = np.array(list(map(repr, flat[slow].tolist())), "S24").view(
+        np.uint8).reshape(-1, 24)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @contextmanager

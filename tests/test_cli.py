@@ -21,7 +21,7 @@ from matchltr import (
     save_preferences,
 )
 from matchltr.cli import main
-from matchltr.simulate import load_exposure
+from matchltr.simulate import load_exposure, synth_preferences
 from matchltr.verify import save_instance, single_pair_witness
 
 
@@ -57,6 +57,25 @@ class TestGenData:
         exposure = load_exposure(out / "exposure.json")
         assert (exposure.theta_reactive_exposure == 1.0).all()
         assert (exposure.theta_proactive_exposure == 1.0).all()
+
+    def test_an_eta_that_underflows_an_exposure_is_named(self, tmp_path, capsys):
+        """At 60x60, eta 1000 takes an exposure to 0.0; the error names eta, not a table."""
+        argv = ["gen-data", "--synth", "60,60,4,0.05", "--folds", "5", "--seed", "0"]
+        assert run_cli(*argv, "--eta", "400", "--out", str(tmp_path / "ok")) == 0
+        exposure = load_exposure(tmp_path / "ok" / "exposure.json")
+        seed = json.loads((tmp_path / "ok" / "run.json").read_text())["sub_seeds"]["synth"]
+        m = synth_preferences(60, 60, 4, 0.05, seed)
+        for theta, sums in ((exposure.theta_reactive_exposure, m.forward.sum(axis=0)),
+                            (exposure.theta_proactive_exposure, m.backward.sum(axis=1))):
+            assert theta.min() > 0.0
+            assert theta.tobytes() == ((sums / sums.max()) ** 400.0).tobytes()
+        capsys.readouterr()
+        assert run_cli(*argv, "--eta", "1000", "--out", str(tmp_path / "bad")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta 1000.0 is too large: reactive user ")
+        assert err.rstrip().endswith("'s exposure underflows to 0")
+        assert "theta_" not in err
+        assert not (tmp_path / "bad" / "dataset.csv").exists()
 
     def test_missing_source_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -48,10 +48,10 @@ from matchltr import (
     save_side_assignment,
     synth_preferences,
 )
-from matchltr import simulate
+from matchltr import simulate, util
 from matchltr.cli import main as cli_main
 from matchltr.simulate import _fold_index
-from matchltr.util import Worker, format_float, usable_cores, write_blocks
+from matchltr.util import Worker, format_float, format_float_rows, usable_cores, write_blocks
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
            "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
@@ -775,7 +775,10 @@ def _line_of(exc_info):
     return int(re.search(r"line (\d+)", str(exc_info.value))[1])
 
 
-_EDGE_UNIT = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53]
+# 1e-4 and its lower neighbour bound the digit fast path; 0.09999999999999999, the float
+# below 0.1, is one rounding step from a carry to 0.1
+_EDGE_UNIT = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 1e-4, float(np.nextafter(1e-4, 0)),
+              0.09999999999999999]
 unit_values = st.one_of(st.sampled_from(_EDGE_UNIT), st.floats(0.0, 1.0))
 theta_values = st.one_of(st.sampled_from([1.0, 5e-324, 1 - 2**-53, 1e-300]),
                          st.floats(1e-300, 1.0))
@@ -967,6 +970,58 @@ def test_gen_data_writes_reference_bytes(tmp_path):
                                     ref / "preferences.csv")
         for name in ("dataset.csv", "preferences.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), (synth, name)
+
+
+class TestFormatFloatRows:
+    """``format_float_rows`` writes the bytes of ``repr`` for every float64."""
+
+    @staticmethod
+    def _check(values, n_cols=7):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        table = np.concatenate([values, np.full(-values.size % n_cols, 0.3)]).reshape(-1, n_cols)
+        expected = "".join(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
+        text = format_float_rows(table)
+        if text != expected:
+            cells = zip(re.split(",|\r\n", text), re.split(",|\r\n", expected))
+            got, want = next((a, b) for a, b in cells if a != b)
+            pytest.fail(f"wrote {got!r} where repr writes {want!r}")
+
+    def test_uniform_and_log_uniform(self):
+        rng = np.random.default_rng(27)
+        self._check(rng.random(200_000))
+        self._check(10.0 ** rng.uniform(-6.0, 0.0, 200_000))
+
+    @pytest.mark.parametrize("digits", range(1, 17))
+    def test_short_decimals(self, digits):
+        rng = np.random.default_rng(digits)
+        self._check(np.round(rng.random(5000), digits))
+        self._check([float(f"{x:.{digits}g}") for x in 10.0 ** rng.uniform(-5.0, 0.0, 5000)])
+
+    def test_neighbours_of_round_values(self):
+        centres = np.array([1e-1, 1e-2, 1e-3, 1e-4, 0.5, 0.25, 0.2, 0.9, 1.0])
+        steps = np.arange(-300, 301)  # consecutive bit patterns are neighbouring floats
+        self._check((centres.view(np.int64)[:, None] + steps).view(np.float64))
+
+    def test_dyadic_values_reach_rounding_ties(self):
+        """``k / 2**e`` with few bits: some lie exactly halfway between two candidates."""
+        self._check([k / 2.0**e for bits in range(1, 12) for e in range(bits, 60)
+                     for k in range(1, 2**bits, 2)])
+
+    def test_edge_values(self):
+        self._check([-0.0, 0.0, 1.0, 5e-324, 2.0**-1022, 0.09999999999999999, 1e-4,
+                     float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 1 - 2**-53])
+        for shape in ((1, 1), (3, 1), (1, 5), (0, 4)):
+            self._check(np.full(shape, 0.3), n_cols=shape[1])
+
+    def test_a_synth_table_takes_the_fast_path(self, monkeypatch):
+        """At most 5% of a 500x500 synth table goes through ``repr`` one value at a time."""
+        m = synth_preferences(500, 500, 4, 0.05, seed=3)
+        calls = []
+        monkeypatch.setattr(util, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        stacked = np.hstack([m.forward, m.backward])
+        text = "".join(format_float_rows(stacked[i:i + 8]) for i in range(0, 500, 8))
+        assert text == "".join(",".join(map(repr, row.tolist())) + "\r\n" for row in stacked)
+        assert 0 < len(calls) <= 0.05 * stacked.size
 
 
 class TestForkedWriters:
