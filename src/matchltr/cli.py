@@ -9,6 +9,7 @@ Exit status: 0 on success, 1 on runtime failure, 2 on usage errors, and 141
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import sys
@@ -59,6 +60,15 @@ def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
             print(f"  {key} = {sub_seeds[key]}")
 
 
+def _settings(args, **resolved) -> dict:
+    """The command's parsed options by dest, tuples comma-joined and paths as ``str``;
+    ``resolved`` values replace the parsed ones."""
+    config = {key: ",".join(map(str, value)) if isinstance(value, tuple)
+              else str(value) if isinstance(value, Path) else value
+              for key, value in vars(args).items() if key not in ("command", "func")}
+    return {**config, **resolved}
+
+
 def _write_run_json(out_dir: Path, command: str, config: dict, sub_seeds: dict) -> None:
     payload = {"command": command, "config": config, "sub_seeds": sub_seeds,
                "blas_threads": _BLAS_THREADS}
@@ -92,23 +102,14 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     sub_seeds = {
         "side-split": derive_seed(args.seed, "side-split"),
         "folds": derive_seed(args.seed, "folds"),
         "sampling": derive_seed(args.seed, "sampling"),
         "synth": derive_seed(args.seed, "synth"),
     }
-    config = {
-        "matrix": args.matrix,
-        "synth": ",".join(map(str, args.synth)) if args.synth else None,
-        "eta": args.eta,
-        "folds": args.folds,
-        "test_fold": args.test_fold,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    config = _settings(args)
     _print_config("gen-data", config, sub_seeds)
 
     if args.matrix is not None:
@@ -124,16 +125,16 @@ def _cmd_gen_data(args) -> int:
     exposure = lib.exposure_from_popularity(m, args.eta)
     dataset = lib.sample_dataset(m, exposure, plan, sub_seeds["sampling"])
 
-    lib.save_preferences(m, out / "preferences.csv")
-    lib.save_side_assignment(assignment, out / "sides.json")
-    lib.save_fold_plan(plan, out / "folds.json")
-    lib.save_exposure(exposure, out / "exposure.json")
-    lib.save_dataset(dataset, out / "dataset.csv")
-    _write_run_json(out, "gen-data", config, sub_seeds)
+    lib.save_preferences(m, args.out / "preferences.csv")
+    lib.save_side_assignment(assignment, args.out / "sides.json")
+    lib.save_fold_plan(plan, args.out / "folds.json")
+    lib.save_exposure(exposure, args.out / "exposure.json")
+    lib.save_dataset(dataset, args.out / "dataset.csv")
+    _write_run_json(args.out, "gen-data", config, sub_seeds)
     print(
         f"[gen-data] wrote {len(dataset)} observations "
         f"({m.n_proactive} proactive x {m.n_reactive} reactive, "
-        f"test fold {plan.test_fold} of {plan.k}) to {out}"
+        f"test fold {plan.test_fold} of {plan.k}) to {args.out}"
     )
     return 0
 
@@ -143,38 +144,20 @@ def _cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    data = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     sub_seeds = lib.training_sub_seeds(args.seed)
-    config = {
-        "data": str(data),
-        "loss": args.loss,
-        "learning_rate": args.lr,
-        "epochs": args.epochs,
-        "dim": args.dim,
-        "batch": args.batch,
-        "k_valid": args.k_valid,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    config = _settings(args)
     _print_config("train", config, sub_seeds)
 
-    plan = lib.load_fold_plan(data / "folds.json")
-    dataset = lib.load_dataset(data / "dataset.csv", plan)
-    cfg = lib.TrainConfig(
-        loss_kind=lib.LossKind(args.loss),
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        dim=args.dim,
-        batch=args.batch,
-        seed=args.seed,
-        k_valid=args.k_valid,
-    )
+    plan = lib.load_fold_plan(args.data / "folds.json")
+    dataset = lib.load_dataset(args.data / "dataset.csv", plan)
+    fields = {f.name for f in dataclasses.fields(lib.TrainConfig)}
+    cfg = lib.TrainConfig(loss_kind=lib.LossKind(args.loss),
+                          **{key: value for key, value in config.items() if key in fields})
     model, log = lib.train_model(dataset, cfg)
-    lib.save_model(model, out / "checkpoint.bin")
-    lib.save_training_log(log, out / "train_log.csv")
-    _write_run_json(out, "train", config, sub_seeds)
+    lib.save_model(model, args.out / "checkpoint.bin")
+    lib.save_training_log(log, args.out / "train_log.csv")
+    _write_run_json(args.out, "train", config, sub_seeds)
     if log.records:
         print(
             f"[train] best validation metric {log.best_valid_metric:.6g} "
@@ -182,7 +165,7 @@ def _cmd_train(args) -> int:
         )
     else:
         print("[train] epochs=0: saved the initialized model unchanged")
-    print(f"[train] wrote checkpoint and log to {out}")
+    print(f"[train] wrote checkpoint and log to {args.out}")
     return 0
 
 
@@ -190,10 +173,10 @@ def _cmd_train(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _resolve_eta(args, data: Path) -> float:
-    eta = args.eta
-    if eta is None and (data / "run.json").exists():
-        config = read_json(data / "run.json", "run.json").get("config")
+def _resolve_eta(args) -> float:
+    eta, run_json = args.eta, args.data / "run.json"
+    if eta is None and run_json.exists():
+        config = read_json(run_json, "run.json").get("config")
         eta = config.get("eta") if isinstance(config, dict) else None
         try:
             eta = None if eta is None else float(eta)
@@ -209,31 +192,20 @@ def _resolve_eta(args, data: Path) -> float:
 
 
 def _cmd_evaluate(args) -> int:
-    data = Path(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    plan = lib.load_fold_plan(data / "folds.json")
-    eta = _resolve_eta(args, data)
+    args.out.mkdir(parents=True, exist_ok=True)
+    plan = lib.load_fold_plan(args.data / "folds.json")
+    eta = _resolve_eta(args)
     sub_seeds = lib.labels_sub_seeds(args.seed, plan.test_fold)
-    config = {
-        "data": str(data),
-        "model": args.model,
-        "loss": args.loss,
-        "k_list": ",".join(map(str, args.k_list)),
-        "label_mode": args.label_mode,
-        "eta": eta,
-        "seed": args.seed,
-        "out": str(out),
-    }
+    config = _settings(args, eta=eta)
     _print_config("evaluate", config, sub_seeds)
 
-    m = lib.load_preferences(data / "preferences.csv")
+    m = lib.load_preferences(args.data / "preferences.csv")
     model = lib.load_model(args.model)
     (labels_seed,) = sub_seeds.values()
     records = lib.test_dcg_records(model, m, plan, eta, args.loss, args.k_list, labels_seed,
                                    args.label_mode)
-    save_eval_report(records, out / "eval.csv")
-    _write_run_json(out, "evaluate", config, sub_seeds)
+    save_eval_report(records, args.out / "eval.csv")
+    _write_run_json(args.out, "evaluate", config, sub_seeds)
     for r in records:
         print(
             f"[evaluate] fold={r.fold} eta={r.eta:g} method={r.method} "
@@ -247,7 +219,6 @@ def _cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    out = Path(args.out) if args.out else Path(".")
     if args.replay is not None:
         lib.check_settings(args.tolerance, args.max_users, args.max_candidates)
         inst = lib.load_instance(args.replay)
@@ -263,19 +234,14 @@ def _cmd_verify(args) -> int:
         print(f"[verify] two-sided estimator within tolerance: {ok}")
         return 0 if ok else 1
 
-    config = {
-        "trials": args.trials,
-        "max_users": args.max_users,
-        "max_candidates": args.max_candidates,
-        "tolerance": args.tolerance,
-        "seed": args.seed,
-        "theta_one": args.theta_one,
-    }
+    config = {key: value for key, value in _settings(args).items()
+              if key not in ("out", "replay")}
     _print_config("verify", config, {})
     report = lib.run_verification(**config)
     for line in report.lines():
         print(f"[verify] {line}")
     if not report.passed:
+        out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         target = out / "failing_instance.json"
         lib.save_instance(report.failures[0], target)
@@ -406,23 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--test-fold", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train one ranker on a generated dataset")
-    p.add_argument("--data", required=True, help="gen-data output directory")
+    p.add_argument("--data", type=Path, required=True, help="gen-data output directory")
     p.add_argument("--loss", choices=_METHOD_ORDER, required=True)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--k-valid", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on the held-out test block")
-    p.add_argument("--data", required=True, help="gen-data output directory")
+    p.add_argument("--data", type=Path, required=True, help="gen-data output directory")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--loss", choices=_METHOD_ORDER, required=True,
                    help="method label for the report rows")
@@ -431,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None,
                    help="override the eta recorded by gen-data")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("verify", help="check estimator (un)biasedness with the exact oracle")

@@ -74,10 +74,12 @@ class PreferenceMatrix:
                 f"forward and backward must be 2-d with identical shape, "
                 f"got {fwd.shape} and {bwd.shape}"
             )
+        if not fwd.size:
+            raise ContractViolation(f"both sides need at least one user, got {fwd.shape}")
         for name, m in (("forward", fwd), ("backward", bwd)):
             if not np.all(np.isfinite(m)):
                 raise ContractViolation(f"{name} preferences contain non-finite entries")
-            if m.size and (m.min() < 0.0 or m.max() > 1.0):
+            if m.min() < 0.0 or m.max() > 1.0:
                 raise ContractViolation(f"{name} preferences must lie in [0, 1]")
 
     @property

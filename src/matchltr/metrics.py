@@ -24,7 +24,6 @@ from .core import (
     UndefinedAverageError,
     _index,
 )
-from .util import EvalRecord, load_eval_report, save_eval_report  # re-exported
 
 
 class EstimatorKind(enum.Enum):

@@ -143,10 +143,13 @@ def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     proactive user's exposure is ``(incoming backward mass / max)**eta``.
     Every user must have strictly positive incoming mass and an exposure
     that does not underflow to 0, otherwise the positivity assumption breaks.
+    Both masses are column sums of C-ordered tables, so their bits do not
+    depend on the memory layout of ``m``.
     """
     _check_eta(eta)
     exposures = []
-    for side, sums in (("reactive", m.forward.sum(axis=0)), ("proactive", m.backward.sum(axis=1))):
+    for side, table in (("reactive", m.forward), ("proactive", m.backward.T)):
+        sums = np.ascontiguousarray(table).sum(axis=0)
         zero = np.flatnonzero(sums <= 0.0)
         if zero.size:
             raise AssumptionViolationError(

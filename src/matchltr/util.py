@@ -20,11 +20,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import astuple, dataclass, fields
 from functools import cache, partial
 
-from . import _lazy
-
-# the sigmoid and the array codec need numpy, so they live in core; these names reach them
-_, __getattr__ = _lazy(__name__, {"core": "read_arrays sigmoid write_arrays"})
-
 
 class MatchLtrError(Exception):
     """Base class for all errors raised by this package."""

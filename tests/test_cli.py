@@ -572,9 +572,8 @@ _EXPORTS = {
     "core": """AssumptionViolationError ContractViolation DataFormatError DivergenceError
         FoldInfeasibleError FoldPlan InvalidPopulationError MatchLtrError PreferenceMatrix
         RankedList SideAssignment UndefinedAverageError""",
-    "metrics": """EstimatorKind EvalRecord LambdaWeight MetricValue dcg_at_k estimate_metric
-        gain_ipw gain_surrogate gain_true load_eval_report metric_ground_truth
-        rank_candidates save_eval_report""",
+    "metrics": """EstimatorKind LambdaWeight MetricValue dcg_at_k estimate_metric gain_ipw
+        gain_surrogate gain_true metric_ground_truth rank_candidates""",
     "ranker": """GradientTables LossKind RankerModel init_model load_model loss_gradient
         loss_user save_model score_matrix""",
     "simulate": """ExposureModel FeedbackDataset assign_sides exposure_from_popularity
@@ -583,7 +582,7 @@ _EXPORTS = {
         save_exposure save_fold_plan save_preferences save_side_assignment synth_preferences""",
     "train": """ExperimentPlan TrainConfig TrainingLog default_method_configs load_training_log
         run_experiment save_training_log test_dcg_records train_model validation_metric""",
-    "util": "derive_seed",
+    "util": "EvalRecord derive_seed load_eval_report save_eval_report",
     "verify": """OracleInstance VerificationReport check_instance expected_metric_exact
         run_verification single_pair_witness""",
 }
@@ -609,12 +608,11 @@ class TestPackageNamespace:
         for name in _EXPORTS[home].split():
             assert getattr(matchltr, name) is getattr(module, name), name
 
-    def test_moved_helpers_keep_their_old_paths(self):
-        from matchltr import core, util
+    def test_util_binds_no_numpy_names(self):
+        from matchltr import util
 
-        for name in ("sigmoid", "write_arrays", "read_arrays"):
-            assert getattr(util, name) is getattr(core, name)
-        assert not hasattr(util, "np")
+        for name in ("np", "sigmoid", "write_arrays", "read_arrays"):
+            assert not hasattr(util, name), name
 
     def test_star_import_binds_every_export(self):
         import matchltr
@@ -641,6 +639,30 @@ class TestPackageNamespace:
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         loss = next(a for a in sub.choices[command]._actions if a.dest == "loss")
         assert list(loss.choices) == [k.value for k in LossKind]
+
+    def test_option_defaults_are_the_library_defaults(self):
+        """train's options feed TrainConfig and verify's feed run_verification; the
+        parser cannot read their defaults (--help loads no numpy), so a drift would
+        give the command line and the library different runs."""
+        import argparse
+        import dataclasses
+        import inspect
+
+        from matchltr import ExperimentPlan, TrainConfig, run_verification
+        from matchltr.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        defaults = {command: {a.dest: a.default for a in parser._actions if a.dest != "help"}
+                    for command, parser in sub.choices.items()}
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        train = {key: value for key, value in defaults["train"].items() if key in fields}
+        assert train == {key: fields[key] for key in fields if key != "loss_kind"}
+        verify = {key: value for key, value in defaults["verify"].items()
+                  if key not in ("out", "replay")}
+        params = inspect.signature(run_verification).parameters
+        assert verify == {name: param.default for name, param in params.items()}
+        plan = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
+        assert defaults["evaluate"]["k_list"] == plan["k_values"]
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -166,6 +166,12 @@ class TestPreferenceMatrix:
         with pytest.raises(ContractViolation):
             PreferenceMatrix(forward=np.full((2, 2), 1.5), backward=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_a_side_with_no_users_is_rejected(self, shape):
+        """Neither shape can be saved as a preferences.csv that loads back."""
+        with pytest.raises(ContractViolation, match="at least one user"):
+            PreferenceMatrix(forward=np.zeros(shape), backward=np.zeros(shape))
+
     def test_from_square_transposes_backward(self):
         m = np.array([[0.0, 0.2], [0.9, 0.0]])
         pm = PreferenceMatrix.from_square(m)

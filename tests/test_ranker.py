@@ -23,7 +23,7 @@ from matchltr import (
 )
 from matchltr.metrics import feedback_coefficients
 from matchltr.ranker import PROB_FLOOR, SPACES, _user_kernel, accumulate_gradient
-from matchltr.util import sigmoid
+from matchltr.core import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 

@@ -165,6 +165,25 @@ class TestExposure:
         ]
         assert (np.diff(thetas) < 0).all()
 
+    def test_bits_do_not_depend_on_the_memory_layout(self, tmp_path):
+        """synth_preferences returns backward as a transposed view and load_preferences
+        slices one stacked table; both, and any copy of one matrix, give the same bits."""
+        synth = synth_preferences(60, 60, 4, 0.05, 0)
+        save_preferences(synth, tmp_path / "preferences.csv")
+        loaded = [load_preferences(tmp_path / "preferences.csv")]
+        (tmp_path / "preferences.csv.parsed").unlink()  # then parse the CSV itself
+        loaded.append(load_preferences(tmp_path / "preferences.csv"))
+        rng = np.random.default_rng(3)
+        wide = rng.random((9, 14)) * 0.9 + 0.05
+        copies = [(f(wide[:, ::2]), f(wide[:, 1::2]))
+                  for f in (np.ascontiguousarray, np.asfortranarray, lambda a: a)]
+        for eta in (1.0, 400.0):
+            for group in ([synth, *loaded],
+                          [PreferenceMatrix(forward=f, backward=b) for f, b in copies]):
+                bits = [(e.theta_reactive_exposure.tobytes(), e.theta_proactive_exposure.tobytes())
+                        for e in (exposure_from_popularity(m, eta) for m in group)]
+                assert bits[1:] == bits[:-1]
+
     def test_max_entry_is_exactly_one(self):
         rng = np.random.default_rng(11)
         m = PreferenceMatrix(forward=rng.random((5, 7)) * 0.9 + 0.05,

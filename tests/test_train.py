@@ -55,7 +55,7 @@ from matchltr.train import (
     _validation_context,
 )
 from matchltr.train import test_dcg_records as dcg_records  # not a test for pytest to collect
-from matchltr.util import sigmoid
+from matchltr.core import sigmoid
 
 TABLES = ("w_pro_fwd", "w_rea_fwd", "w_pro_bwd", "w_rea_bwd")
 
