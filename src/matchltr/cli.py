@@ -1,7 +1,9 @@
 """Command-line entry points: gen-data, train, evaluate, verify, report.
 
-Every command prints the resolved configuration (including all derived
-sub-seeds) before doing work and writes a ``run.json`` next to its outputs.
+gen-data, train and evaluate print the resolved configuration (including all
+derived sub-seeds) before doing work and write a ``run.json`` next to their
+outputs.  verify prints its configuration (unless replaying) and writes only a
+failing instance, when one fails; report does neither.
 Exit status: 0 on success, 1 on runtime failure, 2 on usage errors, and 141
 (128 + SIGPIPE) when a command that would have succeeded finds stdout's reader gone.
 """

@@ -40,6 +40,8 @@ from .util import (file_sha256, format_float, format_float_rows, load_record, op
 _BLOCK_VALUES = 1 << 16
 # values per format_float_rows call: 65,536 run as fast but add 13 MB of temporaries
 _CHUNK_VALUES = 1 << 13
+# pairs per chunk of dataset.csv rows: 65,536 add 11 MB of temporaries
+_CHUNK_PAIRS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -602,39 +604,49 @@ def _fold_index(folds) -> np.ndarray:
     return out
 
 
+def _byte_table(cells) -> np.ndarray:
+    """The ASCII strings ``cells`` as the rows of a NUL-padded ``uint8`` table."""
+    table = np.array(cells, dtype="S")
+    return table.view(np.uint8).reshape(len(table), table.itemsize)
+
+
 def save_dataset(ds: FeedbackDataset, path) -> None:
     """Write one CSV row per observed pair, in row-major order (schema: the header row).
 
-    Rows end in CRLF and floats use :func:`format_float`.  Rows are gathered
-    in blocks of about 65,536 pairs, formatted by :func:`write_blocks`; in
-    each block every distinct theta is formatted once, and a row's ids, fold
-    labels and six bits (one of 64 tokens) are looked up pre-formatted.  The
-    tables and both sides' fold labels go into a sidecar (:func:`_save_parsed`).
+    Rows end in CRLF and floats use :func:`format_float`.  Rows are written in
+    blocks of about 65,536 pairs by :func:`write_blocks` and formatted in
+    chunks of about 16,384.  A chunk's cells are rows of NUL-padded byte tables,
+    built once per call (ids, fold labels, the 64 tokens of six bits) or per
+    chunk (its distinct thetas), gathered by ``np.take`` and joined side by
+    side; deleting the padding leaves the rows (240,000 rows in 0.061 s on one
+    core, ``BENCH_dataset_rows.json``).  The tables and both sides' fold labels
+    go into a sidecar (:func:`_save_parsed`).
     """
     folds = {"fold_u": _fold_index(ds.fold_plan.proactive_folds),
              "fold_v": _fold_index(ds.fold_plan.reactive_folds)}
-    ids = [f"{i}," for i in range(max(ds.n_proactive, ds.n_reactive))]
-    fold_u, fold_v = ([f"{f}," for f in labels.tolist()] for labels in folds.values())
-    tokens = [",".join(format(i, "06b")) + "," for i in range(64)]
+    ids = _byte_table([f"{i}," for i in range(max(ds.n_proactive, ds.n_reactive))])
+    fold_u, fold_v = (_byte_table([f"{f}," for f in labels.tolist()]) for labels in folds.values())
+    tokens = _byte_table([",".join(format(i, "06b")) + "," for i in range(64)])
     step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
+    chunk = max(1, _CHUNK_PAIRS // max(ds.n_reactive, 1))  # proactive rows per chunk
 
     def write_range(fh, first, stop):
         if first == 0:
             fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
-        for lo in range(first * step, min(stop * step, ds.n_proactive), step):
-            rows = slice(lo, lo + step)
-            at = np.flatnonzero(ds.observed[rows])  # the block's observed pairs, row-major
+        last = min(stop * step, ds.n_proactive)
+        for lo in range(first * step, last, chunk):
+            rows = slice(lo, min(lo + chunk, last))
+            at = np.flatnonzero(ds.observed[rows])  # the chunk's observed pairs, row-major
             bits = np.zeros(at.size, dtype=np.int8)
             for name in _BIT_TABLES:
                 bits = 2 * bits + getattr(ds, name)[rows].ravel()[at]
-            uu, vv = np.divmod(at, ds.n_reactive)
-            columns = [(uu + lo).tolist(), vv.tolist(), bits.tolist()]
-            for name in _THETA_TABLES:  # in (0, 1], so no -0.0 to merge with 0.0
+            uu, vv = np.divmod(at + lo * ds.n_reactive, ds.n_reactive)
+            columns = [(ids, uu), (ids, vv), (fold_u, uu), (fold_v, vv), (tokens, bits)]
+            for name, end in zip(_THETA_TABLES, (",", "\r\n")):  # in (0, 1]: no -0.0
                 values, which = np.unique(getattr(ds, name)[rows].ravel()[at], return_inverse=True)
-                labels = np.array([format_float(x) for x in values], dtype=object)
-                columns.append(labels[which].tolist())
-            fh.writelines(f"{ids[u]}{ids[v]}{fold_u[u]}{fold_v[v]}{tokens[b]}{tf},{tb}\r\n"
-                          for u, v, b, tf, tb in zip(*columns))
+                columns.append((_byte_table([format_float(x) + end for x in values.tolist()]), which))
+            cells = np.concatenate([np.take(table, codes, axis=0) for table, codes in columns], 1)
+            fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
 
     write_blocks(path, write_range, -(-ds.n_proactive // step))
     _save_parsed(path, {name: getattr(ds, name) for name in _TABLES} | folds)
