@@ -19,14 +19,15 @@ from pathlib import Path
 
 from . import _BLAS_THREADS, _lazy
 from .util import (
-    DataFormatError,
     EvalRecord,
     MatchLtrError,
+    Worker,
     derive_seed,
     format_float,
     load_eval_report,
     read_json,
     save_eval_report,
+    usable_cores,
     write_csv,
     write_json,
 )
@@ -50,6 +51,9 @@ _, __getattr__ = _lazy(__name__, {
 
 # the LossKind values, in report column order; a test keeps them equal
 _METHOD_ORDER = ("conventional", "ipw1", "ipw2")
+# pairs from which gen-data writes preferences.csv in a forked worker; below
+# it a fork costs more than it saves (BENCH_gen_data_split.json)
+_FORK_PAIRS = 1 << 16
 
 
 def _print_config(command: str, config: dict, sub_seeds: dict) -> None:
@@ -127,11 +131,24 @@ def _cmd_gen_data(args) -> int:
     exposure = lib.exposure_from_popularity(m, args.eta)
     dataset = lib.sample_dataset(m, exposure, plan, sub_seeds["sampling"])
 
-    lib.save_preferences(m, args.out / "preferences.csv")
-    lib.save_side_assignment(assignment, args.out / "sides.json")
-    lib.save_fold_plan(plan, args.out / "folds.json")
-    lib.save_exposure(exposure, args.out / "exposure.json")
-    lib.save_dataset(dataset, args.out / "dataset.csv")
+    # a forked worker writes a large market's preferences.csv while this process
+    # writes the rest; on a failure here it is waited for, not killed, so that it
+    # leaves no temporary file
+    prefs = args.out / "preferences.csv"
+    worker = None
+    if usable_cores() >= 2 and m.n_proactive * m.n_reactive >= _FORK_PAIRS:
+        worker = Worker(lambda: lib.save_preferences(m, prefs))
+    else:
+        lib.save_preferences(m, prefs)
+    try:
+        lib.save_side_assignment(assignment, args.out / "sides.json")
+        lib.save_fold_plan(plan, args.out / "folds.json")
+        lib.save_exposure(exposure, args.out / "exposure.json")
+        lib.save_dataset(dataset, args.out / "dataset.csv")
+    finally:
+        status = worker.wait() if worker else 0
+    if status:
+        raise MatchLtrError(f"writing {prefs}: a worker exited with status {status}")
     _write_run_json(args.out, "gen-data", config, sub_seeds)
     print(
         f"[gen-data] wrote {len(dataset)} observations "
@@ -180,17 +197,12 @@ def _resolve_eta(args) -> float:
     if eta is None and run_json.exists():
         config = read_json(run_json, "run.json").get("config")
         eta = config.get("eta") if isinstance(config, dict) else None
-        try:
-            eta = None if eta is None else float(eta)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"run.json: eta must be a number, got {eta!r}") from None
     if eta is None:
         raise MatchLtrError(
             "eta is needed to label report rows; pass --eta or keep the "
             "run.json written by gen-data next to the dataset"
         )
-    lib._check_eta(eta)
-    return eta
+    return lib._check_eta(eta)
 
 
 def _cmd_evaluate(args) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import numbers
 import os
 import re
 import warnings
@@ -33,11 +34,9 @@ from .core import (
     write_arrays,
 )
 from .metrics import _check_theta
-from .util import (file_sha256, format_float, format_float_rows, load_record, open_csv,
-                   save_record, write_blocks)
+from .util import (atomic_open, file_sha256, format_float, format_float_rows, load_record,
+                   open_csv, save_record)
 
-# values per block of the CSV writers, which may format blocks on several cores
-_BLOCK_VALUES = 1 << 16
 # values per format_float_rows call: 65,536 run as fast but add 13 MB of temporaries
 _CHUNK_VALUES = 1 << 13
 # pairs per chunk of dataset.csv rows: 65,536 add 11 MB of temporaries
@@ -95,9 +94,14 @@ def make_folds(assignment: SideAssignment, k: int, seed: int, test_fold: int = 0
 # exposure probabilities
 # ---------------------------------------------------------------------------
 
-def _check_eta(eta: float) -> None:
+def _check_eta(eta) -> float:
+    """``eta`` as a ``float``: a real number, not a bool (JSON ``true`` is not 1),
+    finite and non-negative."""
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+        raise ContractViolation(f"eta must be a number, got {eta!r}")
     if not 0.0 <= eta < np.inf:  # NaN fails too
         raise ContractViolation(f"eta must be finite and non-negative, got {eta}")
+    return float(eta)
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class ExposureModel:
     theta_proactive_exposure: np.ndarray
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        object.__setattr__(self, "eta", _check_eta(self.eta))
         for name in ("theta_reactive_exposure", "theta_proactive_exposure"):
             t = np.asarray(getattr(self, name), dtype=np.float64)
             if t.ndim != 1 or t.size == 0:
@@ -148,7 +152,7 @@ def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     Both masses are column sums of C-ordered tables, so their bits do not
     depend on the memory layout of ``m``.
     """
-    _check_eta(eta)
+    eta = _check_eta(eta)
     exposures = []
     for side, table in (("reactive", m.forward), ("proactive", m.backward.T)):
         sums = np.ascontiguousarray(table).sum(axis=0)
@@ -270,19 +274,15 @@ def save_preferences(m: PreferenceMatrix, path) -> None:
     The row holds the forward block then the backward block side by side
     (``2 * n_reactive`` columns).  Values use shortest round-trip formatting
     (``repr`` of a Python float is :func:`format_float`); rows end in CRLF.
-    Rows are written in blocks of about 65,536 values by :func:`write_blocks`,
-    each formatted by :func:`format_float_rows` in chunks of about 8,192.
-    The parsed block goes into a sidecar (:func:`_save_parsed`).
+    Rows are formatted by :func:`format_float_rows` in chunks of about 8,192
+    values (whole rows, at least one) and written atomically.  The parsed
+    table goes into a sidecar (:func:`_save_parsed`).
     """
     stacked = np.hstack([m.forward, m.backward])
-    step = max(1, _BLOCK_VALUES // stacked.shape[1])  # rows per block
     chunk = max(1, _CHUNK_VALUES // stacked.shape[1])  # rows per format_float_rows call
-
-    def write_range(fh, lo, hi):
-        rows = stacked[lo * step:hi * step]
-        fh.writelines(format_float_rows(rows[i:i + chunk]) for i in range(0, len(rows), chunk))
-
-    write_blocks(path, write_range, -(-len(stacked) // step))
+    with atomic_open(path, "w") as fh:
+        for lo in range(0, len(stacked), chunk):
+            fh.write(format_float_rows(stacked[lo:lo + chunk]))
     _save_parsed(path, {"preferences": stacked})
 
 
@@ -613,9 +613,9 @@ def _byte_table(cells) -> np.ndarray:
 def save_dataset(ds: FeedbackDataset, path) -> None:
     """Write one CSV row per observed pair, in row-major order (schema: the header row).
 
-    Rows end in CRLF and floats use :func:`format_float`.  Rows are written in
-    blocks of about 65,536 pairs by :func:`write_blocks` and formatted in
-    chunks of about 16,384.  A chunk's cells are rows of NUL-padded byte tables,
+    Rows end in CRLF and floats use :func:`format_float`.  Rows are formatted
+    in chunks of about 16,384 pairs (whole proactive rows, at least one) and
+    written atomically.  A chunk's cells are rows of NUL-padded byte tables,
     built once per call (ids, fold labels, the 64 tokens of six bits) or per
     chunk (its distinct thetas), gathered by ``np.take`` and joined side by
     side; deleting the padding leaves the rows (240,000 rows in 0.061 s on one
@@ -627,15 +627,11 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
     ids = _byte_table([f"{i}," for i in range(max(ds.n_proactive, ds.n_reactive))])
     fold_u, fold_v = (_byte_table([f"{f}," for f in labels.tolist()]) for labels in folds.values())
     tokens = _byte_table([",".join(format(i, "06b")) + "," for i in range(64)])
-    step = max(1, _BLOCK_VALUES // max(ds.n_reactive, 1))  # proactive rows per block
     chunk = max(1, _CHUNK_PAIRS // max(ds.n_reactive, 1))  # proactive rows per chunk
-
-    def write_range(fh, first, stop):
-        if first == 0:
-            fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
-        last = min(stop * step, ds.n_proactive)
-        for lo in range(first * step, last, chunk):
-            rows = slice(lo, min(lo + chunk, last))
+    with atomic_open(path, "w") as fh:
+        fh.write(",".join(_DATASET_COLUMNS) + "\r\n")
+        for lo in range(0, ds.n_proactive, chunk):
+            rows = slice(lo, lo + chunk)
             at = np.flatnonzero(ds.observed[rows])  # the chunk's observed pairs, row-major
             bits = np.zeros(at.size, dtype=np.int8)
             for name in _BIT_TABLES:
@@ -647,8 +643,6 @@ def save_dataset(ds: FeedbackDataset, path) -> None:
                 columns.append((_byte_table([format_float(x) + end for x in values.tolist()]), which))
             cells = np.concatenate([np.take(table, codes, axis=0) for table, codes in columns], 1)
             fh.write(cells.tobytes().translate(None, b"\0").decode("ascii"))
-
-    write_blocks(path, write_range, -(-ds.n_proactive // step))
     _save_parsed(path, {name: getattr(ds, name) for name in _TABLES} | folds)
 
 

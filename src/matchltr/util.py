@@ -1,6 +1,6 @@
 """Shared helpers that need no numpy: the error classes, seed derivation, forked
-workers, atomic and forked block writes, text and JSON I/O, the JSON and CSV record
-codecs, evaluation reports, file digests, float formatting.  ``report`` and
+workers, atomic writes, text and JSON I/O, the JSON and CSV record codecs,
+evaluation reports, file digests, float formatting.  ``report`` and
 ``--help`` run on this alone."""
 
 from __future__ import annotations
@@ -10,15 +10,13 @@ import hashlib
 import json
 import math
 import os
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import traceback
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
-from functools import cache, partial
+from functools import cache
 
 
 class MatchLtrError(Exception):
@@ -249,49 +247,6 @@ def _run_worker(run) -> None:
             sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def write_blocks(path: str | os.PathLike, write_range, n_blocks: int) -> None:
-    """Write blocks ``0 .. n_blocks - 1`` of a text file, atomically.
-
-    ``write_range(fh, lo, hi)`` writes blocks ``lo`` to ``hi - 1`` to the text
-    file ``fh``.  The blocks are cut into one contiguous range per usable core
-    (:func:`usable_cores`, at most one per block).  This process writes the
-    first range; each other range is written by a forked :class:`Worker` into
-    a ``.part-`` file beside ``path`` and appended in order, so the bytes are
-    those of one serial call.  A worker that fails raises
-    :class:`MatchLtrError` naming ``path``; on any error every worker is
-    killed and reaped and no part or target file is left.
-    """
-    workers = max(1, min(usable_cores(), n_blocks))
-    cuts = [n_blocks * i // workers for i in range(workers + 1)]
-    with atomic_open(path, "w") as fh, ExitStack() as stack:
-        directory = os.path.dirname(os.fspath(path)) or "."
-        parts = []
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            fd, part = tempfile.mkstemp(dir=directory, prefix=".part-", suffix="~")
-            stack.callback(os.unlink, part)
-            try:
-                worker = stack.enter_context(
-                    Worker(partial(_write_part, fd, fh.encoding, write_range, lo, hi)))
-            finally:
-                os.close(fd)
-            parts.append((worker, part))
-        write_range(fh, cuts[0], cuts[1])
-        fh.flush()
-        for worker, part in parts:
-            status = worker.wait()
-            if status != 0:
-                raise MatchLtrError(
-                    f"writing {os.fspath(path)}: a worker exited with status {status}")
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, fh.buffer)
-
-
-def _write_part(fd: int, encoding: str, write_range, lo: int, hi: int) -> None:
-    """A forked worker of :func:`write_blocks`: write blocks ``lo .. hi - 1`` to ``fd``."""
-    with open(fd, "w", encoding=encoding, newline="") as out:
-        write_range(out, lo, hi)
 
 
 @contextmanager

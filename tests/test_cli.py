@@ -348,6 +348,20 @@ class TestNonFiniteArguments:
         err = capsys.readouterr().err
         assert err.startswith("error: eta must be finite and non-negative, got inf")
 
+    @pytest.mark.parametrize("value", [True, "0.5", [0.5]], ids=["bool", "string", "list"])
+    def test_evaluate_eta_from_run_json_must_be_a_number(self, data_dir, tmp_path, capsys,
+                                                         value):
+        """JSON true is not 1.0 and "0.5" is not 0.5, as in exposure.json."""
+        run_json = json.loads((data_dir / "run.json").read_text())
+        run_json["config"]["eta"] = value
+        (data_dir / "run.json").write_text(json.dumps(run_json))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(tmp_path / "unread.bin"), "--loss", "ipw2",
+                       "--out", str(tmp_path / "eval")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: eta must be a number, got {value!r}")
+
     def test_report_eta(self, tmp_path, capsys):
         path = tmp_path / "eval.csv"
         save_eval_report([EvalRecord(0, 0.5, "ipw2", 3, 1.0, 0.0, 4),

@@ -28,7 +28,6 @@ from matchltr import (
     FoldInfeasibleError,
     FoldPlan,
     InvalidPopulationError,
-    MatchLtrError,
     PreferenceMatrix,
     SideAssignment,
     assign_sides,
@@ -49,10 +48,10 @@ from matchltr import (
     save_side_assignment,
     synth_preferences,
 )
-from matchltr import simulate, util
+from matchltr import cli, simulate, util
 from matchltr.cli import main as cli_main
 from matchltr.simulate import _fold_index
-from matchltr.util import Worker, format_float, format_float_rows, usable_cores, write_blocks
+from matchltr.util import Worker, format_float, format_float_rows, usable_cores
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
            "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
@@ -192,6 +191,12 @@ class TestExposure:
         exp = exposure_from_popularity(m, eta=1.3)
         assert exp.theta_reactive_exposure.max() == 1.0
         assert exp.theta_proactive_exposure.max() == 1.0
+
+    @pytest.mark.parametrize("eta", [True, "0.5", None])
+    def test_eta_must_be_a_number(self, eta):
+        m = synth_preferences(4, 4, 2, 0.05, seed=1)
+        with pytest.raises(ContractViolation, match="eta must be a number"):
+            exposure_from_popularity(m, eta)
 
     def test_model_requires_unit_maximum(self):
         with pytest.raises(AssumptionViolationError):
@@ -430,10 +435,9 @@ class TestPreferenceCsv:
 
 
 class TestDatasetCsv:
-    def test_memory_stays_within_a_chunk(self, tmp_path, monkeypatch):
-        """500x500 pairs are written in blocks of 131 rows and chunks of 32.  On one
-        core the traced peak was 3.7 MB; one f-string per row took 11.2 MB."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def test_memory_stays_within_a_chunk(self, tmp_path):
+        """500x500 pairs are written in chunks of 32 rows.  The traced peak was 3.7 MB;
+        one f-string per row took 11.2 MB."""
         m = synth_preferences(500, 500, 4, 0.05, seed=3)
         plan = make_folds(SideAssignment.trivial(500, 500), 5, seed=1)
         ds = sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=2)
@@ -626,6 +630,29 @@ class TestJsonFormats:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match=r"theta_reactive_exposure must lie in \(0, 1\]"):
             load_exposure(path)
+
+    # one eta rule (simulate._check_eta): a JSON number but not true, finite, non-negative
+    @pytest.mark.parametrize("eta", [True, "0.5", None, [0.5], -0.5, float("inf"), float("nan")],
+                             ids=["true", "string", "null", "list", "negative", "inf", "nan"])
+    def test_exposure_eta_rejected(self, tmp_path, eta):
+        path = tmp_path / "exposure.json"
+        save_exposure(ExposureModel(eta=0.5, theta_reactive_exposure=[1.0, 0.25],
+                                    theta_proactive_exposure=[1.0]), path)
+        payload = json.loads(path.read_text())
+        payload["eta"] = eta
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="exposure JSON: eta must be"):
+            load_exposure(path)
+
+    def test_exposure_eta_is_a_float(self, tmp_path):
+        """An integer eta loads as the float it equals, and saves as one."""
+        path = tmp_path / "exposure.json"
+        path.write_text('{"eta": 1, "theta_reactive_exposure": [1.0], '
+                        '"theta_proactive_exposure": [1.0]}')
+        exposure = load_exposure(path)
+        assert type(exposure.eta) is float and exposure.eta == 1.0
+        save_exposure(exposure, tmp_path / "again.json")
+        assert b'"eta": 1.0,' in (tmp_path / "again.json").read_bytes()
 
     def test_side_assignment_round_trip(self, tmp_path):
         a = assign_sides(13, seed=3)
@@ -900,18 +927,19 @@ class TestCsvAgainstReference:
             assert again.read_bytes() == new.read_bytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(feedback_datasets(), st.integers(1, 256), st.integers(1, 1024), st.sampled_from([1, 3]))
-    def test_dataset_bytes_across_chunks_and_blocks(self, ds, chunk, block, cores):
-        """Chunks of 1-256 pairs in blocks of 1-1024, written on 1 or 3 usable cores:
-        chunks with no observed pair, ragged last chunks and chunks of one row."""
+    @given(preference_matrices(), feedback_datasets(), st.integers(1, 256), st.integers(1, 256))
+    def test_bytes_across_chunks(self, m, ds, values, pairs):
+        """Chunks of 1-256 preference values and of 1-256 pairs: chunks of one row, ragged
+        last chunks and dataset chunks with no observed pair."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_CHUNK_PAIRS", chunk)
-            mp.setattr(simulate, "_BLOCK_VALUES", block)
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-            new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
-            save_dataset(ds, new)
-            _reference_save_dataset(ds, ref)
-            assert new.read_bytes() == ref.read_bytes()
+            mp.setattr(simulate, "_CHUNK_VALUES", values)
+            mp.setattr(simulate, "_CHUNK_PAIRS", pairs)
+            for save, reference, data in ((save_preferences, _reference_save_preferences, m),
+                                          (save_dataset, _reference_save_dataset, ds)):
+                new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+                save(data, new)
+                reference(data, ref)
+                assert new.read_bytes() == ref.read_bytes(), save.__name__
 
     @settings(max_examples=150, deadline=None)
     @given(feedback_datasets(), st.data())
@@ -1074,64 +1102,96 @@ class TestFormatFloatRows:
 
 
 class TestForkedWriters:
-    """The CSV writers format their blocks on every usable core, to the bytes of one."""
+    """gen-data writes preferences.csv in a forked worker while this process writes the
+    other files, on two or more usable cores from ``cli._FORK_PAIRS`` pairs on."""
+
+    SYNTH = ("--synth", "9,11,3,0.05", "--folds", "3", "--seed", "2")  # 99 pairs
+    FILES = sorted(["preferences.csv", "preferences.csv.parsed", "sides.json", "folds.json",
+                    "exposure.json", "dataset.csv", "dataset.csv.parsed", "run.json"])
 
     @staticmethod
     def _cores(monkeypatch, n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     @staticmethod
-    def _market():
-        m = synth_preferences(23, 31, 3, 0.05, seed=5)
-        plan = make_folds(SideAssignment.trivial(23, 31), 3, seed=6)
-        return m, sample_dataset(m, exposure_from_popularity(m, 0.5), plan, seed=7)
+    def _count_forks(monkeypatch) -> list:
+        forks, fork = [], os.fork
 
-    # 64 leaves a ragged last block in the dataset, 128 in both files
-    @pytest.mark.parametrize("block", [64, 128])
-    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, block):
-        m, ds = self._market()
-        save_preferences(m, tmp_path / "default-prefs.csv")
-        save_dataset(ds, tmp_path / "default-data.csv")
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", block)
-        for cores in (1, 2, 3, 5):
+        def counted():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def _main_in(self, directory, monkeypatch) -> Path:
+        """gen-data in-process with ``--out data`` in ``directory``, so that run.json,
+        which records ``--out``, is the same in every run; returns the output directory."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        assert cli_main(["gen-data", *self.SYNTH, "--out", "data"]) == 0
+        return directory / "data"
+
+    def _assert_same_files(self, out, default):
+        assert sorted(p.name for p in out.iterdir()) == self.FILES  # no temporary file
+        for name in self.FILES:
+            assert (out / name).read_bytes() == (default / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fork_pairs", [64, 128])  # the 99 pairs fork at 64, not at 128
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, fork_pairs):
+        default = self._main_in(tmp_path / "default", monkeypatch)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", fork_pairs)
+        for cores in (1, 2, 5):
             self._cores(monkeypatch, cores)
-            save_preferences(m, tmp_path / f"prefs-{cores}.csv")
-            save_dataset(ds, tmp_path / f"data-{cores}.csv")
-        for name in ("prefs", "data"):
-            default = (tmp_path / f"default-{name}.csv").read_bytes()
-            for cores in (1, 2, 3, 5):
-                assert (tmp_path / f"{name}-{cores}.csv").read_bytes() == default
-        csvs = ([f"{name}-{c}.csv" for name in ("prefs", "data") for c in (1, 2, 3, 5)]
-                + ["default-prefs.csv", "default-data.csv"])
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            csvs + [f"{csv}.parsed" for csv in csvs])  # each CSV and its sidecar, no part file
+            self._assert_same_files(self._main_in(tmp_path / str(cores), monkeypatch), default)
+
+    @pytest.mark.parametrize("fork_pairs, forks", [(99, 1), (100, 0)])
+    def test_one_fork_from_the_threshold(self, tmp_path, monkeypatch, fork_pairs, forks):
+        self._cores(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", fork_pairs)
+        counted = self._count_forks(monkeypatch)
+        self._main_in(tmp_path / "run", monkeypatch)
+        assert len(counted) == forks
 
     @pytest.mark.parametrize("cores", [2, 3, 5])
     @pytest.mark.parametrize("failing", ["worker", "parent"])
-    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, cores, failing):
+    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch, capsys, cores,
+                                                 failing):
+        """A directory stands where the worker's preferences.csv or this process's
+        dataset.csv goes.  A failed worker is an error naming its file; a failing parent
+        waits for the worker, still writing, and reports its own error.  Either way no
+        temporary file and no run.json are left, and the worker is reaped."""
         self._cores(monkeypatch, cores)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", 64)
+        forks = self._count_forks(monkeypatch)
+        save = simulate.save_preferences
 
-        def write_range(fh, lo, hi):
-            if (lo > 0) == (failing == "worker"):
-                raise RuntimeError("formatting failed")
-            time.sleep(0.2 * (lo > 0))  # a worker still running when the parent fails
-            fh.write(f"{lo}-{hi}\r\n")
+        def slow_save(*args):
+            time.sleep(0.2)
+            save(*args)
 
-        target = tmp_path / "out.csv"
-        with pytest.raises(RuntimeError if failing == "parent" else MatchLtrError) as err:
-            write_blocks(target, write_range, 7)
+        monkeypatch.setattr(cli, "save_preferences", slow_save)
+        out = tmp_path / "data"
+        blocked = out / ("preferences.csv" if failing == "worker" else "dataset.csv")
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert cli_main(["gen-data", *self.SYNTH, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
         if failing == "worker":
-            assert str(target) in str(err.value)
-        assert list(tmp_path.iterdir()) == []  # no target, no .part- or .tmp- file
+            assert err == f"error: writing {blocked}: a worker exited with status 1\n"
+        else:
+            assert err.startswith("error: ") and "dataset.csv" in err
+            assert (out / "preferences.csv").read_bytes()  # the worker finished its file
+        assert len(forks) == 1
+        names = [p.name for p in out.iterdir()]
+        assert "run.json" not in names and not [n for n in names if n.startswith(".tmp-")]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_serial_while_another_thread_runs(self, tmp_path, monkeypatch):
         """A forked copy of a threaded process may deadlock on a lock another thread held."""
-        m, ds = self._market()
-        save_preferences(m, tmp_path / "default-prefs.csv")
-        save_dataset(ds, tmp_path / "default-data.csv")
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 64)
+        default = self._main_in(tmp_path / "default", monkeypatch)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", 64)
         self._cores(monkeypatch, 3)
 
         def no_fork():
@@ -1142,14 +1202,11 @@ class TestForkedWriters:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            save_preferences(m, tmp_path / "prefs.csv")
-            save_dataset(ds, tmp_path / "data.csv")
+            out = self._main_in(tmp_path / "threaded", monkeypatch)
         finally:
             stop.set()
             thread.join()
-        for name in ("prefs", "data"):
-            assert ((tmp_path / f"{name}.csv").read_bytes()
-                    == (tmp_path / f"default-{name}.csv").read_bytes())
+        self._assert_same_files(out, default)
 
     def test_a_worker_forks_no_workers(self, monkeypatch):
         """Splits never nest: inside a worker there is one usable core."""
@@ -1177,8 +1234,8 @@ class TestForkedWriters:
         )
 
     def test_gen_data_with_stdout_closed(self, tmp_path):
-        """With fd 1 closed at start-up ``sys.stdout`` is None, which the
-        writers must not flush before they fork."""
+        """With fd 1 closed at start-up ``sys.stdout`` is None, which gen-data
+        must not flush before it forks (300x300 is above the threshold)."""
         closed = self._gen_data(tmp_path / "closed", preexec_fn=lambda: os.close(1),
                                 stderr=subprocess.PIPE)
         assert closed.returncode == 0, closed.stderr
@@ -1394,19 +1451,3 @@ class TestParsedSidecar:
         assert with_sidecar == (DataFormatError,
                                 "dataset CSV: y_fwd must equal o_fwd * r_fwd for every pair")
         assert with_sidecar == self._outcome(load)
-
-    def test_sidecar_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch):
-        m, ds = TestForkedWriters._market()
-        save_preferences(m, tmp_path / "default-prefs.csv")
-        save_dataset(ds, tmp_path / "default-data.csv")
-        save_preferences(m, tmp_path / "again-prefs.csv")
-        save_dataset(ds, tmp_path / "again-data.csv")
-        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 64)
-        for cores in (1, 2, 5):
-            TestForkedWriters._cores(monkeypatch, cores)
-            save_preferences(m, tmp_path / f"{cores}-prefs.csv")
-            save_dataset(ds, tmp_path / f"{cores}-data.csv")
-        for name in ("prefs", "data"):
-            default = (tmp_path / f"default-{name}.csv.parsed").read_bytes()
-            for run in ("again", 1, 2, 5):
-                assert (tmp_path / f"{run}-{name}.csv.parsed").read_bytes() == default
