@@ -440,8 +440,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # stdout's reader has gone: 128 + SIGPIPE, as a killed writer
         return 141
-    except (MatchLtrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MatchLtrError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,7 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -102,26 +101,6 @@ def single_pair_witness() -> OracleInstance:
     )
 
 
-def _draw(rng: np.random.Generator, max_users: int, max_candidates: int, theta_one: bool):
-    """One random instance's fields, in :class:`OracleInstance` order.
-
-    The draws keep their order: sizes, forward then backward propensities,
-    forward then backward bits (one call draws both tables of a kind as two
-    calls would), one permutation per user (a shuffle in place draws what
-    ``rng.permutation`` would), cutoff.
-    """
-    n_users = int(rng.integers(1, max_users + 1))
-    n_cands = int(rng.integers(1, max_candidates + 1))
-    shape = (2, n_users, n_cands)
-    theta_fwd, theta_bwd = np.ones(shape) if theta_one else rng.uniform(_THETA_LOW, 1.0, shape)
-    r_fwd, r_bwd = rng.integers(0, 2, shape)
-    ranking = np.empty(shape[1:], dtype=np.intp)
-    ranking[:] = np.arange(n_cands)
-    for row in ranking:
-        rng.shuffle(row)
-    return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
-
-
 @dataclass(frozen=True)
 class InstanceCheck:
     """Ground truth and per-estimator expected values for one instance."""
@@ -133,35 +112,36 @@ class InstanceCheck:
         return abs(self.expected[kind.value] - self.truth)
 
 
-def _stack(rows, count: int, max_users: int, max_candidates: int):
-    """Pad ``count`` instances, given as field tuples, into batch arrays.
+def _padded(count: int, users: int, cands: int):
+    """An empty batch of ``count`` instances of up to ``users x cands``.
 
-    Each row ``b`` of the ``(count, users, candidates)`` arrays holds one
-    instance in its top-left corner; the padding has zero labels, unit
-    propensities and an identity ranking.  The arrays are trimmed to the
-    largest instance.  Returns the five tables, the cutoffs and each
-    instance's ``(users, candidates)``.
+    Row ``b`` of the ``(4, count, users, cands)`` values (r_fwd, r_bwd,
+    theta_fwd, theta_bwd) and of the ``(count, users, cands)`` ranking holds
+    instance ``b`` in its top-left corner, ``k[b]`` its cutoff and
+    ``sizes[b]`` its ``(users, candidates)``.  The padding has zero labels,
+    unit propensities and an identity ranking.
     """
-    shape = (count, max_users, max_candidates)
-    tables = [np.zeros(shape), np.zeros(shape), np.ones(shape), np.ones(shape),
-              np.broadcast_to(np.arange(max_candidates), shape).copy()]
-    k, sizes = [], []
-    for b, (*arrays, cutoff) in enumerate(rows):
-        users, cands = arrays[0].shape
-        for table, values in zip(tables, arrays):
-            table[b, :users, :cands] = values
-        k.append(cutoff)
-        sizes.append((users, cands))
-    sizes = np.array(sizes, dtype=np.intp)
-    users, cands = sizes.max(axis=0)
-    return [table[:, :users, :cands] for table in tables], np.array(k), sizes
+    values = np.zeros((4, count, users, cands))
+    values[2:] = 1.0
+    ranking = np.broadcast_to(np.arange(cands), (count, users, cands)).copy()
+    return values, ranking, np.empty(count, dtype=np.intp), np.empty((count, 2), dtype=np.intp)
 
 
-def _enumerate(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k, n_users):
-    """:func:`check_batch` on checked, padded batch arrays (see :func:`_stack`)."""
-    rf, rb, tf, tb = (np.take_along_axis(table, ranking, axis=2)
-                      for table in (r_fwd, r_bwd, theta_fwd, theta_bwd))
-    width = ranking.shape[2]
+def _put(batch, b: int, inst: OracleInstance) -> None:
+    """Write a checked instance into row ``b`` of a :func:`_padded` batch."""
+    values, ranking, k, sizes = batch
+    users, cands = sizes[b] = inst.r_fwd.shape
+    values[:, b, :users, :cands] = inst.r_fwd, inst.r_bwd, inst.theta_fwd, inst.theta_bwd
+    ranking[b, :users, :cands] = inst.ranking
+    k[b] = inst.k
+
+
+def _enumerate(values, ranking, k, sizes):
+    """:func:`check_batch` on a filled :func:`_padded` batch, trimmed to its largest instance."""
+    users, width = sizes.max(axis=0)
+    rf, rb, tf, tb = np.take_along_axis(values[:, :, :users, :width],
+                                        ranking[None, :, :users, :width], axis=3)
+    n_users = sizes[:, 0]
     ranks = np.arange(1, width + 1)
     disc = np.where(ranks <= k[:, None, None], LambdaWeight(k=width).weights(ranks), 0.0)
 
@@ -196,9 +176,10 @@ def check_batch(instances):
     have a row per :class:`EstimatorKind`; ``eligible`` marks instances that
     rank a mutual pair with backward exposure below 1 inside the cutoff.
     """
-    users, cands = np.max([inst.r_fwd.shape for inst in instances], axis=0)
-    tables, k, sizes = _stack(map(astuple, instances), len(instances), users, cands)
-    return _enumerate(*tables, k, sizes[:, 0])
+    batch = _padded(len(instances), *np.max([inst.r_fwd.shape for inst in instances], axis=0))
+    for b, inst in enumerate(instances):
+        _put(batch, b, inst)
+    return _enumerate(*batch)
 
 
 def _instance_check(truth: np.ndarray, mean: np.ndarray, b: int) -> InstanceCheck:
@@ -294,7 +275,10 @@ def run_verification(
     """Compare exact estimator expectations with ground truth on random instances.
 
     The instances are drawn straight into one padded batch, with the
-    single-pair witness in its last row, and enumerated in one sweep.  The
+    single-pair witness in its last row, and enumerated in one sweep.  Each
+    instance takes, in this order: its two sizes, both propensity tables (unit
+    under ``theta_one``, with no draw), both bit tables, a permutation per
+    user and the cutoff; a seed's failing instances depend on that order.  The
     draw only makes valid instances, so the batch is not re-checked; only
     failing rows become (checked) :class:`OracleInstance` objects.
     """
@@ -305,17 +289,27 @@ def run_verification(
         raise ContractViolation(f"seed must be non-negative, got {seed}")
     check_settings(tolerance, max_users, max_candidates)
     rng = np.random.default_rng(seed)
-    drawn = (_draw(rng, max_users, max_candidates, theta_one) for _ in range(trials))
-    rows = itertools.chain(drawn, [astuple(single_pair_witness())])
-    tables, k, sizes = _stack(rows, trials + 1, max_users, max_candidates)
-    truth, mean, var, eligible = _enumerate(*tables, k, sizes[:, 0])
+    batch = values, ranking, k, sizes = _padded(trials + 1, max_users, max_candidates)
+    for b in range(trials):
+        users = int(rng.integers(1, max_users + 1))
+        cands = int(rng.integers(1, max_candidates + 1))
+        sizes[b] = users, cands
+        if not theta_one:
+            values[2:, b, :users, :cands] = rng.uniform(_THETA_LOW, 1.0, (2, users, cands))
+        values[:2, b, :users, :cands] = rng.integers(0, 2, (2, users, cands))
+        rows = ranking[b, :users, :cands]
+        rng.permuted(rows, axis=1, out=rows)  # draws what a permutation per row would
+        k[b] = rng.integers(1, cands + 2)
+    _put(batch, trials, single_pair_witness())
+    truth, mean, var, eligible = _enumerate(*batch)
     err = np.abs(mean - truth)[:, :trials]
     naive, ipw1, ipw2 = err > tolerance
     eligible = eligible[:trials]
     failures = []
     for b in np.flatnonzero(ipw2):
         users, cands = sizes[b]
-        failures.append(OracleInstance(*(table[b, :users, :cands] for table in tables), k[b]))
+        failures.append(OracleInstance(*values[:, b, :users, :cands], ranking[b, :users, :cands],
+                                       k[b]))
     return VerificationReport(
         trials=trials,
         tolerance=tolerance,

@@ -878,6 +878,42 @@ class TestVerifyCommand:
         assert "PASSED" not in captured.out
 
 
+
+# a library call of each command that allocates by the command's sizes, and
+# arguments whose allocation numpy would refuse there (no test allocates it)
+_OUT_OF_MEMORY = {
+    "verify": ("matchltr.verify._padded", ("verify", "--trials", "1", "--max-users", "1000000",
+                                            "--max-candidates", "1000000")),
+    "train": ("matchltr.train.init_model", ("train", "--loss", "ipw2", "--dim", "100000000",
+                                             "--epochs", "1")),
+    "gen-data": ("matchltr.cli.synth_preferences",
+                 ("gen-data", "--synth", "10000000,10000000,4,0.05")),
+}
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 14.6 TiB for an array with shape (4, 2, 1000000, 1000000) and "
+         "data type float64", "Unable to allocate 14.6 TiB"),
+        ("", "MemoryError"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", _OUT_OF_MEMORY)
+    def test_reported_as_a_runtime_failure(self, data_dir, tmp_path, capsys, monkeypatch,
+                                           command, message, shown):
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        target, argv = _OUT_OF_MEMORY[command]
+        monkeypatch.setattr(target, refuse)
+        if command == "train":
+            argv += ("--data", str(data_dir))
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 class TestReportCommand:
     def _write_grid(self, tmp_path, folds=5, etas=(0.5,), ks=(3, 10, 20, 30)):
         methods = ("conventional", "ipw1", "ipw2")

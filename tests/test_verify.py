@@ -20,14 +20,31 @@ from matchltr import (
     run_verification,
     single_pair_witness,
 )
+from matchltr import verify
 from matchltr.verify import (
     _FIELDS,
     VerificationReport,
-    _draw,
     check_batch,
     load_instance,
     save_instance,
 )
+
+
+def _draw_by_separate_calls(rng, max_users, max_candidates, theta_one):
+    """One instance's fields as run_verification draws them, by separate calls: one per
+    propensity or bit table, one permutation per user."""
+    n_users = int(rng.integers(1, max_users + 1))
+    n_cands = int(rng.integers(1, max_candidates + 1))
+    shape = (n_users, n_cands)
+    if theta_one:
+        theta_fwd, theta_bwd = np.ones(shape), np.ones(shape)
+    else:
+        theta_fwd = rng.uniform(0.05, 1.0, shape)
+        theta_bwd = rng.uniform(0.05, 1.0, shape)
+    r_fwd = rng.integers(0, 2, shape)
+    r_bwd = rng.integers(0, 2, shape)
+    ranking = np.stack([rng.permutation(n_cands) for _ in range(n_users)])
+    return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
 
 
 class TestWitness:
@@ -65,7 +82,7 @@ class TestRunVerification:
         report = run_verification(trials=50, seed=2, tolerance=0.0)
         assert not report.passed
         rng = np.random.default_rng(2)
-        drawn = [OracleInstance(*_draw(rng, 4, 6, False)) for _ in range(50)]
+        drawn = [OracleInstance(*_draw_by_separate_calls(rng, 4, 6, False)) for _ in range(50)]
         breached = [inst for inst in drawn if check_instance(inst).error(EstimatorKind.IPW2) > 0]
         assert len(report.failures) == len(breached)
         for got, want in zip(report.failures, breached):
@@ -111,7 +128,7 @@ class TestRunVerification:
 def _reference_report(trials, max_users, max_candidates, tolerance, seed, theta_one):
     """run_verification one instance at a time: OracleInstance, check_batch, check_instance."""
     rng = np.random.default_rng(seed)
-    drawn = [OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
+    drawn = [OracleInstance(*_draw_by_separate_calls(rng, max_users, max_candidates, theta_one))
              for _ in range(trials)]
     truth, mean, var, eligible = check_batch(drawn)
     err = np.abs(mean - truth)
@@ -127,22 +144,6 @@ def _reference_report(trials, max_users, max_candidates, tolerance, seed, theta_
         witness=check_instance(single_pair_witness()),
         failures=[inst for inst, bad in zip(drawn, ipw2) if bad],
     )
-
-
-def _draw_by_separate_calls(rng, max_users, max_candidates, theta_one):
-    """The draw as separate calls: one per propensity or bit table, one permutation per user."""
-    n_users = int(rng.integers(1, max_users + 1))
-    n_cands = int(rng.integers(1, max_candidates + 1))
-    shape = (n_users, n_cands)
-    if theta_one:
-        theta_fwd, theta_bwd = np.ones(shape), np.ones(shape)
-    else:
-        theta_fwd = rng.uniform(0.05, 1.0, shape)
-        theta_bwd = rng.uniform(0.05, 1.0, shape)
-    r_fwd = rng.integers(0, 2, shape)
-    r_bwd = rng.integers(0, 2, shape)
-    ranking = np.stack([rng.permutation(n_cands) for _ in range(n_users)])
-    return r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, int(rng.integers(1, n_cands + 2))
 
 
 class TestBatchDraw:
@@ -166,15 +167,37 @@ class TestBatchDraw:
 
     @pytest.mark.parametrize("theta_one", [False, True])
     @pytest.mark.parametrize("caps", [(1, 1), (4, 6), (10, 12)])
-    def test_draw_takes_the_separate_call_stream(self, caps, theta_one):
-        # failing_instance.json keeps its bytes only if the draws keep their values
+    def test_draw_takes_the_separate_call_stream(self, caps, theta_one, monkeypatch):
+        # failing_instance.json keeps its bytes only if the draws keep their values;
+        # Generator.permuted over an instance's rows draws a permutation per row
+        batches = []
+
+        def enumerate_and_keep(*batch):
+            batches.append(batch)
+            return enumerate_(*batch)
+
+        enumerate_ = verify._enumerate
+        monkeypatch.setattr(verify, "_enumerate", enumerate_and_keep)
         for seed in range(20):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(10):
-                got = _draw(ours, *caps, theta_one)
-                want = _draw_by_separate_calls(theirs, *caps, theta_one)
-                for x, y in zip(got, want):
-                    assert np.array_equal(x, y)
+            run_verification(trials=10, max_users=caps[0], max_candidates=caps[1],
+                             seed=seed, theta_one=theta_one)
+            values, ranking, k, sizes = batches.pop()
+            rng = np.random.default_rng(seed)
+            for b in range(10):
+                want = _draw_by_separate_calls(rng, *caps, theta_one)
+                users, cands = sizes[b]
+                got = (*values[:, b, :users, :cands], ranking[b, :users, :cands], k[b])
+                for name, x, y in zip(_FIELDS, got, want):
+                    assert np.array_equal(x, y), (seed, b, name)
+
+    def test_criterion_one_counts_and_witness(self):
+        # criterion 1's counts, pinned: a change to the draw or to the sweep shows here
+        report = run_verification(trials=1000, max_users=4, max_candidates=6,
+                                  tolerance=1e-10, seed=0)
+        assert (report.naive_deviations, report.ipw1_deviations, report.ipw1_eligible) \
+            == (892, 692, 692)
+        assert report.witness.truth == 3.0
+        assert report.witness.expected == {"naive": 1.0, "ipw1": 2.0, "ipw2": 3.0}
 
 
 class TestBatchedOracle:
@@ -185,7 +208,8 @@ class TestBatchedOracle:
     def test_batch_values_equal_a_batch_of_one(self, seed, max_users, max_candidates, theta_one):
         # padding to the batch's largest shape must not change a single bit
         rng = np.random.default_rng(seed)
-        drawn = [OracleInstance(*_draw(rng, max_users, max_candidates, theta_one))
+        caps = (max_users, max_candidates)
+        drawn = [OracleInstance(*_draw_by_separate_calls(rng, *caps, theta_one))
                  for _ in range(100)]
         truth, mean, _, _ = check_batch(drawn)
         for b, inst in enumerate(drawn):
@@ -197,7 +221,7 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_variance_matches_monte_carlo(self, seed):
         # resample both exposure bits of every pair and re-run the two-sided estimator
-        inst = OracleInstance(*_draw(np.random.default_rng(seed), 4, 6, False))
+        inst = OracleInstance(*_draw_by_separate_calls(np.random.default_rng(seed), 4, 6, False))
         _, _, var, _ = check_batch([inst])
         exact = var[list(EstimatorKind).index(EstimatorKind.IPW2), 0]
         assert exact > 0.0
@@ -218,7 +242,7 @@ class TestBatchedOracle:
 class TestInstanceSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        inst = OracleInstance(*_draw(rng, 4, 6, False))
+        inst = OracleInstance(*_draw_by_separate_calls(rng, 4, 6, False))
         path = tmp_path / "instance.json"
         save_instance(inst, path)
         again = load_instance(path)
@@ -289,7 +313,7 @@ class TestInstanceSerialization:
         ("k", None, [2], ContractViolation, "need one cutoff per instance"),
     ], ids=["bit-two", "theta-zero", "theta-nan", "repeated-rank", "zero-cutoff", "list-cutoff"])
     def test_checks_reject_one_bad_field(self, name, index, value, error, message):
-        row = dict(zip(_FIELDS, _draw(np.random.default_rng(5), 4, 6, False)))
+        row = dict(zip(_FIELDS, _draw_by_separate_calls(np.random.default_rng(5), 4, 6, False)))
         assert row["ranking"].shape[1] >= 2
         OracleInstance(**row)
         if index is None:
