@@ -14,7 +14,7 @@ import signal
 import sys
 import threading
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, fields
 from functools import cache
 
@@ -209,7 +209,11 @@ class Worker:
     runs twice: with status 0 when ``run`` returns, or 1 after printing the
     traceback of what it raised.  :meth:`wait` reaps the child and returns its
     exit status; on leaving the ``with`` block a child not yet reaped is killed
-    and reaped.
+    and reaped.  Until then, with two or more CPUs in this process's affinity
+    set, the child runs on the last of them and this process on the rest: a
+    scheduler that does not balance load (a cpuset with ``sched_load_balance``
+    off) may otherwise keep both on one CPU.  Where ``sched_setaffinity`` is
+    missing or refuses, nothing is pinned.
     """
 
     def __init__(self, run):
@@ -219,10 +223,14 @@ class Worker:
         self.pid = os.fork()
         if self.pid == 0:
             _run_worker(run)
+        self._cores = _split_cores(self.pid)
 
     def wait(self) -> int:
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
+        if self._cores is not None:
+            with suppress(OSError):
+                os.sched_setaffinity(0, self._cores)
         return status
 
     def __enter__(self):
@@ -232,6 +240,20 @@ class Worker:
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             self.wait()
+
+
+def _split_cores(pid: int):
+    """Pin ``pid`` to the last CPU of this process's set and this process to the
+    others; returns the set to restore, or None where nothing was pinned."""
+    try:
+        cores = sorted(os.sched_getaffinity(0))
+        if len(cores) < 2:
+            return None
+        os.sched_setaffinity(pid, cores[-1:])
+        os.sched_setaffinity(0, cores[:-1])
+    except (AttributeError, OSError):  # missing on Windows and macOS
+        return None
+    return cores
 
 
 def _run_worker(run) -> None:

@@ -11,7 +11,9 @@ relevant pair with imperfect backward exposure is ranked inside the cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +125,7 @@ def _padded(count: int, users: int, cands: int):
     """
     values = np.zeros((4, count, users, cands))
     values[2:] = 1.0
-    ranking = np.broadcast_to(np.arange(cands), (count, users, cands)).copy()
+    ranking = np.arange(cands) + np.zeros((count, users, 1), dtype=np.intp)
     return values, ranking, np.empty(count, dtype=np.intp), np.empty((count, 2), dtype=np.intp)
 
 
@@ -137,60 +139,60 @@ def _put(batch, b: int, inst: OracleInstance) -> None:
 
 
 def _enumerate(values, ranking, k, sizes):
-    """:func:`check_batch` on a filled :func:`_padded` batch, trimmed to its largest instance."""
+    """:func:`check_batch` on a filled :func:`_padded` batch trimmed to its largest instance."""
     users, width = sizes.max(axis=0)
-    rf, rb, tf, tb = np.take_along_axis(values[:, :, :users, :width],
-                                        ranking[None, :, :users, :width], axis=3)
-    n_users = sizes[:, 0]
-    ranks = np.arange(1, width + 1)
-    disc = np.where(ranks <= k[:, None, None], LambdaWeight(k=width).weights(ranks), 0.0)
+    # one gather into (slot, user, instance) order, at each (instance, user) row's start
+    starts = np.arange(0, ranking.size, ranking.shape[2]).reshape(*ranking.shape[:2], 1)[:, :users]
+    rf, rb, tf, tb = values.reshape(4, -1).take((ranking[:, :users, :width] + starts).T, axis=1)
+    disc = np.where(np.arange(width)[:, None, None] < k, _discounts(width), 0.0)
+    # gains by (o_bwd, kind) with o_fwd = 1; with o_fwd = 0 they are 0 and add to neither moment
+    y_b = rf * rb
+    coef = np.array([_coefficients(kind, rf, y_b, tf, tb) for kind in EstimatorKind])
+    gain = _gain(coef[:, 0], np.multiply.outer([0.0, 1.0], coef[:, 1]))
+    del coef  # with the in-place product below, 1000 instances peak 3 MB lower
+    pg = (np.array([1.0 - tb, tb]) * tf)[:, None] * gain
+    # (7, slot, user, instance) rows: the truth (the naive gain under full exposure, see
+    # gain_true), the means and the variances, moments summed over o_bwd as m += p * g would
+    table = np.concatenate([gain[1, :1], np.add(*pg), np.add(*np.multiply(pg, gain, out=pg))])
+    table[4:] = np.maximum(table[4:] - table[1:4] * table[1:4], 0.0)
+    table[:4] *= disc
+    table[4:] *= disc * disc
+    # sums in index order, over slots and then users, by chained additions
+    total = reduce(np.add, reduce(np.add, table.transpose(1, 2, 0, 3))) / sizes[:, 0]
+    total[4:] /= sizes[:, 0]
+    return total, ((y_b * disc > 0) & (tb < 1.0)).any(axis=(0, 1))
 
-    def user_mean(per_pair, weight):
-        per_user = np.add.accumulate(per_pair * weight, axis=-1)[..., -1]
-        return np.add.accumulate(per_user, axis=-1)[..., -1] / n_users
 
-    # with o_fwd = 0 every estimator's gain is 0, so those two outcomes add
-    # nothing to either moment and only the two with o_fwd = 1 are summed
-    m1, m2 = np.zeros((2, len(EstimatorKind)) + rf.shape)
-    for o_b in (0.0, 1.0):
-        p = tf * (tb if o_b else 1.0 - tb)
-        y_b = rf * o_b * rb
-        g = np.stack([_gain(*_coefficients(kind, rf, y_b, tf, tb)) for kind in EstimatorKind])
-        m1 += p * g
-        m2 += p * g * g
-    var = user_mean(np.maximum(m2 - m1 * m1, 0.0), disc * disc) / n_users
-    eligible = ((rf * rb * disc > 0) & (tb < 1.0)).any(axis=(1, 2))
-    return user_mean(_gain(rf, rf * rb), disc), user_mean(m1, disc), var, eligible
+@cache
+def _discounts(width: int) -> np.ndarray:
+    return LambdaWeight(k=width).weights(np.arange(1, width + 1))[:, None, None]
 
 
 def check_batch(instances):
     """Truth, each estimator's exact mean and variance, and the ipw1-eligible mask.
 
-    The instances are stacked in rank order into ``(instances, users, slots)``
+    The instances are gathered in rank order into ``(slots, users, instances)``
     arrays padded with zero labels and unit propensities; slots past the cutoff
     get a zero discount.  Exposure bits are independent given relevance, so one
-    sweep over each pair's four (o_fwd, o_bwd) outcomes gives its mean and
-    second moment, and the user mean's variance is ``sum(disc**2 * pair
-    variance) / n_users**2``.  Sums run in index order, so padding changes no
-    bit: an instance gets the same values in any batch.  ``mean`` and ``var``
-    have a row per :class:`EstimatorKind`; ``eligible`` marks instances that
-    rank a mutual pair with backward exposure below 1 inside the cutoff.
+    sweep over each pair's (o_fwd, o_bwd) outcomes, for all estimator kinds at
+    once, gives its mean and second moment; the user mean's variance is
+    ``sum(disc**2 * pair variance) / n_users**2``.  Sums run in index order, so
+    padding changes no bit.  ``mean`` and ``var`` have a row per kind;
+    ``eligible`` marks instances that rank a mutual pair with backward exposure
+    below 1 inside the cutoff.
     """
     batch = _padded(len(instances), *np.max([inst.r_fwd.shape for inst in instances], axis=0))
     for b, inst in enumerate(instances):
         _put(batch, b, inst)
-    return _enumerate(*batch)
-
-
-def _instance_check(truth: np.ndarray, mean: np.ndarray, b: int) -> InstanceCheck:
-    return InstanceCheck(truth=float(truth[b]), expected={
-        kind.value: float(row[b]) for kind, row in zip(EstimatorKind, mean)})
+    table, eligible = _enumerate(*batch)
+    return table[0], table[1:4], table[4:], eligible
 
 
 def check_instance(inst: OracleInstance) -> InstanceCheck:
     """Exact expectation of all three estimators on one instance: a batch of one."""
     truth, mean, _, _ = check_batch([inst])
-    return _instance_check(truth, mean, 0)
+    return InstanceCheck(truth=float(truth[0]), expected={
+        kind.value: float(row[0]) for kind, row in zip(EstimatorKind, mean)})
 
 
 def expected_metric_exact(
@@ -274,8 +276,8 @@ def run_verification(
 ) -> VerificationReport:
     """Compare exact estimator expectations with ground truth on random instances.
 
-    The instances are drawn straight into one padded batch, with the
-    single-pair witness in its last row, and enumerated in one sweep.  Each
+    The instances are drawn straight into one padded batch and enumerated in
+    one sweep; the single-pair witness is checked once per process.  Each
     instance takes, in this order: its two sizes, both propensity tables (unit
     under ``theta_one``, with no draw), both bit tables, a permutation per
     user and the cutoff; a seed's failing instances depend on that order.  The
@@ -288,36 +290,34 @@ def run_verification(
     if seed < 0:
         raise ContractViolation(f"seed must be non-negative, got {seed}")
     check_settings(tolerance, max_users, max_candidates)
+    witness = _witness()
     rng = np.random.default_rng(seed)
-    batch = values, ranking, k, sizes = _padded(trials + 1, max_users, max_candidates)
+    integers, uniform, permuted = rng.integers, rng.uniform, rng.permuted
+    batch = values, ranking, k, sizes = _padded(trials, max_users, max_candidates)
+    shapes, cutoffs = [], []
     for b in range(trials):
-        users = int(rng.integers(1, max_users + 1))
-        cands = int(rng.integers(1, max_candidates + 1))
-        sizes[b] = users, cands
+        users = int(integers(1, max_users + 1))
+        cands = int(integers(1, max_candidates + 1))
         if not theta_one:
-            values[2:, b, :users, :cands] = rng.uniform(_THETA_LOW, 1.0, (2, users, cands))
-        values[:2, b, :users, :cands] = rng.integers(0, 2, (2, users, cands))
+            values[2:, b, :users, :cands] = uniform(_THETA_LOW, 1.0, (2, users, cands))
+        values[:2, b, :users, :cands] = integers(0, 2, (2, users, cands))
         rows = ranking[b, :users, :cands]
-        rng.permuted(rows, axis=1, out=rows)  # draws what a permutation per row would
-        k[b] = rng.integers(1, cands + 2)
-    _put(batch, trials, single_pair_witness())
-    truth, mean, var, eligible = _enumerate(*batch)
-    err = np.abs(mean - truth)[:, :trials]
+        permuted(rows, axis=1, out=rows)  # draws what a permutation per row would
+        shapes.append((users, cands))
+        cutoffs.append(integers(1, cands + 2))
+    sizes[:], k[:] = shapes, cutoffs
+    table, eligible = _enumerate(*batch)
+    err = np.abs(table[1:4] - table[0])
     naive, ipw1, ipw2 = err > tolerance
-    eligible = eligible[:trials]
-    failures = []
-    for b in np.flatnonzero(ipw2):
-        users, cands = sizes[b]
-        failures.append(OracleInstance(*values[:, b, :users, :cands], ranking[b, :users, :cands],
-                                       k[b]))
+    *max_err, max_var = np.concatenate([err, table[6:]]).max(axis=1).tolist()
+    counts = np.array([naive, ipw1 & eligible, eligible]).sum(axis=1).tolist()
+    failures = [OracleInstance(*values[:, b, :users, :cands], ranking[b, :users, :cands], k[b])
+                for b, (users, cands) in zip(np.flatnonzero(ipw2), sizes[ipw2])]
     return VerificationReport(
-        trials=trials,
-        tolerance=tolerance,
-        max_abs_error={kind.value: float(row.max()) for kind, row in zip(EstimatorKind, err)},
-        naive_deviations=int(naive.sum()),
-        ipw1_deviations=int((ipw1 & eligible).sum()),
-        ipw1_eligible=int(eligible.sum()),
-        max_ipw2_std=float(np.sqrt(var[2, :trials].max())),
-        witness=_instance_check(truth, mean, trials),
-        failures=failures,
-    )
+        trials, tolerance, {kind.value: e for kind, e in zip(EstimatorKind, max_err)}, *counts,
+        math.sqrt(max_var), InstanceCheck(witness.truth, dict(witness.expected)), failures)
+
+
+@cache
+def _witness() -> InstanceCheck:
+    return check_instance(single_pair_witness())

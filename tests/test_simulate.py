@@ -1101,6 +1101,10 @@ class TestFormatFloatRows:
         assert 0 < len(calls) <= 0.05 * stacked.size
 
 
+def _two_cpus() -> bool:
+    return hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 class TestForkedWriters:
     """gen-data writes preferences.csv in a forked worker while this process writes the
     other files, on two or more usable cores from ``cli._FORK_PAIRS`` pairs on."""
@@ -1208,6 +1212,21 @@ class TestForkedWriters:
             thread.join()
         self._assert_same_files(out, default)
 
+    @pytest.mark.skipif(not _two_cpus(), reason="needs sched_setaffinity and two CPUs")
+    def test_pinned_worker_gives_the_bytes_of_one_process(self, tmp_path, monkeypatch):
+        default = self._main_in(tmp_path / "default", monkeypatch)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", 64)
+        pinned, setaffinity = [], os.sched_setaffinity
+
+        def recording(pid, cpus):
+            pinned.append(pid)
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        out = self._main_in(tmp_path / "pinned", monkeypatch)
+        assert len(pinned) == 3 and pinned[1:] == [0, 0]  # the worker, this process, restored
+        self._assert_same_files(out, default)
+
     def test_a_worker_forks_no_workers(self, monkeypatch):
         """Splits never nest: inside a worker there is one usable core."""
         self._cores(monkeypatch, 3)
@@ -1255,6 +1274,57 @@ class TestForkedWriters:
         assert lines.count("[gen-data] resolved config:") == 1
         assert len(lines) == len(set(lines))
         assert lines[-1].startswith("[gen-data] wrote ")
+
+
+class TestWorkerPlacement:
+    """A forked :class:`Worker` runs on the last CPU of this process's set and this
+    process on the others, until the worker is reaped; then this process has its
+    whole set back.  Where pinning is impossible, nothing is pinned."""
+
+    @staticmethod
+    def _run(ending):
+        if ending == "fail":
+            def run():
+                raise RuntimeError("the worker fails")
+            return run
+        return lambda: time.sleep(0 if ending == "wait" else 60)
+
+    @pytest.mark.skipif(not _two_cpus(), reason="needs sched_setaffinity and two CPUs")
+    @pytest.mark.parametrize("ending", ["wait", "kill", "fail"])
+    def test_own_cpu_until_reaped(self, ending, capfd):
+        cores = sorted(os.sched_getaffinity(0))
+        with Worker(self._run(ending)) as worker:
+            assert sorted(os.sched_getaffinity(0)) == cores[:-1]
+            if ending == "kill":  # the with block kills and reaps it
+                assert sorted(os.sched_getaffinity(worker.pid)) == cores[-1:]
+            else:
+                assert worker.wait() == (1 if ending == "fail" else 0)
+                assert sorted(os.sched_getaffinity(0)) == cores
+        assert sorted(os.sched_getaffinity(0)) == cores
+        assert ("RuntimeError: the worker fails" in capfd.readouterr().err) == (ending == "fail")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+    @pytest.mark.parametrize("setaffinity", ["raises", "missing", "one-cpu"])
+    def test_nothing_pinned_where_pinning_fails(self, monkeypatch, setaffinity):
+        cores = os.sched_getaffinity(0)
+        calls = []
+        if setaffinity == "raises":
+            def refuse(pid, cpus):
+                calls.append(pid)
+                raise OSError(22, "Invalid argument")
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        elif setaffinity == "missing":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(cores)})
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(pid),
+                                raising=False)
+        with Worker(lambda: time.sleep(60)) as worker:
+            child = worker.pid
+        assert calls == ([child] if setaffinity == "raises" else [])
+        monkeypatch.undo()
+        assert os.sched_getaffinity(0) == cores
 
 
 class TestParsedSidecar:

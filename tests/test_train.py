@@ -550,10 +550,13 @@ class TestSplitSpaces:
         cores = os.sched_getaffinity(0)
         self._split(monkeypatch, 2)
         os.sched_setaffinity(0, {min(cores)})  # the worker inherits it
+        setaffinity = os.sched_setaffinity
+        # and keeps it: the worker's own CPU would end the preemption this test is about
+        monkeypatch.delattr(os, "sched_setaffinity")
         try:
             model, log = train_model(dataset, cfg)
         finally:
-            os.sched_setaffinity(0, cores)
+            setaffinity(0, cores)
         assert log.records == serial_log.records
         assert np.array_equal(model.pro, serial_model.pro)
         assert np.array_equal(model.rea, serial_model.rea)
@@ -573,6 +576,39 @@ class TestSplitSpaces:
         dataset = sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=1)
         cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=8, batch=8, epochs=5, learning_rate=1e200)
         return dataset, cfg, r"epoch 1 \(learning rate 1e\+200\)"
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+                        or not hasattr(os, "sched_setaffinity"), reason="needs two CPUs")
+    @pytest.mark.parametrize("case", ["equal", "tables"])
+    def test_pinned_worker(self, monkeypatch, case):
+        """On this process's own CPUs the worker is pinned to the last and this process
+        to the rest; the bytes are one process's, and a divergence restores the set."""
+        dataset = self._world()
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=6, epochs=7, learning_rate=0.4,
+                          batch=5, seed=8, k_valid=4)
+        if case == "tables":
+            dataset, cfg, message = self._diverging(case)
+        else:
+            serial_model, serial_log = train_model(dataset, cfg)
+        cores = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(train, "_SPLIT_WORK", 0)
+        pinned, setaffinity = [], os.sched_setaffinity
+
+        def recording(pid, cpus):
+            pinned.append((pid != 0, sorted(cpus)))
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+        if case == "tables":
+            with pytest.raises(DivergenceError, match=message):
+                train_model(dataset, cfg)
+        else:
+            model, log = train_model(dataset, cfg)
+            assert log.records == serial_log.records
+            for name in TABLES:
+                assert np.array_equal(getattr(model, name), getattr(serial_model, name))
+        assert pinned == [(True, cores[-1:]), (False, cores[:-1]), (False, cores)]
+        assert sorted(os.sched_getaffinity(0)) == cores
 
     @pytest.mark.parametrize("case", ["loss", "tables", "products"])
     def test_divergence_is_the_serial_error(self, monkeypatch, case):

@@ -1,5 +1,6 @@
 """Randomized oracle harness: unbiasedness certification and bias witnesses."""
 
+import itertools
 import json
 from dataclasses import fields
 
@@ -21,6 +22,7 @@ from matchltr import (
     single_pair_witness,
 )
 from matchltr import verify
+from matchltr.metrics import _coefficients, _gain, metric_ground_truth
 from matchltr.verify import (
     _FIELDS,
     VerificationReport,
@@ -237,6 +239,119 @@ class TestBatchedOracle:
             draws.append(estimate_metric(EstimatorKind.IPW2, inst.ranking, y_fwd, y_bwd,
                                          inst.theta_fwd, inst.theta_bwd, weight).value)
         assert abs(np.var(draws, ddof=1) / exact - 1.0) < 0.10
+
+
+def _enumerate_reference(values, ranking, k, sizes):
+    """The oracle's sweep over a padded batch as it stood with one gather per instance
+    row (``take_along_axis``), a pass per o_bwd and sums by ``np.add.accumulate``:
+    an independent implementation that ``verify._enumerate`` must match bit for bit."""
+    users, width = sizes.max(axis=0)
+    rf, rb, tf, tb = np.take_along_axis(values[:, :, :users, :width],
+                                        ranking[None, :, :users, :width], axis=3)
+    n_users = sizes[:, 0]
+    ranks = np.arange(1, width + 1)
+    disc = np.where(ranks <= k[:, None, None], LambdaWeight(k=width).weights(ranks), 0.0)
+
+    def user_mean(per_pair, weight):
+        per_user = np.add.accumulate(per_pair * weight, axis=-1)[..., -1]
+        return np.add.accumulate(per_user, axis=-1)[..., -1] / n_users
+
+    m1, m2 = np.zeros((2, len(EstimatorKind)) + rf.shape)
+    for o_b in (0.0, 1.0):
+        p = tf * (tb if o_b else 1.0 - tb)
+        y_b = rf * o_b * rb
+        g = np.stack([_gain(*_coefficients(kind, rf, y_b, tf, tb)) for kind in EstimatorKind])
+        m1 += p * g
+        m2 += p * g * g
+    var = user_mean(np.maximum(m2 - m1 * m1, 0.0), disc * disc) / n_users
+    eligible = ((rf * rb * disc > 0) & (tb < 1.0)).any(axis=(1, 2))
+    return user_mean(_gain(rf, rf * rb), disc), user_mean(m1, disc), var, eligible
+
+
+def _brute_force(inst):
+    """Truth, and each estimator's exact mean and variance, from every one of the
+    ``4**(users * candidates)`` exposure outcomes scored by ``estimate_metric``."""
+    shape, n = inst.r_fwd.shape, inst.r_fwd.size
+    weight = LambdaWeight(k=inst.k)
+    truth = metric_ground_truth(inst.ranking, inst.r_fwd, inst.r_bwd, weight).value
+    probs, scores = [], []
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        o_f, o_b = np.reshape(bits, (2, *shape))
+        prob = np.prod(np.where(o_f, inst.theta_fwd, 1.0 - inst.theta_fwd)
+                       * np.where(o_b, inst.theta_bwd, 1.0 - inst.theta_bwd))
+        if prob == 0.0:  # adds nothing to either moment
+            continue
+        probs.append(prob)
+        y_fwd = o_f * inst.r_fwd
+        y_bwd = y_fwd * o_b * inst.r_bwd
+        scores.append([estimate_metric(kind, inst.ranking, y_fwd, y_bwd, inst.theta_fwd,
+                                       inst.theta_bwd, weight).value for kind in EstimatorKind])
+    probs, scores = np.array(probs), np.array(scores)
+    mean = probs @ scores
+    return truth, mean, probs @ (scores - mean) ** 2
+
+
+class TestSweepReference:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_users=st.integers(1, 6),
+           max_candidates=st.integers(1, 8), trials=st.integers(1, 60), theta_one=st.booleans())
+    @example(seed=0, max_users=1, max_candidates=1, trials=1, theta_one=False)
+    @example(seed=1, max_users=1, max_candidates=1, trials=40, theta_one=True)
+    @example(seed=2, max_users=4, max_candidates=6, trials=50, theta_one=True)
+    @example(seed=3, max_users=4, max_candidates=6, trials=50, theta_one=False)
+    def test_equal_arrays(self, seed, max_users, max_candidates, trials, theta_one):
+        # check_batch pads to its largest instance, the reference batch to the caps
+        rng = np.random.default_rng(seed)
+        caps = (max_users, max_candidates)
+        drawn = [OracleInstance(*_draw_by_separate_calls(rng, *caps, theta_one))
+                 for _ in range(trials)]
+        batch = verify._padded(trials, *caps)
+        for b, inst in enumerate(drawn):
+            verify._put(batch, b, inst)
+        for got, want in zip(check_batch(drawn), _enumerate_reference(*batch)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_users=st.integers(1, 6),
+           max_candidates=st.integers(1, 8), theta_one=st.booleans())
+    @example(seed=0, max_users=1, max_candidates=1, theta_one=False)
+    @example(seed=0, max_users=4, max_candidates=6, theta_one=True)
+    def test_equal_arrays_on_the_drawn_batch(self, seed, max_users, max_candidates, theta_one):
+        batches = []
+
+        def enumerate_and_keep(*batch):
+            batches.append(batch)
+            return enumerate_(*batch)
+
+        enumerate_ = verify._enumerate
+        verify._witness()  # checked once per process, before the patch
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_enumerate", enumerate_and_keep)
+            run_verification(trials=30, max_users=max_users, max_candidates=max_candidates,
+                             seed=seed, theta_one=theta_one)
+        (batch,) = batches
+        table, eligible = enumerate_(*batch)
+        truth, mean, var, want_eligible = _enumerate_reference(*batch)
+        assert table.tobytes() == np.vstack([truth, mean, var]).tobytes()
+        assert eligible.tobytes() == want_eligible.tobytes()
+
+    @pytest.mark.parametrize("theta_one", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_brute_force_enumeration(self, seed, theta_one):
+        # one instance of every shape up to 2 users x 3 candidates: 4096 outcomes at 2x3
+        rng = np.random.default_rng(seed)
+        for shape in itertools.product((1, 2), (1, 2, 3)):
+            thetas = [np.ones(shape) if theta_one else rng.uniform(0.05, 1.0, shape)
+                      for _ in range(2)]
+            inst = OracleInstance(*rng.integers(0, 2, (2, *shape)), *thetas,
+                                  [rng.permutation(shape[1]) for _ in range(shape[0])],
+                                  int(rng.integers(1, shape[1] + 2)))
+            truth, mean, var, _ = check_batch([inst])
+            want_truth, want_mean, want_var = _brute_force(inst)
+            np.testing.assert_allclose(truth[0], want_truth, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(mean[:, 0], want_mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(var[:, 0], want_var, rtol=1e-12, atol=0)
 
 
 class TestInstanceSerialization:
