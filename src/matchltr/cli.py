@@ -108,7 +108,6 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     sub_seeds = {
         "side-split": derive_seed(args.seed, "side-split"),
         "folds": derive_seed(args.seed, "folds"),
@@ -131,6 +130,7 @@ def _cmd_gen_data(args) -> int:
     exposure = lib.exposure_from_popularity(m, args.eta)
     dataset = lib.sample_dataset(m, exposure, plan, sub_seeds["sampling"])
 
+    args.out.mkdir(parents=True, exist_ok=True)  # not before: a rejected run leaves none
     # a forked worker writes a large market's preferences.csv while this process
     # writes the rest; on a failure here it is waited for, not killed, so that it
     # leaves no temporary file
@@ -163,7 +163,6 @@ def _cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     sub_seeds = lib.training_sub_seeds(args.seed)
     config = _settings(args)
     _print_config("train", config, sub_seeds)
@@ -174,6 +173,7 @@ def _cmd_train(args) -> int:
     cfg = lib.TrainConfig(loss_kind=lib.LossKind(args.loss),
                           **{key: value for key, value in config.items() if key in fields})
     model, log = lib.train_model(dataset, cfg)
+    args.out.mkdir(parents=True, exist_ok=True)
     lib.save_model(model, args.out / "checkpoint.bin")
     lib.save_training_log(log, args.out / "train_log.csv")
     _write_run_json(args.out, "train", config, sub_seeds)
@@ -206,7 +206,6 @@ def _resolve_eta(args) -> float:
 
 
 def _cmd_evaluate(args) -> int:
-    args.out.mkdir(parents=True, exist_ok=True)
     plan = lib.load_fold_plan(args.data / "folds.json")
     eta = _resolve_eta(args)
     sub_seeds = lib.labels_sub_seeds(args.seed, plan.test_fold)
@@ -218,6 +217,7 @@ def _cmd_evaluate(args) -> int:
     (labels_seed,) = sub_seeds.values()
     records = lib.test_dcg_records(model, m, plan, eta, args.loss, args.k_list, labels_seed,
                                    args.label_mode)
+    args.out.mkdir(parents=True, exist_ok=True)
     save_eval_report(records, args.out / "eval.csv")
     _write_run_json(args.out, "evaluate", config, sub_seeds)
     for r in records:

@@ -171,7 +171,8 @@ def accumulate_gradient(
     coef: np.ndarray,
     coef_sum: np.ndarray | None = None,
     spaces: slice = slice(None),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    loss: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Listwise loss of a minibatch and its gradient in the embedding spaces ``spaces``.
 
     ``spaces`` slices the space axis of the model's stacks; all spaces by
@@ -185,7 +186,10 @@ def accumulate_gradient(
     ``users[i]``, and ``grad_rea`` ``(S, n_reactive, dim)``, the gradient of
     the whole reactive stack.  Both gradients are fresh arrays, which the
     caller may scale in place.  A user that repeats gets one row per
-    occurrence, which the caller must add up.
+    occurrence, which the caller must add up.  With ``loss`` false the loss
+    is not computed and its terms are None; the gradients keep their bits.
+    Only a training log reads the loss, so ``train_model`` passes false when
+    its caller discards the log (``run_experiment``'s cells).
 
     In each space, with s = sigmoid(z), p = s / sum(s) over the candidates
     and L = -sum(coef * log p), the derivative is dL/dz_v = (sum(coef) * p_v
@@ -210,16 +214,18 @@ def accumulate_gradient(
         sigmoid(s, out=s)
         p = s * mask_rows
         p /= p.sum(axis=2, keepdims=True)
-        log_p = np.maximum(p, PROB_FLOOR)
-        np.log(log_p, out=log_p)
-        terms = np.einsum("sij,sij->si", coef, log_p)
-        np.negative(terms, out=terms)
+        terms = None
+        if loss:
+            log_p = np.maximum(p, PROB_FLOOR)
+            np.log(log_p, out=log_p)
+            terms = np.einsum("sij,sij->si", coef, log_p).T
+            np.negative(terms, out=terms)
         # dz = (sum(coef) * p - coef) * (1 - s), written over p
         p *= coef_sum[:, :, None]
         p -= coef
         np.subtract(1.0, s, out=s)
         p *= s
-    return terms.T, p @ rea, p.transpose(0, 2, 1) @ w_users
+    return terms, p @ rea, p.transpose(0, 2, 1) @ w_users
 
 
 def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):

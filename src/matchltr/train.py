@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 import select
 import time
@@ -46,6 +47,7 @@ from .metrics import (  # bench/tracing.py wraps dcg_at_k and estimate_metric he
     rank_candidates,
 )
 from .ranker import (
+    PROB_FLOOR,
     LossKind,
     RankerModel,
     accumulate_gradient,
@@ -53,6 +55,7 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
+from .simulate import _check_eta
 from .util import EvalRecord, Worker, derive_seed, load_rows, save_rows, usable_cores
 
 
@@ -77,11 +80,12 @@ class TrainConfig:
             object.__setattr__(self, name, _index(getattr(self, name)))
         if self.dim < 1 or self.epochs < 0 or self.batch < 1 or self.k_valid < 1:
             raise ContractViolation("dim, batch and k_valid must be positive; epochs >= 0")
-        # written so that NaN fails too
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ContractViolation(
-                f"learning rate must be finite and positive, got {self.learning_rate}"
-            )
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ContractViolation(f"learning rate must be a number, got {rate!r}")
+        if not 0.0 < rate < np.inf:  # NaN fails too
+            raise ContractViolation(f"learning rate must be finite and positive, got {rate}")
+        object.__setattr__(self, "learning_rate", float(rate))
 
 
 _LOG_COLUMNS = ("epoch", "train_loss", "valid_metric")
@@ -205,17 +209,28 @@ def validation_metric(
 # gains less than that (BENCH_split_spaces.json).
 _SPLIT_WORK = 1 << 26
 _SPIN_S = 0.05  # how long a barrier polls before it blocks
+# A user's loss term is at most its coefficient sum times -log(PROB_FLOOR), so
+# coefficient sums below this keep an epoch's loss sum below 1e307.
+_LOSS_BOUND = 1e307 / -math.log(PROB_FLOOR)
 _FORWARD, _BACKWARD, _BOTH = slice(0, 1), slice(1, 2), slice(0, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is a DivergenceError, not a warning
-def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel, TrainingLog]:
+def train_model(
+    dataset: FeedbackDataset, cfg: TrainConfig, *, _loss: bool = True,
+) -> tuple[RankerModel, TrainingLog]:
     """SGD-train a ranker and return the checkpoint with the best validation value.
 
     The log holds one record per epoch (mean per-user training loss as
     encountered during the epoch, then the post-epoch validation metric).
     With ``epochs=0`` the freshly initialized model is returned unchanged;
     otherwise every pair outside the test block must be observed.
+
+    ``_loss=False``, for a caller that discards the log, skips computing the
+    training loss and logs it as NaN; the tables, validation values and any
+    :class:`DivergenceError` keep their bits.  With finite tables the loss is
+    non-finite only if its sum overflows, so a run whose coefficients sum to
+    ``_LOSS_BOUND`` or more computes the loss anyway.
 
     Each minibatch subtracts ``learning_rate * grad / batch``, scaled in the
     kernel's own gradient buffers, from the batch's proactive rows and every
@@ -226,7 +241,7 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     with at least two :func:`~matchltr.util.usable_cores` and BLAS on one
     thread (``_BLAS_ONE_THREAD``), is split: a forked worker steps the backward space,
     drawing the same minibatch order, and after each epoch hands this process
-    its loss terms and tables.  The result is bit for bit that of one process.
+    its tables and any loss terms.  The result is bit for bit that of one process.
     A worker that dies raises :class:`MatchLtrError`.
     """
     plan = dataset.fold_plan
@@ -247,9 +262,13 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
     rng = np.random.default_rng(seeds["epochs"])
     pro, rea = model.pro, model.rea
     terms = np.empty((2, n_pro))  # each user's loss terms per space, in epoch order
+    # a loss that cannot overflow is non-finite only through a NaN score row,
+    # which turns the tables NaN in the same step, where the epoch's check sees it
+    loss = _loss or not coef_sum.sum() < _LOSS_BOUND
 
     def sgd_epoch(spaces: slice, out: np.ndarray) -> None:
-        """One epoch on the embedding spaces ``spaces``; their loss terms go to ``out``."""
+        """One epoch on the embedding spaces ``spaces``; their loss terms, if
+        computed, go to ``out``."""
         space_pro, space_rea = pro[spaces], rea[spaces]
         space_coef, space_sum = coef[spaces], coef_sum[spaces]
         order = rng.permutation(n_pro)
@@ -259,9 +278,10 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
             batch = order[start:start + cfg.batch]
             batch_terms, grad_pro, grad_rea = accumulate_gradient(
                 model, batch, mask[batch], space_coef.take(batch, axis=1),
-                space_sum[:, batch], spaces,
+                space_sum[:, batch], spaces, loss,
             )
-            out[:, start:start + batch.size] = batch_terms.T
+            if loss:
+                out[:, start:start + batch.size] = batch_terms.T
             # lr * (g * (1/B)) in the kernel's own buffers, as multiplication
             # commutes; take + setitem is twice as fast as pro[:, batch] -=
             for grad in (grad_pro, grad_rea):
@@ -287,14 +307,17 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
             sgd_epoch(own, terms[own])
             if receive is not None:
                 receive(epoch, terms[1], pro[1], rea[1])
-            # one addition per user in epoch order, not a (pairwise) array sum
-            loss_sum = 0.0
-            for loss in (terms[0] + terms[1]).tolist():
-                loss_sum += loss
-            train_loss = loss_sum / n_pro
+            train_loss = math.nan
+            if loss:
+                # one addition per user in epoch order, not a (pairwise) array sum
+                loss_sum = 0.0
+                for term in (terms[0] + terms[1]).tolist():
+                    loss_sum += term
+                train_loss = loss_sum / n_pro
             # the last minibatches can overflow the tables while the loss is still finite
             try:
-                if not (np.isfinite(train_loss) and np.isfinite(pro).all() and np.isfinite(rea).all()):
+                if not ((not loss or np.isfinite(train_loss))
+                        and np.isfinite(pro).all() and np.isfinite(rea).all()):
                     raise DivergenceError("non-finite training loss or embeddings")
                 value = validation_metric(model, dataset, metric_kind, cfg.k_valid, val_ctx)
             except DivergenceError as exc:
@@ -311,11 +334,12 @@ def train_model(dataset: FeedbackDataset, cfg: TrainConfig) -> tuple[RankerModel
 def _fork_backward(stack: ExitStack, sgd_epoch, pro, rea, epochs: int):
     """Step the backward space in a forked :class:`Worker` for ``epochs`` epochs.
 
-    After each epoch the worker puts the space's loss terms and tables into
-    one of two slots of an anonymous shared mapping, by epoch parity, and both
-    processes meet at a barrier.  Returns ``receive(epoch, terms, pro, rea)``,
-    which waits for that epoch and copies it into the given arrays; a slot is
-    written again only two barriers later, after this process has read it.
+    After each epoch the worker puts the space's tables and loss terms, if
+    computed, into one of two slots of an anonymous shared mapping, by epoch
+    parity, and both processes meet at a barrier.  Returns ``receive(epoch,
+    terms, pro, rea)``, which waits for that epoch and copies it into the
+    given arrays; a slot is written again only two barriers later, after this
+    process has read it.
     The worker is killed and reaped and its pipes are closed when ``stack``
     closes; the mapping goes with the last reference to ``receive``.
     """
@@ -456,7 +480,7 @@ class ExperimentPlan:
     test_folds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(float(e) for e in self.etas))
+        object.__setattr__(self, "etas", tuple(map(_check_eta, self.etas)))
         object.__setattr__(self, "folds", _index(self.folds))
         for name in ("k_values", "seeds", "test_folds"):
             if (values := getattr(self, name)) is not None:
@@ -492,6 +516,8 @@ def run_experiment(
     Test labels depend only on (seed, fold), so all methods and etas of a
     fold are scored against identical relevance draws.  Per-cell training
     seeds are derived from the plan seed; ``cfg.seed`` is ignored here.
+    Cells discard their training logs, so they train with ``_loss=False``:
+    the training loss is computed only where a log is kept (``train``).
     """
     cfgs = cfgs or default_method_configs()
     sides = SideAssignment.trivial(m.n_proactive, m.n_reactive)
@@ -513,7 +539,7 @@ def run_experiment(
                         loss_kind=kind,
                         seed=derive_seed(seed, f"train:eta={eta!r}:fold={fold}:method={kind.value}"),
                     )
-                    model, _ = train_model(dataset, cell_cfg)
+                    model, _ = train_model(dataset, cell_cfg, _loss=False)
                     records.extend(test_dcg_records(
                         model, m, fplan, eta, kind.value, plan.k_values, labels_seed,
                     ))

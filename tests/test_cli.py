@@ -269,6 +269,24 @@ class TestBinaryCsvInputs:
             assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--synth", "12,12,2,0.05", "--eta", "nan"),
+    ("gen-data", "--synth", "12,12,2,0.05", "--folds", "1"),
+    ("train", "--loss", "ipw2", "--epochs", "1", "--lr", "nan"),
+    ("evaluate", "--loss", "ipw2", "--model", "missing.bin"),
+], ids=["gen-data-eta", "gen-data-folds", "train-lr", "evaluate-model"])
+def test_a_rejected_run_leaves_no_output_directory(data_dir, tmp_path, capsys, argv):
+    if argv[0] != "gen-data":
+        argv += ("--data", str(data_dir))
+    if argv[0] == "evaluate":
+        argv = tuple(str(tmp_path / a) if a == "missing.bin" else a for a in argv)
+    out = tmp_path / "out" / "nested"
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_propensity_in_dataset_is_a_format_error(data_dir, tmp_path, capsys):
     path = data_dir / "dataset.csv"
     lines = path.read_bytes().split(b"\r\n")

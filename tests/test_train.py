@@ -91,6 +91,17 @@ class TestTrainConfig:
         with pytest.raises(ContractViolation, match=field.replace("_", " ")):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1], 0.1 + 0j],
+                             ids=["true", "false", "string", "none", "list", "complex"])
+    def test_learning_rate_must_be_a_number(self, value):
+        with pytest.raises(ContractViolation, match=r"^learning rate must be a number, got "):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.25), np.float32(0.5), np.int64(2)])
+    def test_learning_rate_is_stored_as_a_float(self, value):
+        rate = TrainConfig(learning_rate=value).learning_rate
+        assert type(rate) is float and rate == value
+
 
 class TestTrainModel:
     def test_zero_epochs_returns_initialized_model(self):
@@ -467,6 +478,23 @@ def test_one_space_kernel_is_the_stacked_kernel(n, batch):
             assert np.array_equal(stacked[space], alone)
 
 
+@pytest.mark.parametrize("space", [slice(None), slice(0, 1), slice(1, 2)],
+                         ids=["both", "forward", "backward"])
+@pytest.mark.parametrize("n, batch", [(60, 16), (23, 3)])  # 3: the short last batch of 23 by 5
+def test_kernel_without_the_loss_keeps_the_gradients(space, n, batch):
+    rng = np.random.default_rng(n)
+    model = init_model(n, n, 8, seed=n)
+    users = rng.permutation(n)[:batch]
+    mask = rng.random((batch, n)) < 0.7
+    coef = (rng.random((2, batch, n)) * mask)[space]
+    terms, *grads = accumulate_gradient(model, users, mask, coef, None, space)
+    no_terms, *no_loss = accumulate_gradient(model, users, mask, coef, None, space, False)
+    assert terms.shape == (batch, coef.shape[0]) and np.isfinite(terms).all()
+    assert no_terms is None
+    for grad, same in zip(grads, no_loss):
+        assert grad.tobytes() == same.tobytes()
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="counts fds and mappings in /proc")
 class TestSplitSpaces:
     """A run big enough trains the backward space in a forked worker, to the
@@ -629,6 +657,74 @@ class TestSplitSpaces:
         del split
         self._assert_released(before)
 
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_without_the_loss_the_same_model(self, monkeypatch, kind, split):
+        """``_loss=False`` logs NaN losses; tables, best epoch and validation values
+        are the default's."""
+        dataset = self._world()
+        cfg = TrainConfig(loss_kind=kind, dim=6, epochs=7, learning_rate=0.4, batch=5,
+                          seed=8, k_valid=4)
+        model, log = train_model(dataset, cfg)
+        if split:
+            self._split(monkeypatch, 2)
+        forks = self._count_forks(monkeypatch)
+        lean_model, lean_log = train_model(dataset, cfg, _loss=False)
+        assert len(forks) == split
+        assert np.isfinite([r.train_loss for r in log.records]).all()
+        assert all(np.isnan(r.train_loss) for r in lean_log.records)
+        assert [(r.epoch, r.valid_metric) for r in lean_log.records] == \
+            [(r.epoch, r.valid_metric) for r in log.records]
+        assert lean_log.best_epoch == log.best_epoch
+        assert lean_model.pro.tobytes() == model.pro.tobytes()
+        assert lean_model.rea.tobytes() == model.rea.tobytes()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("case", ["loss", "tables", "products"])
+    def test_without_the_loss_the_same_divergence(self, monkeypatch, case, split):
+        dataset, cfg, message = self._diverging(case)
+        with pytest.raises(DivergenceError, match=message) as default:
+            train_model(dataset, cfg)
+        expected = str(default.value)
+        if split:
+            self._split(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as lean:
+                train_model(dataset, cfg, _loss=False)
+        assert str(lean.value) == expected
+
+    @staticmethod
+    def _scaled(monkeypatch, power):
+        """Loss weights scaled by ``2**power``, so that their sum passes ``_LOSS_BOUND``."""
+        tables = train._loss_tables
+
+        def scaled(dataset, kind):
+            mask, coef, coef_sum = tables(dataset, kind)
+            return mask, coef * 2.0 ** power, coef_sum * 2.0 ** power
+
+        monkeypatch.setattr(train, "_loss_tables", scaled)
+        return TrainConfig(loss_kind=LossKind.IPW2, dim=6, epochs=7,
+                           learning_rate=0.4 * 2.0 ** -power, batch=5, seed=8, k_valid=4)
+
+    def test_coefficient_sums_past_the_bound_compute_the_loss(self, monkeypatch):
+        dataset, cfg = self._world(), self._scaled(monkeypatch, 1009)
+        _, log = train_model(dataset, cfg)
+        _, lean_log = train_model(dataset, cfg, _loss=False)
+        assert lean_log.records == log.records
+        assert np.isfinite([r.train_loss for r in log.records]).all()
+
+    def test_a_loss_sum_that_overflows_diverges_without_the_loss(self, monkeypatch):
+        """At 2**1015 the epoch's loss sum overflows while the tables stay finite."""
+        dataset, cfg = self._world(), self._scaled(monkeypatch, 1015)
+        message = r"^non-finite training loss or embeddings at epoch 1 "
+        for loss in (True, False):
+            with pytest.raises(DivergenceError, match=message):
+                train_model(dataset, cfg, _loss=loss)
+        monkeypatch.setattr(train, "_LOSS_BOUND", np.inf)
+        _, log = train_model(dataset, cfg, _loss=False)  # unguarded: trains on
+        assert len(log.records) == cfg.epochs
+
     def test_dead_worker_raises(self, monkeypatch):
         dataset = self._world()
         parent, calls = os.getpid(), []
@@ -765,6 +861,13 @@ class TestRunExperiment:
         records = run_experiment(m, plan, default_method_configs(self._cfg()))
         assert len(records) == 2 * 2 * 3 * 2  # etas x folds x methods x cutoffs
 
+    def test_integer_eta_is_the_float_eta(self):
+        m = self._matrix()
+        plans = [ExperimentPlan(etas=(eta,), folds=2, k_values=(2,)) for eta in (1, 1.0)]
+        assert plans[0].etas == (1.0,) and type(plans[0].etas[0]) is float
+        cfgs = default_method_configs(self._cfg())
+        assert run_experiment(m, plans[0], cfgs) == run_experiment(m, plans[1], cfgs)
+
     def test_deterministic(self):
         m = self._matrix()
         plan = ExperimentPlan(etas=(0.7,), folds=2, k_values=(2,))
@@ -899,3 +1002,12 @@ class TestLogAndConfigFiles:
     def test_train_config_seed_must_be_an_integer(self, build):
         with pytest.raises(TypeError, match="integer"):
             build()
+
+    @pytest.mark.parametrize("eta, message", [
+        (True, "a number, got True"), ("0.5", "a number, got '0.5'"),
+        (np.nan, "finite and non-negative, got nan"), (np.inf, "finite and non-negative, got inf"),
+        (-1.0, "finite and non-negative, got -1.0"),
+    ], ids=["true", "string", "nan", "inf", "negative"])
+    def test_experiment_plan_checks_each_eta_when_built(self, eta, message):
+        with pytest.raises(ContractViolation, match=rf"^eta must be {message}$"):
+            ExperimentPlan(etas=(0.5, eta))
