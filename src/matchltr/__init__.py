@@ -47,11 +47,11 @@ def _lazy(module: str, homes: dict) -> tuple:
 __all__, __getattr__ = _lazy(__name__, {
     "util": """AssumptionViolationError ContractViolation DataFormatError DivergenceError
         FoldInfeasibleError InvalidPopulationError MatchLtrError UndefinedAverageError
-        EvalRecord derive_seed load_eval_report save_eval_report""",
+        EstimatorKind EvalRecord LossKind derive_seed load_eval_report save_eval_report""",
     "core": "FoldPlan PreferenceMatrix RankedList SideAssignment",
-    "metrics": """EstimatorKind LambdaWeight MetricValue dcg_at_k estimate_metric gain_ipw
+    "metrics": """LambdaWeight MetricValue dcg_at_k estimate_metric gain_ipw
         gain_surrogate gain_true metric_ground_truth rank_candidates""",
-    "ranker": """GradientTables LossKind RankerModel init_model load_model loss_gradient
+    "ranker": """GradientTables RankerModel init_model load_model loss_gradient
         loss_user save_model score_matrix""",
     "simulate": """ExposureModel FeedbackDataset assign_sides exposure_from_popularity
         latent_preferences load_dataset load_exposure load_fold_plan load_preferences

@@ -19,7 +19,9 @@ from pathlib import Path
 
 from . import _BLAS_THREADS, _lazy
 from .util import (
+    EstimatorKind,
     EvalRecord,
+    LossKind,
     MatchLtrError,
     Worker,
     derive_seed,
@@ -38,9 +40,8 @@ from .util import (
 # command runs; bench/tracing.py wraps them here.
 lib = sys.modules[__name__]
 _, __getattr__ = _lazy(__name__, {
-    "core": "SideAssignment",
-    "metrics": "EstimatorKind",
-    "ranker": "LossKind load_model save_model",
+    "core": "PreferenceMatrix SideAssignment",
+    "ranker": "load_model save_model",
     "simulate": """_check_eta assign_sides exposure_from_popularity load_dataset load_fold_plan
         load_preferences load_square_preferences make_folds sample_dataset save_dataset
         save_exposure save_fold_plan save_preferences save_side_assignment synth_preferences""",
@@ -49,8 +50,6 @@ _, __getattr__ = _lazy(__name__, {
     "verify": "check_instance check_settings load_instance run_verification save_instance",
 })
 
-# the LossKind values, in report column order; a test keeps them equal
-_METHOD_ORDER = ("conventional", "ipw1", "ipw2")
 # pairs from which gen-data writes preferences.csv in a forked worker; below
 # it a fork costs more than it saves (BENCH_gen_data_split.json)
 _FORK_PAIRS = 1 << 16
@@ -118,9 +117,9 @@ def _cmd_gen_data(args) -> int:
     _print_config("gen-data", config, sub_seeds)
 
     if args.matrix is not None:
-        full = lib.load_square_preferences(args.matrix)
-        assignment = lib.assign_sides(full.n_proactive, sub_seeds["side-split"])
-        m = full.restrict(assignment)
+        square = lib.load_square_preferences(args.matrix)
+        assignment = lib.assign_sides(len(square), sub_seeds["side-split"])
+        m = lib.PreferenceMatrix.from_square(square, assignment)
     else:
         n_pro, n_rea, rank, noise = args.synth
         m = lib.synth_preferences(n_pro, n_rea, rank, noise, sub_seeds["synth"])
@@ -170,7 +169,7 @@ def _cmd_train(args) -> int:
     plan = lib.load_fold_plan(args.data / "folds.json")
     dataset = lib.load_dataset(args.data / "dataset.csv", plan)
     fields = {f.name for f in dataclasses.fields(lib.TrainConfig)}
-    cfg = lib.TrainConfig(loss_kind=lib.LossKind(args.loss),
+    cfg = lib.TrainConfig(loss_kind=LossKind(args.loss),
                           **{key: value for key, value in config.items() if key in fields})
     model, log = lib.train_model(dataset, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -239,12 +238,12 @@ def _cmd_verify(args) -> int:
         result = lib.check_instance(inst)
         print(f"[verify] replaying {args.replay}")
         print(f"  ground truth        = {result.truth!r}")
-        for kind in lib.EstimatorKind:
+        for kind in EstimatorKind:
             print(
                 f"  E[{kind.value:<5}] = {result.expected[kind.value]!r} "
                 f"(|error| = {result.error(kind):.3e})"
             )
-        ok = result.error(lib.EstimatorKind.IPW2) <= args.tolerance
+        ok = result.error(EstimatorKind.IPW2) <= args.tolerance
         print(f"[verify] two-sided estimator within tolerance: {ok}")
         return 0 if ok else 1
 
@@ -271,9 +270,8 @@ def _cmd_verify(args) -> int:
 
 def _ordered_methods(records: list[EvalRecord]) -> list[str]:
     seen = {r.method for r in records}
-    ordered = [m for m in _METHOD_ORDER if m in seen]
-    ordered += sorted(seen - set(_METHOD_ORDER))
-    return ordered
+    ordered = [kind.value for kind in LossKind if kind.value in seen]
+    return ordered + sorted(seen - set(ordered))
 
 
 def _aggregate(records: list[EvalRecord], row_of) -> tuple[list, list[int], list[str], dict]:
@@ -367,6 +365,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    losses = [kind.value for kind in LossKind]
     parser = _Parser(
         prog="matchltr",
         description=(
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one ranker on a generated dataset")
     p.add_argument("--data", type=Path, required=True, help="gen-data output directory")
-    p.add_argument("--loss", choices=_METHOD_ORDER, required=True)
+    p.add_argument("--loss", choices=losses, required=True)
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.05)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--dim", type=int, default=64)
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint on the held-out test block")
     p.add_argument("--data", type=Path, required=True, help="gen-data output directory")
     p.add_argument("--model", required=True, help="checkpoint file")
-    p.add_argument("--loss", choices=_METHOD_ORDER, required=True,
+    p.add_argument("--loss", choices=losses, required=True,
                    help="method label for the report rows")
     p.add_argument("--k-list", type=_parse_k_list, default=(3, 10, 20, 30))
     p.add_argument("--label-mode", choices=("sampled", "expected"), default="sampled")

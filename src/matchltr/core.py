@@ -91,31 +91,20 @@ class PreferenceMatrix:
         return self.forward.shape[1]
 
     @staticmethod
-    def from_square(m: np.ndarray) -> "PreferenceMatrix":
-        """View a square all-users preference matrix as a two-sided matrix.
+    def from_square(m: np.ndarray, assignment: "SideAssignment") -> "PreferenceMatrix":
+        """The two-sided matrix of a square all-users matrix split by ``assignment``.
 
-        ``m[i, j]`` is the preference of user ``i`` for user ``j`` over a single
-        population; before side assignment every user plays both roles, so the
-        forward block is ``m`` itself and the backward block is ``m.T``.
-        Restrict with :meth:`restrict` once sides are assigned.
+        ``m[i, j]`` is the preference of user ``i`` for user ``j`` over the
+        assignment's population of ``n = n_proactive + n_reactive`` users, so
+        ``m`` must be ``n x n``.  ``forward`` takes the proactive rows and
+        reactive columns of ``m``, ``backward`` the same cells of ``m.T``.
         """
         m = np.asarray(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
-        return PreferenceMatrix(forward=m, backward=m.T.copy())
-
-    def restrict(self, assignment: "SideAssignment") -> "PreferenceMatrix":
-        """Select the rows/columns of an all-users matrix for an assignment.
-
-        Only meaningful for matrices built with :meth:`from_square`, where both
-        axes still index the original population.
-        """
-        pro = np.asarray(assignment.proactive_ids)
-        rea = np.asarray(assignment.reactive_ids)
-        return PreferenceMatrix(
-            forward=self.forward[np.ix_(pro, rea)],
-            backward=self.backward[np.ix_(pro, rea)],
-        )
+        n = assignment.n_proactive + assignment.n_reactive
+        if m.shape != (n, n):
+            raise ContractViolation(f"expected a {n}x{n} matrix for {n} users, got shape {m.shape}")
+        cells = np.ix_(assignment.proactive_ids, assignment.reactive_ids)
+        return PreferenceMatrix(forward=m[cells], backward=m.T[cells])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ enumerating the four exposure outcomes of each pair).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,14 +23,7 @@ from .core import (
     UndefinedAverageError,
     _index,
 )
-
-
-class EstimatorKind(enum.Enum):
-    """Which plug-in estimator of the ranking metric to evaluate."""
-
-    NAIVE = "naive"
-    IPW1 = "ipw1"
-    IPW2 = "ipw2"
+from .util import EstimatorKind  # re-exported
 
 
 @dataclass(frozen=True)

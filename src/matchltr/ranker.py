@@ -10,13 +10,13 @@ optionally reweighted by inverse exposure probabilities.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ContractViolation, _index, read_arrays, sigmoid, write_arrays
-from .metrics import EstimatorKind, feedback_coefficients
+from .metrics import feedback_coefficients
+from .util import LossKind  # re-exported
 
 PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 
@@ -24,22 +24,6 @@ PROB_FLOOR = 1e-12  # clamp for normalized scores inside the log
 # forward space, then the backward space.  Flattened, this is the checkpoint order.
 SPACES = (("w_pro_fwd", "w_rea_fwd"), ("w_pro_bwd", "w_rea_bwd"))
 TABLES = tuple(name for space in SPACES for name in space)
-
-
-class LossKind(enum.Enum):
-    """Training-loss variant; each pairs with a validation estimator."""
-
-    CONVENTIONAL = "conventional"
-    IPW1 = "ipw1"
-    IPW2 = "ipw2"
-
-    @property
-    def paired_metric(self) -> EstimatorKind:
-        return {
-            LossKind.CONVENTIONAL: EstimatorKind.NAIVE,
-            LossKind.IPW1: EstimatorKind.IPW1,
-            LossKind.IPW2: EstimatorKind.IPW2,
-        }[self]
 
 
 @dataclass(eq=False)

@@ -431,18 +431,18 @@ def load_preferences(path) -> PreferenceMatrix:
     return PreferenceMatrix(forward=data[:, :n_rea], backward=data[:, n_rea:])
 
 
-def load_square_preferences(path) -> PreferenceMatrix:
+def load_square_preferences(path) -> np.ndarray:
     """Read a square all-users preference CSV (``m[i, j]`` = i's preference for j).
 
-    Returns the pre-assignment view where both axes index the whole
-    population; follow with :meth:`PreferenceMatrix.restrict`.
+    Returns the ``n x n`` float64 array, entries in [0, 1]; split it into
+    sides with :meth:`PreferenceMatrix.from_square`.
     """
     data = _parse_float_csv(path, "square preference CSV")
     if data.shape[0] != data.shape[1]:
         raise DataFormatError(
             f"square preference CSV: expected a square matrix, got shape {data.shape}"
         )
-    return PreferenceMatrix.from_square(data)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Shared helpers that need no numpy: the error classes, seed derivation, forked
-workers, atomic writes, text and JSON I/O, the JSON and CSV record codecs,
-evaluation reports, file digests, float formatting.  ``report`` and
-``--help`` run on this alone."""
+"""Shared helpers that need no numpy: the error classes, the method names (loss
+and estimator kinds), seed derivation, forked workers, atomic writes, text and
+JSON I/O, the JSON and CSV record codecs, evaluation reports, file digests,
+float formatting.  ``report`` and ``--help`` run on this alone."""
 
 from __future__ import annotations
 
 import csv
+import enum
 import hashlib
 import json
 import math
@@ -49,6 +50,31 @@ class DataFormatError(MatchLtrError, ValueError):
 
 class DivergenceError(MatchLtrError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+class EstimatorKind(enum.Enum):
+    """Which plug-in estimator of the ranking metric to evaluate."""
+
+    NAIVE = "naive"
+    IPW1 = "ipw1"
+    IPW2 = "ipw2"
+
+
+class LossKind(enum.Enum):
+    """Training-loss variant, in report column order; each pairs with a validation
+    estimator."""
+
+    CONVENTIONAL = "conventional"
+    IPW1 = "ipw1"
+    IPW2 = "ipw2"
+
+    @property
+    def paired_metric(self) -> EstimatorKind:
+        return {
+            LossKind.CONVENTIONAL: EstimatorKind.NAIVE,
+            LossKind.IPW1: EstimatorKind.IPW1,
+            LossKind.IPW2: EstimatorKind.IPW2,
+        }[self]
 
 
 _SEED_MOD = 2**32

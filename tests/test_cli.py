@@ -390,6 +390,56 @@ class TestNonFiniteArguments:
         assert err.startswith("error: eval report CSV: line 3: eta must be finite")
 
 
+class TestErrorPaths:
+    @pytest.mark.parametrize("argv, message", [
+        (("gen-data", "--synth", "1,2,3"), "expected N_PRO,N_REA,RANK,NOISE"),
+        (("gen-data", "--synth", "a,2,3,0.1"), "invalid literal for int()"),
+        (("evaluate", "--data", "d", "--model", "m", "--loss", "ipw2", "--k-list", "0"),
+         "cutoffs must be positive integers"),
+        (("evaluate", "--data", "d", "--model", "m", "--loss", "ipw2", "--k-list", "3,x"),
+         "invalid literal for int()"),
+    ], ids=["synth-three-fields", "synth-letter", "k-list-zero", "k-list-letter"])
+    def test_bad_option_values_are_usage_errors(self, tmp_path, capsys, argv, message):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_needs_an_eta(self, data_dir, tmp_path, capsys):
+        (data_dir / "run.json").unlink()
+        capsys.readouterr()
+        assert run_cli("evaluate", "--data", str(data_dir), "--model",
+                       str(tmp_path / "unread.bin"), "--loss", "ipw2",
+                       "--out", str(tmp_path / "eval")) == 1
+        assert capsys.readouterr().err.startswith("error: eta is needed to label report rows")
+
+    def test_report_of_a_header_only_csv(self, tmp_path, capsys):
+        path = tmp_path / "eval.csv"
+        save_eval_report([], path)
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 1
+        assert capsys.readouterr().err == f"error: eval report {path} is empty\n"
+
+    def test_report_marks_a_missing_method(self, tmp_path, capsys):
+        path = tmp_path / "eval.csv"
+        save_eval_report([EvalRecord(0, 0.5, "ipw2", 3, 1.0, 0.0, 4),
+                          EvalRecord(0, 0.5, "conventional", 3, 0.5, 0.0, 4),
+                          EvalRecord(1, 0.5, "ipw2", 3, 2.0, 0.0, 4)], path)
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["fold", "conventional@3", "ipw2@3"]
+        assert lines[2].split() == ["0", "0.5000_", "1.0000*"]
+        assert lines[3].split() == ["1", "-", "2.0000"]
+
+    def test_verify_needs_a_trial(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("verify", "--trials", "0", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: need at least one trial\n"
+
+
 def _source_tree_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
     root = Path(__file__).resolve().parents[1]
@@ -660,17 +710,6 @@ class TestPackageNamespace:
         for module in (matchltr, cli, util):
             with pytest.raises(AttributeError, match="no_such_name"):
                 module.no_such_name
-
-    @pytest.mark.parametrize("command", ("train", "evaluate"))
-    def test_loss_choices_are_the_loss_kinds(self, command):
-        import argparse
-
-        from matchltr import LossKind
-        from matchltr.cli import build_parser
-
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        loss = next(a for a in sub.choices[command]._actions if a.dest == "loss")
-        assert list(loss.choices) == [k.value for k in LossKind]
 
     def test_option_defaults_are_the_library_defaults(self):
         """train's options feed TrainConfig and verify's feed run_verification; the

@@ -174,24 +174,32 @@ class TestPreferenceMatrix:
 
     def test_from_square_transposes_backward(self):
         m = np.array([[0.0, 0.2], [0.9, 0.0]])
-        pm = PreferenceMatrix.from_square(m)
-        assert pm.forward[0, 1] == 0.2
+        pm = PreferenceMatrix.from_square(m, SideAssignment.trivial(1, 1))
+        assert pm.forward[0, 0] == 0.2
         # backward[u, v] is v's preference for u, i.e. m[v, u]
-        assert pm.backward[0, 1] == 0.9
+        assert pm.backward[0, 0] == 0.9
 
     def test_from_square_requires_square(self):
         with pytest.raises(ContractViolation):
-            PreferenceMatrix.from_square(np.zeros((2, 3)))
+            PreferenceMatrix.from_square(np.zeros((2, 3)), SideAssignment.trivial(1, 1))
 
     def test_restrict_selects_blocks(self):
+        """from_square keeps the proactive rows and reactive columns of m and of m.T."""
         n = 6
         rng = np.random.default_rng(0)
         m = rng.random((n, n))
-        pm = PreferenceMatrix.from_square(m)
         assignment = SideAssignment(proactive_ids=(0, 2, 4), reactive_ids=(1, 3, 5))
-        sub = pm.restrict(assignment)
+        sub = PreferenceMatrix.from_square(m, assignment)
         assert sub.forward[1, 2] == m[2, 5]
         assert sub.backward[1, 2] == m[5, 2]
+        assert sub.forward.shape == sub.backward.shape == (3, 3)
+
+    @pytest.mark.parametrize("n_users", [4, 8])
+    def test_from_square_assignment_must_cover_the_matrix(self, n_users):
+        """A 6-user matrix under a 4- or an 8-user assignment is no market of either size."""
+        with pytest.raises(ContractViolation, match="expected a"):
+            PreferenceMatrix.from_square(np.full((6, 6), 0.5),
+                                         SideAssignment.trivial(n_users // 2, n_users // 2))
 
 
 class TestSideAssignment:

@@ -428,7 +428,7 @@ class TestPreferenceCsv:
         path = tmp_path / "square.csv"
         path.write_text("0.0,0.5\n0.25,0.0\n")
         m = load_square_preferences(path)
-        assert m.forward[0, 1] == 0.5 and m.backward[0, 1] == 0.25
+        assert m.dtype == np.float64 and m.tolist() == [[0.0, 0.5], [0.25, 0.0]]
         path.write_text("0.0,0.5\n")
         with pytest.raises(DataFormatError, match="square"):
             load_square_preferences(path)
@@ -901,9 +901,9 @@ class TestCsvAgainstReference:
             ref, again = Path(tmp) / "ref.csv", Path(tmp) / "again.csv"
             _reference_save_square(square, ref)
             loaded = load_square_preferences(ref)
-            assert _bits(loaded.forward) == _bits(square)
-            assert _bits(loaded.forward) == _bits(_reference_parse_float_csv(ref))
-            _reference_save_square(loaded.forward, again)
+            assert _bits(loaded) == _bits(square)
+            assert _bits(loaded) == _bits(_reference_parse_float_csv(ref))
+            _reference_save_square(loaded, again)
             assert again.read_bytes() == ref.read_bytes()
 
     @settings(max_examples=150, deadline=None)

@@ -220,6 +220,20 @@ class TestBatchedOracle:
             for kind, row in zip(EstimatorKind, mean):
                 assert row[b] == alone.expected[kind.value], kind
 
+    def test_two_sided_exact_at_tiny_propensities(self):
+        """Propensities log-uniform in [1e-8, 1]: an ipw2 weight reaches 1e16, and its
+        exact mean still lands on the truth."""
+        rng = np.random.default_rng(0)
+        drawn = []
+        for _ in range(500):
+            r_fwd, r_bwd, _, _, ranking, k = _draw_by_separate_calls(rng, 4, 6, True)
+            theta_fwd, theta_bwd = 10.0 ** rng.uniform(-8.0, 0.0, (2, *r_fwd.shape))
+            drawn.append(OracleInstance(r_fwd, r_bwd, theta_fwd, theta_bwd, ranking, k))
+        truth, mean, _, _ = check_batch(drawn)
+        error = np.abs(mean[list(EstimatorKind).index(EstimatorKind.IPW2)] - truth)
+        assert error.max() <= 1e-10
+        assert min(inst.theta_fwd.min() for inst in drawn) < 1e-7
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_exact_variance_matches_monte_carlo(self, seed):
         # resample both exposure bits of every pair and re-run the two-sided estimator
