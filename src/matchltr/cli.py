@@ -40,9 +40,9 @@ from .util import (
 # command runs; bench/tracing.py wraps them here.
 lib = sys.modules[__name__]
 _, __getattr__ = _lazy(__name__, {
-    "core": "PreferenceMatrix SideAssignment",
+    "core": "PreferenceMatrix SideAssignment _real",
     "ranker": "load_model save_model",
-    "simulate": """_check_eta assign_sides exposure_from_popularity load_dataset load_fold_plan
+    "simulate": """assign_sides exposure_from_popularity load_dataset load_fold_plan
         load_preferences load_square_preferences make_folds sample_dataset save_dataset
         save_exposure save_fold_plan save_preferences save_side_assignment synth_preferences""",
     "train": """TrainConfig labels_sub_seeds save_training_log test_dcg_records train_model
@@ -201,7 +201,7 @@ def _resolve_eta(args) -> float:
             "eta is needed to label report rows; pass --eta or keep the "
             "run.json written by gen-data next to the dataset"
         )
-    return lib._check_eta(eta)
+    return lib._real(eta, "eta")
 
 
 def _cmd_evaluate(args) -> int:

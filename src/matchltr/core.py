@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -51,8 +52,41 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def _real(value, what: str, positive: bool = False) -> float:
+    """The real-number rule of every input: a real number, not a bool (JSON
+    ``true`` is not 1), finite and non-negative (positive with ``positive``);
+    returned as a ``float``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolation(f"{what} must be a number, got {value!r}")
+    if not (0.0 < value if positive else 0.0 <= value) or not value < math.inf:  # NaN fails too
+        sign = "positive" if positive else "non-negative"
+        raise ContractViolation(f"{what} must be finite and {sign}, got {value}")
+    return float(value)
+
+
+class _Market:
+    """A type sized by a market: ``shape`` is ``(n_proactive, n_reactive)``."""
+
+    @property
+    def n_proactive(self) -> int:
+        return self.shape[0]
+
+    @property
+    def n_reactive(self) -> int:
+        return self.shape[1]
+
+
+def _same_shape(named: dict) -> tuple[int, int]:
+    """The one ``shape`` of ``named``'s values, or :class:`ContractViolation` naming each one's."""
+    shapes = {what: value.shape for what, value in named.items()}
+    if len(set(shapes.values())) > 1:
+        detail = ", ".join(f"{what} {p}x{r}" for what, (p, r) in shapes.items())
+        raise ContractViolation(f"proactive x reactive sizes disagree: {detail}")
+    return next(iter(shapes.values()))
+
+
 @dataclass(frozen=True)
-class PreferenceMatrix:
+class PreferenceMatrix(_Market):
     """Ground-truth mutual preference probabilities between the two sides.
 
     ``forward[u, v]`` is the probability that proactive user ``u`` finds
@@ -83,12 +117,8 @@ class PreferenceMatrix:
                 raise ContractViolation(f"{name} preferences must lie in [0, 1]")
 
     @property
-    def n_proactive(self) -> int:
-        return self.forward.shape[0]
-
-    @property
-    def n_reactive(self) -> int:
-        return self.forward.shape[1]
+    def shape(self) -> tuple[int, int]:
+        return self.forward.shape
 
     @staticmethod
     def from_square(m: np.ndarray, assignment: "SideAssignment") -> "PreferenceMatrix":
@@ -108,7 +138,7 @@ class PreferenceMatrix:
 
 
 @dataclass(frozen=True)
-class SideAssignment:
+class SideAssignment(_Market):
     """Partition of an original user population into proactive and reactive sides.
 
     The tuples hold original population indices; position within a tuple is the
@@ -129,12 +159,8 @@ class SideAssignment:
             raise ContractViolation("sides must cover the original population 0..n-1 exactly")
 
     @property
-    def n_proactive(self) -> int:
-        return len(self.proactive_ids)
-
-    @property
-    def n_reactive(self) -> int:
-        return len(self.reactive_ids)
+    def shape(self) -> tuple[int, int]:
+        return len(self.proactive_ids), len(self.reactive_ids)
 
     @staticmethod
     def trivial(n_proactive: int, n_reactive: int) -> "SideAssignment":
@@ -146,7 +172,7 @@ class SideAssignment:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(_Market):
     """Cross-validation folds over both sides, plus the active test fold.
 
     Each side is partitioned into ``k`` disjoint sorted blocks of side-local indices.
@@ -180,12 +206,8 @@ class FoldPlan:
                 raise ContractViolation(f"{name} blocks must partition 0..{n - 1}")
 
     @property
-    def n_proactive(self) -> int:
-        return sum(len(f) for f in self.proactive_folds)
-
-    @property
-    def n_reactive(self) -> int:
-        return sum(len(f) for f in self.reactive_folds)
+    def shape(self) -> tuple[int, int]:
+        return sum(map(len, self.proactive_folds)), sum(map(len, self.reactive_folds))
 
     @property
     def validation_fold(self) -> int:
@@ -197,7 +219,7 @@ class FoldPlan:
                 np.asarray(self.reactive_folds[fold], dtype=np.intp))
 
     def _block_mask(self, fold: int) -> np.ndarray:
-        mask = np.zeros((self.n_proactive, self.n_reactive), dtype=bool)
+        mask = np.zeros(self.shape, dtype=bool)
         mask[np.ix_(*self.block(fold))] = True
         return mask
 

@@ -12,6 +12,7 @@ enumerating the four exposure outcomes of each pair).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -200,9 +201,17 @@ def _pick(pair_values, pairs: tuple[np.ndarray, np.ndarray], what: str) -> np.nd
     return values[rows[:, None], cols]
 
 
+@cache
+def _discounts(depth: int) -> np.ndarray:
+    """The read-only vector ``1 / log2(rank + 1)`` of ranks 1 to ``depth``."""
+    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
+    discounts.flags.writeable = False
+    return discounts
+
+
 def _discounted(top: np.ndarray) -> np.ndarray:
     """Per-user sum of rank-ordered gains times ``1 / log2(rank + 1)``."""
-    return top @ (1.0 / np.log2(np.arange(2, top.shape[1] + 2, dtype=np.float64)))
+    return top @ _discounts(top.shape[1])
 
 
 def _user_mean(per_user: np.ndarray) -> MetricValue:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, _index, read_arrays, sigmoid, write_arrays
+from .core import ContractViolation, _index, _Market, read_arrays, sigmoid, write_arrays
 from .metrics import feedback_coefficients
 from .util import LossKind  # re-exported
 
@@ -27,7 +27,7 @@ TABLES = tuple(name for space in SPACES for name in space)
 
 
 @dataclass(eq=False)
-class RankerModel:
+class RankerModel(_Market):
     """Four embedding tables: (proactive, reactive) x (forward, backward) spaces.
 
     Stored as copies in two stacks over a leading space axis (0 = forward):
@@ -54,6 +54,8 @@ class RankerModel:
                 raise ContractViolation(f"{side} tables must have equal row counts")
         self.pro = np.stack([tables[name] for name in TABLES[0::2]])
         self.rea = np.stack([tables[name] for name in TABLES[1::2]])
+        if self.dim < 1:
+            raise ContractViolation(f"embedding dimension must be >= 1, got {self.dim}")
         for space, (pro, rea) in enumerate(SPACES):
             setattr(self, pro, self.pro[space])
             setattr(self, rea, self.rea[space])
@@ -63,12 +65,8 @@ class RankerModel:
         return self.pro.shape[2]
 
     @property
-    def n_proactive(self) -> int:
-        return self.pro.shape[1]
-
-    @property
-    def n_reactive(self) -> int:
-        return self.rea.shape[1]
+    def shape(self) -> tuple[int, int]:
+        return self.pro.shape[1], self.rea.shape[1]
 
     def copy(self) -> "RankerModel":
         return RankerModel(**{name: getattr(self, name) for name in TABLES})
@@ -77,7 +75,7 @@ class RankerModel:
 def init_model(n_proactive: int, n_reactive: int, dim: int, seed: int) -> RankerModel:
     """Uniform init in [-1/sqrt(dim), 1/sqrt(dim)] so initial scores sit near 0.5."""
     n_proactive, n_reactive, dim = map(_index, (n_proactive, n_reactive, dim))
-    if dim < 1:
+    if dim < 1:  # RankerModel checks it too, but 1 / sqrt(0) would overflow in uniform first
         raise ContractViolation(f"embedding dimension must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)

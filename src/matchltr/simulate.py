@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import numbers
 import os
 import re
 import warnings
@@ -29,6 +28,9 @@ from .core import (
     PreferenceMatrix,
     SideAssignment,
     _index,
+    _Market,
+    _real,
+    _same_shape,
     read_arrays,
     sigmoid,
     write_arrays,
@@ -94,18 +96,8 @@ def make_folds(assignment: SideAssignment, k: int, seed: int, test_fold: int = 0
 # exposure probabilities
 # ---------------------------------------------------------------------------
 
-def _check_eta(eta) -> float:
-    """``eta`` as a ``float``: a real number, not a bool (JSON ``true`` is not 1),
-    finite and non-negative."""
-    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
-        raise ContractViolation(f"eta must be a number, got {eta!r}")
-    if not 0.0 <= eta < np.inf:  # NaN fails too
-        raise ContractViolation(f"eta must be finite and non-negative, got {eta}")
-    return float(eta)
-
-
 @dataclass(frozen=True)
-class ExposureModel:
+class ExposureModel(_Market):
     """Per-user exposure probabilities derived from popularity.
 
     ``theta_reactive_exposure[v]`` is the probability that a listed reactive
@@ -121,7 +113,7 @@ class ExposureModel:
     theta_proactive_exposure: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", _check_eta(self.eta))
+        object.__setattr__(self, "eta", _real(self.eta, "eta"))
         for name in ("theta_reactive_exposure", "theta_proactive_exposure"):
             t = np.asarray(getattr(self, name), dtype=np.float64)
             if t.ndim != 1 or t.size == 0:
@@ -134,12 +126,8 @@ class ExposureModel:
                 )
 
     @property
-    def n_proactive(self) -> int:
-        return self.theta_proactive_exposure.shape[0]
-
-    @property
-    def n_reactive(self) -> int:
-        return self.theta_reactive_exposure.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.theta_proactive_exposure.shape[0], self.theta_reactive_exposure.shape[0]
 
 
 def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
@@ -152,7 +140,7 @@ def exposure_from_popularity(m: PreferenceMatrix, eta: float) -> ExposureModel:
     Both masses are column sums of C-ordered tables, so their bits do not
     depend on the memory layout of ``m``.
     """
-    eta = _check_eta(eta)
+    eta = _real(eta, "eta")
     exposures = []
     for side, table in (("reactive", m.forward), ("proactive", m.backward.T)):
         sums = np.ascontiguousarray(table).sum(axis=0)
@@ -193,8 +181,7 @@ def latent_preferences(
     target = np.asarray(target_factors, dtype=np.float64)
     if actor.ndim != 2 or target.ndim != 2 or actor.shape[1] != target.shape[1]:
         raise ContractViolation("factor matrices must be 2-d with a shared latent dimension")
-    if not 0.0 <= noise < np.inf:  # NaN fails too
-        raise ContractViolation(f"noise must be finite and non-negative, got {noise}")
+    noise = _real(noise, "noise")
     logits = actor @ target.T
     if target_offsets is not None:
         logits = logits + np.asarray(target_offsets, dtype=np.float64)[None, :]
@@ -460,7 +447,7 @@ _TABLES = ("observed",) + _BIT_TABLES + _THETA_TABLES
 
 
 @dataclass(frozen=True, eq=False)
-class FeedbackDataset:
+class FeedbackDataset(_Market):
     """Sampled feedback as dense ``(n_proactive, n_reactive)`` tables.
 
     ``observed`` marks the logged pairs and never touches the test block.
@@ -482,10 +469,9 @@ class FeedbackDataset:
 
     def __post_init__(self):
         plan = self.fold_plan
-        shape = (plan.n_proactive, plan.n_reactive)
         for name in _TABLES:
-            if np.shape(getattr(self, name)) != shape:
-                raise ContractViolation(f"table {name} must have shape {shape}")
+            if np.shape(getattr(self, name)) != self.shape:
+                raise ContractViolation(f"table {name} must have shape {self.shape}")
         observed = np.asarray(self.observed)
         if observed.dtype != np.bool_:
             raise ContractViolation("table observed must be boolean")
@@ -519,7 +505,7 @@ class FeedbackDataset:
         ``columns`` are named like the tables.  Rows may come in any order,
         and a pair may appear at most once.
         """
-        n_pro, n_rea = plan.n_proactive, plan.n_reactive
+        n_pro, n_rea = plan.shape
         u = np.asarray(u, dtype=np.intp)
         v = np.asarray(v, dtype=np.intp)
         columns = {name: np.asarray(col) for name, col in columns.items()}
@@ -545,12 +531,8 @@ class FeedbackDataset:
         return int(np.count_nonzero(self.observed))
 
     @property
-    def n_proactive(self) -> int:
-        return self.fold_plan.n_proactive
-
-    @property
-    def n_reactive(self) -> int:
-        return self.fold_plan.n_reactive
+    def shape(self) -> tuple[int, int]:
+        return self.fold_plan.shape
 
 
 def sample_dataset(
@@ -568,16 +550,8 @@ def sample_dataset(
     a fixed seed, and the draw for a given pair does not depend on the fold
     plan (the plan only selects which pairs are kept).
     """
-    if (m.n_proactive, m.n_reactive) != (plan.n_proactive, plan.n_reactive):
-        raise ContractViolation(
-            f"preference matrix is {m.n_proactive}x{m.n_reactive} but the fold plan "
-            f"covers {plan.n_proactive}x{plan.n_reactive} users"
-        )
-    if (exposure.n_proactive, exposure.n_reactive) != (m.n_proactive, m.n_reactive):
-        raise ContractViolation("exposure model sizes do not match the preference matrix")
-
+    shape = _same_shape({"preference matrix": m, "fold plan": plan, "exposure model": exposure})
     rng = np.random.default_rng(seed)
-    shape = (m.n_proactive, m.n_reactive)
     observed = ~plan.test_mask()
     r_fwd = (rng.random(shape) < m.forward) & observed
     o_fwd = (rng.random(shape) < exposure.theta_reactive_exposure[None, :]) & observed
@@ -654,7 +628,7 @@ def load_dataset(path, plan: FoldPlan) -> FeedbackDataset:
     parsing it where it may (:func:`_load_parsed`); the checks and their
     errors are the same either way.
     """
-    shape = (plan.n_proactive, plan.n_reactive)
+    shape = plan.shape
     parsed = _load_parsed(path, {
         "observed": (np.bool_, shape), **dict.fromkeys(_BIT_TABLES, (np.int8, shape)),
         **dict.fromkeys(_THETA_TABLES, (np.float64, shape)),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 import os
 import select
 import time
@@ -22,7 +21,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _BLAS_ONE_THREAD
 from .core import (
     ContractViolation,
     DivergenceError,
@@ -32,6 +30,8 @@ from .core import (
     SideAssignment,
     UndefinedAverageError,
     _index,
+    _real,
+    _same_shape,
 )
 from .metrics import (  # bench/tracing.py wraps dcg_at_k and estimate_metric here
     EstimatorKind,
@@ -55,7 +55,6 @@ from .ranker import (
     score_matrix,
 )
 from .simulate import FeedbackDataset, exposure_from_popularity, make_folds, sample_dataset
-from .simulate import _check_eta
 from .util import EvalRecord, Worker, derive_seed, load_rows, save_rows, usable_cores
 
 
@@ -80,12 +79,8 @@ class TrainConfig:
             object.__setattr__(self, name, _index(getattr(self, name)))
         if self.dim < 1 or self.epochs < 0 or self.batch < 1 or self.k_valid < 1:
             raise ContractViolation("dim, batch and k_valid must be positive; epochs >= 0")
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ContractViolation(f"learning rate must be a number, got {rate!r}")
-        if not 0.0 < rate < np.inf:  # NaN fails too
-            raise ContractViolation(f"learning rate must be finite and positive, got {rate}")
-        object.__setattr__(self, "learning_rate", float(rate))
+        rate = _real(self.learning_rate, "learning rate", positive=True)
+        object.__setattr__(self, "learning_rate", rate)
 
 
 _LOG_COLUMNS = ("epoch", "train_loss", "valid_metric")
@@ -238,8 +233,8 @@ def train_model(
 
     The two embedding spaces step independently, so a big enough run
     (``n_proactive * n_reactive * dim * epochs`` at least ``_SPLIT_WORK``),
-    with at least two :func:`~matchltr.util.usable_cores` and BLAS on one
-    thread (``_BLAS_ONE_THREAD``), is split: a forked worker steps the backward space,
+    with at least two :func:`~matchltr.util.usable_cores` (one while BLAS runs
+    more than one thread), is split: a forked worker steps the backward space,
     drawing the same minibatch order, and after each epoch hands this process
     its tables and any loss terms.  The result is bit for bit that of one process.
     A worker that dies raises :class:`MatchLtrError`.
@@ -292,10 +287,7 @@ def train_model(
             space_pro[:, batch] = rows
             space_rea -= grad_rea
 
-    # a BLAS thread pool is threads outside Python, which usable_cores cannot
-    # see, and would compete with the worker for the same cores
-    split = (n_pro * plan.n_reactive * cfg.dim * cfg.epochs >= _SPLIT_WORK
-             and _BLAS_ONE_THREAD and usable_cores() >= 2)
+    split = n_pro * plan.n_reactive * cfg.dim * cfg.epochs >= _SPLIT_WORK and usable_cores() >= 2
     best_pro, best_rea = np.empty_like(pro), np.empty_like(rea)
     best_value = -np.inf  # validation values are >= 0, so epoch 1 always improves
     with ExitStack() as stack:
@@ -423,14 +415,7 @@ def test_dcg_records(
     uses the exact expectation of the ``+1``-floor gain ``2**(r_fwd*(1+r_bwd))``.
     The model, the preference matrix and the fold plan must have equal sizes.
     """
-    sizes = {
-        "model": (model.n_proactive, model.n_reactive),
-        "preference matrix": m.forward.shape,
-        "fold plan": (plan.n_proactive, plan.n_reactive),
-    }
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{name} {p}x{r}" for name, (p, r) in sizes.items())
-        raise ContractViolation(f"proactive x reactive sizes disagree: {detail}")
+    _same_shape({"model": model, "preference matrix": m, "fold plan": plan})
     test_users, test_cands = plan.block(plan.test_fold)
     scores = score_matrix(model, test_users, test_cands)
     block = np.ix_(test_users, test_cands)
@@ -480,7 +465,7 @@ class ExperimentPlan:
     test_folds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "etas", tuple(map(_check_eta, self.etas)))
+        object.__setattr__(self, "etas", tuple(_real(eta, "eta") for eta in self.etas))
         object.__setattr__(self, "folds", _index(self.folds))
         for name in ("k_values", "seeds", "test_folds"):
             if (values := getattr(self, name)) is not None:

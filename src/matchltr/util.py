@@ -19,6 +19,8 @@ from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, fields
 from functools import cache
 
+from . import _BLAS_ONE_THREAD
+
 
 class MatchLtrError(Exception):
     """Base class for all errors raised by this package."""
@@ -216,13 +218,13 @@ def usable_cores() -> int:
     """How many cores this process may split work over by forking.
 
     The cores ``sched_getaffinity`` lists, or 1 where that call is missing
-    (Windows, macOS), inside a forked :class:`Worker`, or while another Python
-    thread runs: a forked copy of a threaded process may deadlock on a lock
-    that another thread held.  Threads outside Python are not seen, so fork
-    with BLAS on one thread, as importing :mod:`matchltr` before numpy arranges.
+    (Windows, macOS), inside a forked :class:`Worker`, while another Python
+    thread runs, or while BLAS runs more than one thread (``_BLAS_ONE_THREAD``
+    false): a forked copy of a threaded process may deadlock on a lock that
+    another thread held.  Importing :mod:`matchltr` before numpy sets one BLAS thread.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or _in_worker or threading.active_count() != 1:
+    if affinity is None or _in_worker or threading.active_count() != 1 or not _BLAS_ONE_THREAD:
         return 1
     return len(affinity(0))
 

@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, RankedList, _index
+from .core import ContractViolation, RankedList, _index, _real
 from .metrics import (  # bench/tracing.py wraps metric_ground_truth here
     EstimatorKind,
     LambdaWeight,
     _as_bits,
     _check_theta,
     _coefficients,
+    _discounts,
     _gain,
     _pick,
     _top_pairs,
@@ -144,7 +145,7 @@ def _enumerate(values, ranking, k, sizes):
     # one gather into (slot, user, instance) order, at each (instance, user) row's start
     starts = np.arange(0, ranking.size, ranking.shape[2]).reshape(*ranking.shape[:2], 1)[:, :users]
     rf, rb, tf, tb = values.reshape(4, -1).take((ranking[:, :users, :width] + starts).T, axis=1)
-    disc = np.where(np.arange(width)[:, None, None] < k, _discounts(width), 0.0)
+    disc = np.where(np.arange(width)[:, None, None] < k, _discounts(width)[:, None, None], 0.0)
     # gains by (o_bwd, kind) with o_fwd = 1; with o_fwd = 0 they are 0 and add to neither moment
     y_b = rf * rb
     coef = np.array([_coefficients(kind, rf, y_b, tf, tb) for kind in EstimatorKind])
@@ -161,11 +162,6 @@ def _enumerate(values, ranking, k, sizes):
     total = reduce(np.add, reduce(np.add, table.transpose(1, 2, 0, 3))) / sizes[:, 0]
     total[4:] /= sizes[:, 0]
     return total, ((y_b * disc > 0) & (tb < 1.0)).any(axis=(0, 1))
-
-
-@cache
-def _discounts(width: int) -> np.ndarray:
-    return LambdaWeight(k=width).weights(np.arange(1, width + 1))[:, None, None]
 
 
 def check_batch(instances):
@@ -258,9 +254,8 @@ class VerificationReport:
 
 
 def check_settings(tolerance: float, max_users: int, max_candidates: int) -> None:
-    """Reject a tolerance that is not finite and non-negative, or a size cap below 1."""
-    if not 0.0 <= tolerance < np.inf:  # NaN fails too
-        raise ContractViolation(f"tolerance must be finite and non-negative, got {tolerance}")
+    """Reject a tolerance that is not a finite non-negative number, or a size cap below 1."""
+    _real(tolerance, "tolerance")
     for name, cap in (("max_users", max_users), ("max_candidates", max_candidates)):
         if _index(cap) < 1:
             raise ContractViolation(f"{name} must be at least 1, got {cap}")

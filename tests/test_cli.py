@@ -21,6 +21,8 @@ from matchltr import (
     save_preferences,
 )
 from matchltr.cli import main
+from matchltr.core import write_arrays
+from matchltr.ranker import _CKPT_MAGIC, TABLES
 from matchltr.simulate import load_exposure, synth_preferences
 from matchltr.verify import save_instance, single_pair_witness
 
@@ -315,6 +317,20 @@ def test_evaluate_rejects_a_checkpoint_of_another_size(data_dir, tmp_path, capsy
                    "--out", str(tmp_path / "eval")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model 12x12, preference matrix 14x14" in err
+
+
+def test_evaluate_rejects_a_checkpoint_of_dimension_zero(data_dir, tmp_path, capsys):
+    """A well-formed checkpoint whose header says dim 0 is an error line, and no --out is made."""
+    path = tmp_path / "checkpoint.bin"
+    header = {"dim": 0, "n_proactive": 12, "n_reactive": 12, "tables": list(TABLES),
+              "dtype": "<f8"}
+    write_arrays(path, _CKPT_MAGIC, header, [np.zeros((12, 0), dtype="<f8")] * 4)
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert run_cli("evaluate", "--data", str(data_dir), "--model", str(path), "--loss", "ipw2",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: embedding dimension must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 class TestNonFiniteArguments:

@@ -30,13 +30,17 @@ from matchltr import (
     loss_user,
     metric_ground_truth,
     rank_candidates,
+    run_verification,
     sample_dataset,
     save_model,
     synth_preferences,
     train_model,
 )
+from matchltr.core import write_arrays
 from matchltr.metrics import dcg_from_gains
+from matchltr.ranker import _CKPT_MAGIC, TABLES
 from matchltr.train import test_dcg_records as dcg_records  # not a test to collect
+from matchltr.verify import check_settings
 
 ONE = np.ones((1, 1))
 PLAN_2x2 = FoldPlan(k=2, proactive_folds=((0,), (1,)), reactive_folds=((0,), (1,)))
@@ -57,6 +61,15 @@ def _load_checkpoint_of_other_layout():
         path = Path(tmp) / "checkpoint.bin"
         save_model(init_model(2, 2, 1, seed=0), path)
         path.write_bytes(path.read_bytes().replace(b'"<f8"', b'"<f4"', 1))
+        load_model(path)
+
+
+def _load_checkpoint_of_dimension_zero():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.bin"
+        header = {"dim": 0, "n_proactive": 2, "n_reactive": 2, "tables": list(TABLES),
+                  "dtype": "<f8"}
+        write_arrays(path, _CKPT_MAGIC, header, [np.zeros((2, 0), dtype="<f8")] * 4)
         load_model(path)
 
 
@@ -110,6 +123,12 @@ CHECKS = [
     ("ranker:dimension-zero",
      lambda: init_model(2, 2, 0, seed=0),
      ContractViolation, "embedding dimension must be >= 1, got 0"),
+    ("ranker:model-dimension-zero",
+     lambda: RankerModel(**_tables(**dict.fromkeys(TABLES, (2, 0)))),
+     ContractViolation, "embedding dimension must be >= 1, got 0"),
+    ("ranker:checkpoint-dimension-zero",
+     _load_checkpoint_of_dimension_zero,
+     ContractViolation, "embedding dimension must be >= 1, got 0"),
     ("ranker:duplicate-candidates",
      lambda: loss_user(init_model(2, 2, 1, seed=0), 0, [1, 1], [0, 0], [0, 0]),
      ContractViolation, "candidate list contains duplicates"),
@@ -127,6 +146,13 @@ CHECKS = [
     ("simulate:factors-not-2d",
      lambda: latent_preferences(np.ones(2), np.ones((2, 1))),
      ContractViolation, "factor matrices must be 2-d with a shared latent dimension"),
+    *((f"simulate:{where}-noise-{label}", call, ContractViolation,
+       f"noise must be a number, got {noise!r}")
+      for label, noise in (("true", True), ("string", "0.1"), ("none", None))
+      for where, call in (
+          ("synth", lambda noise=noise: synth_preferences(2, 2, 1, noise, seed=0)),
+          ("latent", lambda noise=noise: latent_preferences(ONE, ONE, noise=noise)),
+      )),
     ("simulate:rank-zero",
      lambda: synth_preferences(2, 2, 0, 0.0, seed=0),
      ContractViolation, "rank must be >= 1, got 0"),
@@ -138,11 +164,12 @@ CHECKS = [
      ContractViolation, "columns must be vectors of one length"),
     ("simulate:plan-size",
      lambda: _sample(synth_preferences(3, 2, 1, 0.0, seed=0), PLAN_2x2),
-     ContractViolation, "preference matrix is 3x2 but the fold plan covers 2x2 users"),
+     ContractViolation, "proactive x reactive sizes disagree: preference matrix 3x2, fold plan 2x2"),
     ("simulate:exposure-size",
      lambda: _sample(synth_preferences(2, 2, 1, 0.0, seed=0), PLAN_2x2,
                      exposure_of=synth_preferences(2, 3, 1, 0.0, seed=0)),
-     ContractViolation, "exposure model sizes do not match the preference matrix"),
+     ContractViolation,
+     "proactive x reactive sizes disagree: preference matrix 2x2, fold plan 2x2, exposure model 2x3"),
     # train
     ("train:empty-candidate-list",
      _train_with_an_empty_candidate_list,
@@ -167,6 +194,13 @@ CHECKS = [
      lambda: ExperimentPlan(etas=(0.5,), folds=3, test_folds=(0, 3)),
      ContractViolation, "test_folds must lie in [0, folds)"),
     # verify
+    *((f"verify:{where}-tolerance-{label}", call, ContractViolation,
+       f"tolerance must be a number, got {tolerance!r}")
+      for label, tolerance in (("true", True), ("string", "0"))
+      for where, call in (
+          ("run", lambda tolerance=tolerance: run_verification(trials=1, tolerance=tolerance)),
+          ("settings", lambda tolerance=tolerance: check_settings(tolerance, 4, 6)),
+      )),
     ("verify:instance-shape",
      lambda: OracleInstance(np.ones((1, 2)), ONE, np.ones((1, 2)), np.ones((1, 2)),
                             np.array([[0, 1]]), 1),

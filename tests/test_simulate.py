@@ -51,7 +51,7 @@ from matchltr import (
 from matchltr import cli, simulate, util
 from matchltr.cli import main as cli_main
 from matchltr.simulate import _fold_index
-from matchltr.util import Worker, format_float, format_float_rows, usable_cores
+from matchltr.util import Worker, atomic_open, format_float, format_float_rows, usable_cores
 
 _TABLES = ("observed", "r_fwd", "r_bwd", "o_fwd", "o_bwd",
            "y_fwd", "y_bwd", "theta_fwd", "theta_bwd")
@@ -631,7 +631,7 @@ class TestJsonFormats:
         with pytest.raises(DataFormatError, match=r"theta_reactive_exposure must lie in \(0, 1\]"):
             load_exposure(path)
 
-    # one eta rule (simulate._check_eta): a JSON number but not true, finite, non-negative
+    # one eta rule (core._real): a JSON number but not true, finite, non-negative
     @pytest.mark.parametrize("eta", [True, "0.5", None, [0.5], -0.5, float("inf"), float("nan")],
                              ids=["true", "string", "null", "list", "negative", "inf", "nan"])
     def test_exposure_eta_rejected(self, tmp_path, eta):
@@ -1099,6 +1099,20 @@ class TestFormatFloatRows:
         text = "".join(format_float_rows(stacked[i:i + 8]) for i in range(0, 500, 8))
         assert text == "".join(",".join(map(repr, row.tolist())) + "\r\n" for row in stacked)
         assert 0 < len(calls) <= 0.05 * stacked.size
+
+
+def test_atomic_open_retries_a_temporary_name_that_exists(tmp_path, monkeypatch):
+    """A temporary name that is taken is drawn again; the file there is left as it was."""
+    names = iter([b"\x01" * 6, b"\x01" * 6, b"\x02" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    taken = tmp_path / f".tmp-{'01' * 6}~"
+    taken.write_bytes(b"someone else's")
+    with atomic_open(tmp_path / "target.csv", "wb") as fh:
+        fh.write(b"a,b\r\n")
+    assert next(names, None) is None  # the name was drawn three times
+    assert (tmp_path / "target.csv").read_bytes() == b"a,b\r\n"
+    assert taken.read_bytes() == b"someone else's"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [taken.name, "target.csv"]
 
 
 def _two_cpus() -> bool:

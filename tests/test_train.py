@@ -4,9 +4,12 @@ import gc
 import itertools
 import json
 import os
+import select
 import signal
 import threading
+import time
 import warnings
+from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +47,7 @@ from matchltr import (
     train_model,
     validation_metric,
 )
-from matchltr import train
+from matchltr import train, util
 from matchltr.metrics import feedback_coefficients, rank_candidates
 from matchltr.ranker import PROB_FLOOR, SPACES, GradientTables, accumulate_gradient, score_matrix
 from matchltr.train import (
@@ -757,7 +760,7 @@ class TestSplitSpaces:
         if reason == "threshold":
             monkeypatch.setattr(train, "_SPLIT_WORK", 23 * 19 * 4 * 3 + 1)
         if reason == "blas":  # BLAS loaded on more than one thread
-            monkeypatch.setattr(train, "_BLAS_ONE_THREAD", False)
+            monkeypatch.setattr(util, "_BLAS_ONE_THREAD", False)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if reason == "thread":
@@ -771,6 +774,55 @@ class TestSplitSpaces:
         assert not thread.is_alive()
         assert log.records == reference[1].records
         assert np.array_equal(model.pro, reference[0].pro)
+
+
+class TestBarrier:
+    """``_barrier`` on pipes set up as ``_fork_backward`` sets them up: unbuffered
+    file objects, the receiving end non-blocking."""
+
+    @pytest.fixture()
+    def ends(self):
+        """(read, write) of a pipe to the peer, then (read, write) of one from it."""
+        with ExitStack() as stack:
+            ends = [stack.enter_context(open(fd, mode, buffering=0))
+                    for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2)]
+            os.set_blocking(ends[2].fileno(), False)
+            yield ends
+
+    def test_a_closed_peer_is_a_broken_pipe(self, ends):
+        to_peer_r, to_peer_w, from_peer_r, _ = ends
+        to_peer_r.close()
+        assert train._barrier(to_peer_w, from_peer_r) is False
+
+    def test_a_peer_that_exited_is_end_of_file(self, ends):
+        to_peer_r, to_peer_w, from_peer_r, from_peer_w = ends
+        from_peer_w.close()
+        assert train._barrier(to_peer_w, from_peer_r) is False
+        assert to_peer_r.read(1) == b"\0"
+
+    def test_a_late_byte_is_waited_for_in_select(self, ends, monkeypatch):
+        to_peer_r, to_peer_w, from_peer_r, from_peer_w = ends
+        selects, real_select = [], select.select
+
+        def counted(*args):
+            selects.append(None)
+            return real_select(*args)
+
+        monkeypatch.setattr(train, "_SPIN_S", 0.0)
+        monkeypatch.setattr(select, "select", counted)
+
+        def peer():
+            time.sleep(0.01)
+            from_peer_w.write(b"\0")
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        try:
+            assert train._barrier(to_peer_w, from_peer_r) is True
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert selects and to_peer_r.read(1) == b"\0"
 
 
 class TestSeparableToy:
@@ -916,6 +968,27 @@ class TestRunExperiment:
                                           for mode in ("sampled", "expected")]))
         assert outputs[0] == outputs[1]
 
+    def test_progress_is_called_once_per_cell_after_its_records(self, monkeypatch):
+        """A cell timer may run from the call to each ``progress`` callback: one call
+        per cell, in serial (seed, eta, fold, method) order, after the cell's records."""
+        m = self._matrix()
+        plan = ExperimentPlan(etas=(0.5, 1.0), folds=3, k_values=(3,), test_folds=(0, 2))
+        scored, calls = [], []
+
+        def counted(*args, **kwargs):
+            scored.append(None)
+            return dcg_records(*args, **kwargs)
+
+        monkeypatch.setattr(train, "test_dcg_records", counted)
+        records = run_experiment(m, plan, default_method_configs(self._cfg()),
+                                 progress=lambda **cell: calls.append((cell, len(scored))))
+        methods = [kind.value for kind in LossKind]
+        order = [dict(seed=0, eta=eta, fold=fold, method=method)
+                 for eta in (0.5, 1.0) for fold in (0, 2) for method in methods]
+        assert calls == [(cell, i + 1) for i, cell in enumerate(order)]
+        assert [(r.eta, r.fold, r.method) for r in records] == [
+            (cell["eta"], cell["fold"], cell["method"]) for cell in order]
+
     def test_unit_exposure_methods_statistically_indistinguishable(self):
         m = self._matrix(n=14, seed=3)
         plan = ExperimentPlan(etas=(0.0,), folds=2, k_values=(3,))
@@ -942,6 +1015,10 @@ class TestLogAndConfigFiles:
         again = load_training_log(path)
         assert again.records == log.records
         assert again.best_epoch == 2  # first of the tied maxima
+
+    def test_an_empty_log_has_no_best(self):
+        log = TrainingLog()
+        assert log.best_epoch is None and log.best_valid_metric is None
 
     def test_training_log_golden_bytes(self, tmp_path):
         path = tmp_path / "log.csv"
