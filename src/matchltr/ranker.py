@@ -98,6 +98,11 @@ def score_matrix(model: RankerModel, users: np.ndarray, candidates: np.ndarray) 
     candidates = np.asarray(candidates, dtype=np.intp)
     _check_range(users, model.n_proactive, "proactive")
     _check_range(candidates, model.n_reactive, "reactive")
+    return _mutual_scores(model, users, candidates)
+
+
+def _mutual_scores(model: RankerModel, users: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """:func:`score_matrix` of ``intp`` ids known to be in range, unchecked."""
     w_cands = model.rea.take(candidates, axis=1)
     s = model.pro.take(users, axis=1) @ w_cands.transpose(0, 2, 1)
     sigmoid(s, out=s)
@@ -161,7 +166,7 @@ def accumulate_gradient(
     default.  With ``S`` spaces, user ``users[i]`` ranks the reactive
     candidates where the boolean row ``mask_rows[i]`` is set, with
     cross-entropy weights ``coef[space, i]`` (``coef`` is ``(S, batch,
-    n_reactive)``, zero off the mask).  ``coef_sum``, the ``(S, batch)`` row
+    n_reactive)``, zero off the mask).  ``coef_sum``, the ``(S, batch, 1)`` row
     sums of ``coef``, may be passed in when they were computed once per run.
     Returns the ``(batch, S)`` loss terms in batch order, ``grad_pro`` ``(S,
     batch, dim)``, whose row ``[space, i]`` is the gradient of proactive row
@@ -187,13 +192,17 @@ def accumulate_gradient(
     """
     users = np.asarray(users, dtype=np.intp)
     if coef_sum is None:
-        coef_sum = coef.sum(axis=2)
+        coef_sum = coef.sum(axis=2, keepdims=True)
     pro, rea = model.pro[spaces], model.rea[spaces]
     w_users = pro.take(users, axis=1)
     # NaNs from exploded embeddings propagate to the caller's divergence check
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = w_users @ rea.transpose(0, 2, 1)
-        sigmoid(s, out=s)
+        # sigmoid(s, out=s), written out so that its errstate is this one
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
         p = s * mask_rows
         p /= p.sum(axis=2, keepdims=True)
         terms = None
@@ -203,7 +212,7 @@ def accumulate_gradient(
             terms = np.einsum("sij,sij->si", coef, log_p).T
             np.negative(terms, out=terms)
         # dz = (sum(coef) * p - coef) * (1 - s), written over p
-        p *= coef_sum[:, :, None]
+        p *= coef_sum
         p -= coef
         np.subtract(1.0, s, out=s)
         p *= s

@@ -33,11 +33,11 @@ from .core import (
     _real,
     _same_shape,
 )
-from .metrics import (  # bench/tracing.py wraps dcg_at_k and estimate_metric here
+from .metrics import (  # bench/tracing.py wraps dcg_at_k, estimate_metric and rank_candidates here
     EstimatorKind,
     LambdaWeight,
     _coefficients,
-    _discounted,
+    _discounts,
     _gain,
     _user_mean,
     dcg_at_k,
@@ -50,6 +50,7 @@ from .ranker import (
     PROB_FLOOR,
     LossKind,
     RankerModel,
+    _mutual_scores,
     accumulate_gradient,
     init_model,
     score_matrix,
@@ -147,7 +148,7 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
 
     Returns the training mask, the ``(2, n_proactive, n_reactive)`` forward
     and backward loss weights, zero off the training block, and their
-    ``(2, n_proactive)`` row sums.  The dataset's tables were checked when it
+    ``(2, n_proactive, 1)`` row sums.  The dataset's tables were checked when it
     was built, so they go to the coefficient table unchecked and uncast.
     """
     mask = dataset.fold_plan.train_mask()
@@ -159,21 +160,23 @@ def _loss_tables(dataset: FeedbackDataset, kind: LossKind):
     coef = np.zeros((2, *mask.shape))
     for table, w in zip(coef, weights):
         np.copyto(table, w, where=mask)
-    return mask, coef, coef.sum(axis=2)
+    return mask, coef, coef.sum(axis=2, keepdims=True)
 
 
 def _validation_context(dataset: FeedbackDataset, kind: EstimatorKind):
     """Per-run validation table: users, candidates, the estimator's per-pair gain
-    over the block (from the dataset's checked tables) and the ``(n_users, 1)``
-    row index that picks each user's ranked gains."""
+    over the block (from the dataset's checked tables), the ``(n_users, 1)``
+    row index that picks each user's ranked gains and the discounts of every rank."""
     plan = dataset.fold_plan
     val_users, val_cands = plan.block(plan.validation_fold)
-    if val_users.size == 0:
-        raise UndefinedAverageError("the validation block has no users to average over")
+    if val_users.size == 0 or val_cands.size == 0:
+        raise UndefinedAverageError(f"the validation block is empty ({val_users.size} users"
+                                    f" x {val_cands.size} candidates): no average to take")
     block = np.ix_(val_users, val_cands)
     tables = (dataset.y_fwd, dataset.y_bwd, dataset.theta_fwd, dataset.theta_bwd)
     gain = _gain(*_coefficients(kind, *(t[block] for t in tables)))
-    return val_users, val_cands, gain, np.arange(val_users.size)[:, None]
+    rows = np.arange(val_users.size)[:, None]
+    return val_users, val_cands, gain, rows, _discounts(val_cands.size)
 
 
 def validation_metric(
@@ -186,16 +189,23 @@ def validation_metric(
     """Estimator value on the validation block, ranking candidates by mutual score.
 
     Bit for bit :func:`estimate_metric` on the block's tables; ``_ctx`` is a
-    training run's :func:`_validation_context`.  Non-finite scores are a
-    :class:`DivergenceError`.
+    training run's :func:`_validation_context`, whose caller has checked the
+    cutoff ``k`` and the model's sizes (:func:`train_model` does).  Non-finite
+    scores are a :class:`DivergenceError`.
     """
-    k = LambdaWeight(k=k).k
-    val_users, val_cands, gain, rows = _ctx or _validation_context(dataset, kind)
-    scores = score_matrix(model, val_users, val_cands)
+    if _ctx is None:
+        _same_shape({"model": model, "dataset": dataset})
+        k = LambdaWeight(k=k).k
+        _ctx = _validation_context(dataset, kind)
+    val_users, val_cands, gain, rows, discounts = _ctx
+    scores = _mutual_scores(model, val_users, val_cands)
     if not np.isfinite(scores).all():  # finite tables whose products overflow
         raise DivergenceError("non-finite validation scores")
-    ranking = rank_candidates(scores)
-    return _user_mean(_discounted(gain[rows, ranking[:, :k]])).value
+    # rank_candidates and estimate_metric's discounted mean, in their order of
+    # operations, without the checks that this run's context has made once
+    ranking = np.argsort(-scores, axis=1, kind="stable")
+    per_user = gain[rows, ranking[:, :k]] @ discounts[:k]
+    return float(per_user.sum() / per_user.shape[0])
 
 
 # A run splits over two processes when n_proactive * n_reactive * dim * epochs

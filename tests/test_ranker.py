@@ -1,10 +1,11 @@
 """Model scores, listwise losses, analytic gradients, checkpoint format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchltr import (
@@ -477,6 +478,111 @@ class TestMinibatchKernelAtTrainingShapes:
             assert_close(terms, ref_terms)
             for name in TABLES:
                 assert_close(getattr(out, name), getattr(ref_grads, name))
+
+
+def _accumulate_gradient_reference(model, users, mask_rows, coef, coef_sum=None,
+                                   spaces=slice(None), loss=True):
+    """The minibatch kernel as it was before its sigmoid was written out:
+    :func:`sigmoid` with its own errstate, and ``(S, batch)`` row sums."""
+    users = np.asarray(users, dtype=np.intp)
+    if coef_sum is None:
+        coef_sum = coef.sum(axis=2)
+    pro, rea = model.pro[spaces], model.rea[spaces]
+    w_users = pro.take(users, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = w_users @ rea.transpose(0, 2, 1)
+        sigmoid(s, out=s)
+        p = s * mask_rows
+        p /= p.sum(axis=2, keepdims=True)
+        terms = None
+        if loss:
+            log_p = np.maximum(p, PROB_FLOOR)
+            np.log(log_p, out=log_p)
+            terms = np.einsum("sij,sij->si", coef, log_p).T
+            np.negative(terms, out=terms)
+        p *= coef_sum[:, :, None]
+        p -= coef
+        np.subtract(1.0, s, out=s)
+        p *= s
+    return terms, p @ rea, p.transpose(0, 2, 1) @ w_users
+
+
+_SPACE_SLICES = {"both": slice(None), "forward": slice(0, 1), "backward": slice(1, 2)}
+
+
+def _odd_row(model, user, row):
+    """Write a saturating (about +-1e4 per score) or a NaN row into both spaces
+    of proactive row ``user``, past the model's finiteness check."""
+    if row == "saturate":
+        model.pro[:, user] = np.where(np.arange(model.dim) % 2, 1e4, -1e4)
+    elif row == "nan":
+        model.pro[:, user, 0] = np.nan
+    return model
+
+
+class TestKernelReference:
+    """The kernel keeps the bytes of :func:`_accumulate_gradient_reference`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pro=st.integers(1, 6), n_rea=st.integers(1, 8),
+           dim=st.integers(1, 4), batch=st.integers(1, 6),
+           space=st.sampled_from(sorted(_SPACE_SLICES)), loss=st.booleans(),
+           row=st.sampled_from(["none", "saturate", "nan"]), pass_sums=st.booleans())
+    @example(seed=0, n_pro=1, n_rea=1, dim=1, batch=1, space="both", loss=True,
+             row="none", pass_sums=False)
+    @example(seed=1, n_pro=3, n_rea=5, dim=2, batch=1, space="forward", loss=True,
+             row="saturate", pass_sums=True)
+    @example(seed=2, n_pro=4, n_rea=6, dim=3, batch=4, space="backward", loss=False,
+             row="nan", pass_sums=False)
+    @example(seed=3, n_pro=4, n_rea=6, dim=3, batch=4, space="both", loss=True,
+             row="saturate", pass_sums=False)
+    def test_equal_bytes(self, seed, n_pro, n_rea, dim, batch, space, loss, row, pass_sums):
+        rng = np.random.default_rng(seed)
+        model = _odd_row(_random_model(rng, n_pro, n_rea, dim, scale=1.0), 0, row)
+        users = rng.integers(0, n_pro, size=batch)
+        users[0] = 0  # the odd row takes part
+        spaces = _SPACE_SLICES[space]
+        mask = rng.random((batch, n_rea)) < 0.7
+        mask[:, 0] = True
+        coef = (rng.random((2, batch, n_rea)) * 3.0 * mask)[spaces]
+        got = accumulate_gradient(model, users, mask, coef,
+                                  coef.sum(axis=2, keepdims=True) if pass_sums else None,
+                                  spaces, loss)
+        want = _accumulate_gradient_reference(model, users, mask, coef,
+                                              coef.sum(axis=2) if pass_sums else None,
+                                              spaces, loss)
+        if not loss:
+            assert got[0] is None and want[0] is None
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+        if row == "nan":
+            assert np.isnan(got[1][:, 0]).all()
+
+
+class TestNoWarningEscapes:
+    """Saturating and NaN embeddings give values, never a RuntimeWarning, on a
+    direct call of the kernel and of the public losses."""
+
+    @pytest.mark.parametrize("row", ["saturate", "nan"])
+    def test_direct_calls(self, row):
+        rng = np.random.default_rng(5)
+        model = _odd_row(_random_model(rng, 3, 5, 4, scale=1.0), 1, row)
+        cands = np.array([0, 2, 3])
+        y_fwd, y_bwd = np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        tf, tb = np.full(3, 0.5), np.full(3, 0.25)
+        mask = np.zeros((2, 5), dtype=bool)
+        mask[:, cands] = True
+        coef = rng.random((2, 2, 5)) * mask
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spaces in _SPACE_SLICES.values():
+                for loss in (True, False):
+                    accumulate_gradient(model, [1, 0], mask, coef[spaces], None, spaces, loss)
+            for kind in LossKind:
+                loss_user(model, 1, cands, y_fwd, y_bwd, tf, tb, kind)
+                loss_gradient(model, 1, cands, y_fwd, y_bwd, tf, tb, kind)
 
 
 class TestStackedStorage:

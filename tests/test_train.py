@@ -263,18 +263,31 @@ class TestValidationTable:
         largest ipw2 weight is 1.3e4."""
         self.test_equals_estimate_metric_bitwise(kind, trained, eta=10.0)
 
-    def test_empty_validation_block_raises(self):
-        # test fold 0, so the validation block is proactive fold 1, which is empty
-        plan = FoldPlan(k=3, proactive_folds=((0, 1, 2), (), (3, 4, 5)),
-                        reactive_folds=((0, 1), (2, 3), (4, 5)))
+    def test_empty_validation_block_raises(self, monkeypatch):
+        # test fold 0, so the validation block is fold 1 of each side; one of them is empty
         rng = np.random.default_rng(1)
         m = PreferenceMatrix(forward=rng.random((6, 6)) * 0.9 + 0.05,
                              backward=rng.random((6, 6)) * 0.9 + 0.05)
-        dataset = sample_dataset(m, exposure_from_popularity(m, 0.8), plan, seed=2)
-        with pytest.raises(UndefinedAverageError):
-            train_model(dataset, TrainConfig(dim=2, epochs=1))
-        with pytest.raises(UndefinedAverageError):
-            validation_metric(init_model(6, 6, 2, seed=0), dataset, EstimatorKind.IPW2, 3)
+        full = ((0, 1), (2, 3), (4, 5))
+        # the block is rejected before the first epoch (no gradient, no worker)
+        monkeypatch.setattr(train, "accumulate_gradient", None)
+        empty = ((0, 1, 2), (), (3, 4, 5))
+        for pro_folds, rea_folds, message in ((empty, full, r"\(0 users x 2 candidates\)"),
+                                              (full, empty, r"\(2 users x 0 candidates\)")):
+            plan = FoldPlan(k=3, proactive_folds=pro_folds, reactive_folds=rea_folds)
+            dataset = sample_dataset(m, exposure_from_popularity(m, 0.8), plan, seed=2)
+            with pytest.raises(UndefinedAverageError, match=message):
+                train_model(dataset, TrainConfig(dim=2, epochs=1))
+            with pytest.raises(UndefinedAverageError, match=message):
+                validation_metric(init_model(6, 6, 2, seed=0), dataset, EstimatorKind.IPW2, 3)
+
+
+@pytest.mark.parametrize("n", [13, 15])
+def test_validation_metric_rejects_a_model_of_other_sizes(n):
+    # 14x14 data: a smaller model used to fail inside score_matrix, a larger one was scored
+    _, _, _, dataset = _world(n=14)
+    with pytest.raises(ContractViolation, match=rf"model {n}x{n}, dataset 14x14"):
+        validation_metric(init_model(n, n, 4, seed=0), dataset, EstimatorKind.IPW2, 3)
 
 
 def _reference_user_gradient(model, u, cands, coef_fwd, coef_bwd, out):
