@@ -204,7 +204,7 @@ def _pick(pair_values, pairs: tuple[np.ndarray, np.ndarray], what: str) -> np.nd
 @cache
 def _discounts(depth: int) -> np.ndarray:
     """The read-only vector ``1 / log2(rank + 1)`` of ranks 1 to ``depth``."""
-    discounts = 1.0 / np.log2(np.arange(2, depth + 2, dtype=np.float64))
+    discounts = LambdaWeight(k=depth).weights(np.arange(1, depth + 1))
     discounts.flags.writeable = False
     return discounts
 

@@ -11,11 +11,8 @@ model on the held-out test block with true-relevance DCG.
 from __future__ import annotations
 
 import math
-import mmap
 import os
-import select
-import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -209,11 +206,11 @@ def validation_metric(
 
 
 # A run splits over two processes when n_proactive * n_reactive * dim * epochs
-# reaches this.  A split costs 7-15 ms at 200x200 to 500x500 (the fork, and
-# page faults on memory that both processes then write), so a smaller run
-# gains less than that (BENCH_split_spaces.json).
+# reaches this.  A split costs the fork, page faults on memory that both
+# processes then write, and one pipe record of the backward space per epoch:
+# 7-15 ms at 200x200 to 500x500 (BENCH_split_spaces.json), more than a
+# smaller run gains.
 _SPLIT_WORK = 1 << 26
-_SPIN_S = 0.05  # how long a barrier polls before it blocks
 # A user's loss term is at most its coefficient sum times -log(PROB_FLOOR), so
 # coefficient sums below this keep an epoch's loss sum below 1e307.
 _LOSS_BOUND = 1e307 / -math.log(PROB_FLOOR)
@@ -245,8 +242,8 @@ def train_model(
     (``n_proactive * n_reactive * dim * epochs`` at least ``_SPLIT_WORK``),
     with at least two :func:`~matchltr.util.usable_cores` (one while BLAS runs
     more than one thread), is split: a forked worker steps the backward space,
-    drawing the same minibatch order, and after each epoch hands this process
-    its tables and any loss terms.  The result is bit for bit that of one process.
+    drawing the same minibatch order, and streams each epoch's tables and loss
+    terms to this process.  The result is bit for bit that of one process.
     A worker that dies raises :class:`MatchLtrError`.
     """
     plan = dataset.fold_plan
@@ -308,7 +305,7 @@ def train_model(
         for epoch in range(1, cfg.epochs + 1):
             sgd_epoch(own, terms[own])
             if receive is not None:
-                receive(epoch, terms[1], pro[1], rea[1])
+                receive(terms[1], pro[1], rea[1])
             train_loss = math.nan
             if loss:
                 # one addition per user in epoch order, not a (pairwise) array sum
@@ -336,72 +333,42 @@ def train_model(
 def _fork_backward(stack: ExitStack, sgd_epoch, pro, rea, epochs: int):
     """Step the backward space in a forked :class:`Worker` for ``epochs`` epochs.
 
-    After each epoch the worker puts the space's tables and loss terms, if
-    computed, into one of two slots of an anonymous shared mapping, by epoch
-    parity, and both processes meet at a barrier.  Returns ``receive(epoch,
-    terms, pro, rea)``, which waits for that epoch and copies it into the
-    given arrays; a slot is written again only two barriers later, after this
-    process has read it.
-    The worker is killed and reaped and its pipes are closed when ``stack``
-    closes; the mapping goes with the last reference to ``receive``.
+    After each epoch the worker writes the space's loss terms (computed or
+    not) and tables to one pipe and goes on without waiting: the pipe is
+    enlarged to 1 MiB where Linux allows, so it holds several epochs of a
+    200x200 run, and a default-size pipe only makes the worker wait more.
+    Returns ``receive(terms, pro, rea)``, which reads the next epoch into the
+    given arrays.  The worker is killed and reaped, also while it is blocked
+    in a write, and the pipe is closed when ``stack`` closes.
     """
-    shapes = [(2, pro.shape[1]), (2, *pro.shape[1:]), (2, *rea.shape[1:])]
-    sizes = [math.prod(shape) for shape in shapes]
-    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
-    slots = [a.reshape(shape)
-             for a, shape in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
-    # (read, write) ends: worker to this process, this process to the worker
-    up_r, up_w, down_r, down_w = (stack.enter_context(open(fd, mode, buffering=0))
-                                  for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2))
-    for end in (up_r, down_r):
-        os.set_blocking(end.fileno(), False)
+    import fcntl  # not on Windows, where nothing forks
+
+    reader, writer = map(open, os.pipe(), ("rb", "wb"))
+    stack.enter_context(reader)
+    with suppress(OSError):
+        fcntl.fcntl(writer, fcntl.F_SETPIPE_SZ, 1 << 20)
 
     def backward():
-        up_r.close()  # so that each side sees end-of-file when the other exits
-        down_w.close()
-        for epoch in range(1, epochs + 1):
-            slot_terms, slot_pro, slot_rea = (a[epoch % 2] for a in slots)
-            sgd_epoch(_BACKWARD, slot_terms[None])
-            np.copyto(slot_pro, pro[1])
-            np.copyto(slot_rea, rea[1])
-            if not _barrier(up_w, down_r):
-                return
+        reader.close()  # so that a write fails, not blocks, once this process has exited
+        terms = np.zeros((1, pro.shape[1]))
+        for _ in range(epochs):
+            sgd_epoch(_BACKWARD, terms)
+            for table in (terms, pro[1], rea[1]):
+                writer.write(table)
+            writer.flush()
 
     try:
         worker = stack.enter_context(Worker(backward))
     finally:
-        down_r.close()
-        up_w.close()
+        writer.close()  # so that this process sees end-of-file when the worker exits
 
-    def receive(epoch: int, *into) -> None:
-        if not _barrier(down_w, up_r):
-            raise MatchLtrError(
-                f"training: the backward-space worker exited with status {worker.wait()}")
-        for target, slot in zip(into, slots):
-            np.copyto(target, slot[epoch % 2])
+    def receive(*into) -> None:
+        for target in into:
+            if reader.readinto(target) < target.nbytes:
+                raise MatchLtrError(
+                    f"training: the backward-space worker exited with status {worker.wait()}")
 
     return receive
-
-
-def _barrier(send, recv) -> bool:
-    """Send the peer process one byte and wait for its byte; False once it has exited.
-
-    ``recv`` is non-blocking.  The wait polls, yielding the core, for up to
-    ``_SPIN_S`` before it blocks in ``select``.  A wait that blocks at once
-    lets the waiting vCPU halt, and waking it every epoch made a split
-    200x200 run slower than one process (BENCH_split_spaces.json).
-    """
-    try:
-        send.write(b"\0")
-    except BrokenPipeError:
-        return False
-    deadline = time.perf_counter() + _SPIN_S
-    while (byte := recv.read(1)) is None:
-        if time.perf_counter() < deadline:
-            os.sched_yield()
-        else:
-            select.select([recv], [], [])
-    return byte == b"\0"  # b"" at end of file
 
 
 # ---------------------------------------------------------------------------

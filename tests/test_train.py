@@ -1,15 +1,14 @@
 """Training loop, checkpoint selection, and experiment-driver contracts."""
 
+import errno
 import gc
 import itertools
 import json
 import os
-import select
 import signal
 import threading
 import time
 import warnings
-from contextlib import ExitStack
 from dataclasses import replace
 
 import numpy as np
@@ -518,7 +517,7 @@ class TestSplitSpaces:
 
     @pytest.fixture(autouse=True)
     def _deadline(self):
-        """A barrier that never returns fails the test instead of hanging it."""
+        """A read or write of the pipe that never returns fails the test instead of hanging it."""
         def expire(signum, frame):
             raise TimeoutError("training did not finish in 60 s")
 
@@ -558,35 +557,65 @@ class TestSplitSpaces:
         assert self._resources() == before
 
     @staticmethod
-    def _world():
+    def _refuse_pipe_size(monkeypatch):
+        """``fcntl`` refuses to enlarge a pipe; returns the calls it refused."""
+        import fcntl
+
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            raise OSError(errno.EPERM, "refused")
+
+        monkeypatch.setattr(fcntl, "fcntl", refused)
+        return calls
+
+    @staticmethod
+    def _world(eta=1.0):
         # 23 users in batches of 5 leave a ragged batch of 3; the validation
         # fold (1) holds one proactive user
         m = synth_preferences(23, 19, rank=3, noise=0.05, seed=4)
         plan = FoldPlan(3, (tuple(range(11)), (11,), tuple(range(12, 23))),
                         (tuple(range(6)), tuple(range(6, 12)), tuple(range(12, 19))))
-        return sample_dataset(m, exposure_from_popularity(m, 1.0), plan, seed=5)
+        return sample_dataset(m, exposure_from_popularity(m, eta), plan, seed=5)
 
-    @pytest.mark.parametrize("kind", list(LossKind))
-    def test_split_equals_serial(self, monkeypatch, kind):
-        dataset = self._world()
-        cfg = TrainConfig(loss_kind=kind, dim=6, epochs=7, learning_rate=0.4, batch=5,
-                          seed=8, k_valid=4)
+    def _assert_split_equals_serial(self, monkeypatch, dataset, cfg):
         serial_model, serial_log = train_model(dataset, cfg)
         before = self._resources()
-        self._split(monkeypatch, 2)
-        forks = self._count_forks(monkeypatch)
-        model, log = train_model(dataset, cfg)
+        with monkeypatch.context() as patch:
+            self._split(patch, 2)
+            forks = self._count_forks(patch)
+            model, log = train_model(dataset, cfg)
         assert len(forks) == 1
         assert log.records == serial_log.records
         for name in TABLES:
             assert np.array_equal(getattr(model, name), getattr(serial_model, name))
         self._assert_released(before)
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_split_equals_serial(self, monkeypatch, kind):
+        """At eta 1 and at eta 3, where propensities are tiny and ipw2 weights
+        reach the hundreds."""
+        cfg = TrainConfig(loss_kind=kind, dim=6, epochs=7, learning_rate=0.4, batch=5,
+                          seed=8, k_valid=4)
+        for eta in (1.0, 3.0):
+            self._assert_split_equals_serial(monkeypatch, self._world(eta), cfg)
+
+    def test_a_record_larger_than_a_default_pipe(self, monkeypatch):
+        """Where the pipe keeps its default size (64 KiB on Linux), an epoch's
+        record of 86 KB (dim 256) blocks the worker in every write; the bytes
+        stay one process's."""
+        refused = self._refuse_pipe_size(monkeypatch)
+        cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=256, epochs=4, learning_rate=0.05,
+                          batch=5, seed=8, k_valid=4)
+        self._assert_split_equals_serial(monkeypatch, self._world(), cfg)
+        assert len(refused) == 1
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_two_processes_on_one_core(self, monkeypatch):
-        """Many barriers while the worker and this process preempt each other on
-        one core: a slot read before it was written, or overwritten before it
-        was read, would change the records."""
+        """Many epochs streamed while the worker and this process preempt each
+        other on one core: a record read short or out of order would change
+        the records."""
         dataset = _world()[3]
         cfg = TrainConfig(loss_kind=LossKind.IPW2, dim=4, epochs=300, learning_rate=0.05,
                           batch=5, seed=4)
@@ -671,6 +700,27 @@ class TestSplitSpaces:
         assert len(forks) == 1
         assert type(split.value) is DivergenceError and str(split.value) == expected
         del split
+        self._assert_released(before)
+
+    @pytest.mark.parametrize("case", ["loss", "tables", "products"])
+    def test_divergence_releases_a_worker_ahead(self, monkeypatch, case):
+        """The worker does not wait for this process, so at a divergence it may
+        be epochs ahead or, with a slow validation and a default-size pipe,
+        blocked in a write; it is killed and reaped and the pipe closed."""
+        dataset, cfg, message = self._diverging(case)
+        before = self._resources()
+        self._split(monkeypatch, 2)
+        self._refuse_pipe_size(monkeypatch)
+        validate = train.validation_metric
+
+        def slow(*args):
+            time.sleep(0.02)  # long enough for the worker to fill the pipe
+            return validate(*args)
+
+        monkeypatch.setattr(train, "validation_metric", slow)
+        with pytest.raises(DivergenceError, match=message) as err:
+            train_model(dataset, cfg)
+        del err
         self._assert_released(before)
 
     @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
@@ -787,55 +837,6 @@ class TestSplitSpaces:
         assert not thread.is_alive()
         assert log.records == reference[1].records
         assert np.array_equal(model.pro, reference[0].pro)
-
-
-class TestBarrier:
-    """``_barrier`` on pipes set up as ``_fork_backward`` sets them up: unbuffered
-    file objects, the receiving end non-blocking."""
-
-    @pytest.fixture()
-    def ends(self):
-        """(read, write) of a pipe to the peer, then (read, write) of one from it."""
-        with ExitStack() as stack:
-            ends = [stack.enter_context(open(fd, mode, buffering=0))
-                    for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2)]
-            os.set_blocking(ends[2].fileno(), False)
-            yield ends
-
-    def test_a_closed_peer_is_a_broken_pipe(self, ends):
-        to_peer_r, to_peer_w, from_peer_r, _ = ends
-        to_peer_r.close()
-        assert train._barrier(to_peer_w, from_peer_r) is False
-
-    def test_a_peer_that_exited_is_end_of_file(self, ends):
-        to_peer_r, to_peer_w, from_peer_r, from_peer_w = ends
-        from_peer_w.close()
-        assert train._barrier(to_peer_w, from_peer_r) is False
-        assert to_peer_r.read(1) == b"\0"
-
-    def test_a_late_byte_is_waited_for_in_select(self, ends, monkeypatch):
-        to_peer_r, to_peer_w, from_peer_r, from_peer_w = ends
-        selects, real_select = [], select.select
-
-        def counted(*args):
-            selects.append(None)
-            return real_select(*args)
-
-        monkeypatch.setattr(train, "_SPIN_S", 0.0)
-        monkeypatch.setattr(select, "select", counted)
-
-        def peer():
-            time.sleep(0.01)
-            from_peer_w.write(b"\0")
-
-        thread = threading.Thread(target=peer)
-        thread.start()
-        try:
-            assert train._barrier(to_peer_w, from_peer_r) is True
-        finally:
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert selects and to_peer_r.read(1) == b"\0"
 
 
 class TestSeparableToy:
