@@ -23,10 +23,12 @@ from .util import (
     EvalRecord,
     LossKind,
     MatchLtrError,
+    ONE_LINE_ERRORS,
     Worker,
     derive_seed,
     format_float,
     load_eval_report,
+    print_error,
     read_json,
     save_eval_report,
     usable_cores,
@@ -439,8 +441,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:  # stdout's reader has gone: 128 + SIGPIPE, as a killed writer
         return 141
-    except (MatchLtrError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    except ONE_LINE_ERRORS as exc:
+        print_error(exc)
         return 1
 
 

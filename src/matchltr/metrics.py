@@ -63,15 +63,13 @@ def _maybe_scalar(x: np.ndarray):
     return float(x) if x.ndim == 0 else x
 
 
-def _check_theta(name: str, t, floor: float = 0.0) -> np.ndarray:
-    """The one propensity rule, (0, 1]; returns ``t`` as float64, clipped at ``floor``."""
+def _check_theta(name: str, t) -> np.ndarray:
+    """The one propensity rule, (0, 1]; returns ``t`` as float64."""
     arr = np.asarray(t, dtype=np.float64)
     if arr.size and not ((arr > 0.0) & (arr <= 1.0)).all():  # NaN fails too
         raise AssumptionViolationError(
             f"{name} must lie in (0, 1], got range [{arr.min()}, {arr.max()}]"
         )
-    if floor > 0.0:
-        arr = np.maximum(arr, floor)
     return arr
 
 
@@ -81,7 +79,6 @@ def feedback_coefficients(
     y_bwd: np.ndarray,
     theta_fwd=None,
     theta_bwd=None,
-    theta_floor: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (forward, backward) feedback weights of one method.
 
@@ -92,15 +89,14 @@ def feedback_coefficients(
     The training losses use the pair as cross-entropy weights.  For feasible
     feedback bits the reweighted gain ``2**(y_fwd + y_bwd) - 1`` is
     ``forward + 2 * backward`` (see :func:`_gain`).  Propensities are read
-    only by the rows that use them; ``theta_floor`` optionally clips them
-    from below.
+    only by the rows that use them.
     """
     y_fwd = _as_bits("y_fwd", y_fwd)
     y_bwd = _as_bits("y_bwd", y_bwd)
     if np.any(y_bwd > y_fwd):
         raise ContractViolation("infeasible feedback: y_bwd = 1 requires y_fwd = 1")
-    tf = None if kind is EstimatorKind.NAIVE else _check_theta("theta_fwd", theta_fwd, theta_floor)
-    tb = _check_theta("theta_bwd", theta_bwd, theta_floor) if kind is EstimatorKind.IPW2 else None
+    tf = None if kind is EstimatorKind.NAIVE else _check_theta("theta_fwd", theta_fwd)
+    tb = _check_theta("theta_bwd", theta_bwd) if kind is EstimatorKind.IPW2 else None
     return _coefficients(kind, y_fwd, y_bwd, tf, tb)
 
 
@@ -136,18 +132,14 @@ def gain_surrogate(y_fwd, y_bwd):
     return _maybe_scalar(_gain(*feedback_coefficients(EstimatorKind.NAIVE, y_fwd, y_bwd)))
 
 
-def gain_ipw(y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor: float = 0.0):
+def gain_ipw(y_fwd, y_bwd, theta_fwd, theta_bwd):
     """Doubly-reweighted observable gain.
 
     The mutual part ``2**y_fwd * (2**y_bwd - 1)`` is divided by both exposure
     probabilities, the one-sided remainder ``2**y_fwd - 1`` by the forward one
     only.  With unit propensities this reduces to :func:`gain_surrogate`.
-    ``theta_floor`` optionally clips propensities from below (variance control;
-    off by default).
     """
-    coef = feedback_coefficients(
-        EstimatorKind.IPW2, y_fwd, y_bwd, theta_fwd, theta_bwd, theta_floor
-    )
+    coef = feedback_coefficients(EstimatorKind.IPW2, y_fwd, y_bwd, theta_fwd, theta_bwd)
     return _maybe_scalar(_gain(*coef))
 
 
@@ -240,7 +232,6 @@ def estimate_metric(
     theta_fwd: np.ndarray,
     theta_bwd: np.ndarray,
     weight: LambdaWeight,
-    theta_floor: float = 0.0,
 ) -> MetricValue:
     """Naive, one-sided or two-sided estimate of the ground-truth metric.
 
@@ -252,7 +243,7 @@ def estimate_metric(
     yf, yb = _pick(y_fwd, pairs, "y_fwd"), _pick(y_bwd, pairs, "y_bwd")
     tf = None if kind is EstimatorKind.NAIVE else _pick(theta_fwd, pairs, "theta_fwd")
     tb = _pick(theta_bwd, pairs, "theta_bwd") if kind is EstimatorKind.IPW2 else None
-    coef = feedback_coefficients(kind, yf, yb, tf, tb, theta_floor)
+    coef = feedback_coefficients(kind, yf, yb, tf, tb)
     return _user_mean(_discounted(_gain(*coef)))
 
 

@@ -113,30 +113,6 @@ def _mutual_scores(model: RankerModel, users: np.ndarray, candidates: np.ndarray
 # listwise losses
 # ---------------------------------------------------------------------------
 
-def _loss_inputs(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):
-    candidates = np.asarray(candidates, dtype=np.intp)
-    if candidates.size == 0:
-        raise ContractViolation(f"user {u} has an empty candidate list")
-    if np.unique(candidates).size != candidates.size:
-        raise ContractViolation("candidate list contains duplicates")
-    _check_range(np.asarray(u), model.n_proactive, "proactive")
-    _check_range(candidates, model.n_reactive, "reactive")
-
-    yf = np.asarray(y_fwd, dtype=np.float64)
-    yb = np.asarray(y_bwd, dtype=np.float64)
-    if yf.shape != candidates.shape or yb.shape != candidates.shape:
-        raise ContractViolation("feedback vectors must align with the candidate list")
-    # per-candidate cross-entropy weights: the row of the paired estimator
-    for name, theta, used in (
-        ("theta_fwd", theta_fwd, kind is not LossKind.CONVENTIONAL),
-        ("theta_bwd", theta_bwd, kind is LossKind.IPW2),
-    ):
-        if used and np.shape(theta) != candidates.shape:
-            raise ContractViolation(f"{name} must be aligned with candidates")
-    coef_fwd, coef_bwd = feedback_coefficients(kind.paired_metric, yf, yb, theta_fwd, theta_bwd)
-    return candidates, coef_fwd, coef_bwd
-
-
 @dataclass(eq=False)
 class GradientTables:
     """Gradients with the same shapes as the model's four tables."""
@@ -221,13 +197,28 @@ def accumulate_gradient(
 
 def _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind):
     """One user's loss terms and gradient pieces through the minibatch kernel."""
-    cands, coef_fwd, coef_bwd = _loss_inputs(
-        model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind
-    )
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if candidates.size == 0:
+        raise ContractViolation(f"user {u} has an empty candidate list")
+    if np.unique(candidates).size != candidates.size:
+        raise ContractViolation("candidate list contains duplicates")
+    _check_range(np.asarray(u), model.n_proactive, "proactive")
+    _check_range(candidates, model.n_reactive, "reactive")
+    yf = np.asarray(y_fwd, dtype=np.float64)
+    yb = np.asarray(y_bwd, dtype=np.float64)
+    if yf.shape != candidates.shape or yb.shape != candidates.shape:
+        raise ContractViolation("feedback vectors must align with the candidate list")
+    for name, theta, used in (
+        ("theta_fwd", theta_fwd, kind is not LossKind.CONVENTIONAL),
+        ("theta_bwd", theta_bwd, kind is LossKind.IPW2),
+    ):
+        if used and np.shape(theta) != candidates.shape:
+            raise ContractViolation(f"{name} must be aligned with candidates")
     mask = np.zeros((1, model.n_reactive), dtype=bool)
-    mask[0, cands] = True
+    mask[0, candidates] = True
+    # per-candidate cross-entropy weights: the row of the paired estimator
     coef = np.zeros((2, 1, model.n_reactive))
-    coef[:, 0, cands] = coef_fwd, coef_bwd
+    coef[:, 0, candidates] = feedback_coefficients(kind.paired_metric, yf, yb, theta_fwd, theta_bwd)
     return accumulate_gradient(model, [u], mask, coef)
 
 
@@ -261,11 +252,9 @@ def loss_gradient(
     Rows of users not touched by the candidate list are zero.
     """
     _, g_pro, g_rea = _user_kernel(model, u, candidates, y_fwd, y_bwd, theta_fwd, theta_bwd, kind)
-    out = GradientTables.zeros_like(model)
-    for space, (pro, rea) in enumerate(SPACES):
-        getattr(out, pro)[u] = g_pro[space, 0]
-        getattr(out, rea)[:] = g_rea[space]
-    return out
+    pro = np.zeros_like(model.pro)
+    pro[:, u] = g_pro[:, 0]
+    return GradientTables(pro[0], g_rea[0], pro[1], g_rea[1])
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,14 @@ class DivergenceError(MatchLtrError, RuntimeError):
     """Training produced a non-finite loss."""
 
 
+ONE_LINE_ERRORS = (MatchLtrError, OSError, MemoryError)  # reported without a traceback
+
+
+def print_error(exc: BaseException) -> None:
+    """Print ``error: <message>``, or its class without one (a bare MemoryError)."""
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+
+
 class EstimatorKind(enum.Enum):
     """Which plug-in estimator of the ranking metric to evaluate."""
 
@@ -234,10 +242,11 @@ class Worker:
 
     Pending stdio output is flushed first, so that the child inherits none.
     The child leaves through ``os._exit``, so none of the parent's exit code
-    runs twice: with status 0 when ``run`` returns, or 1 after printing the
-    traceback of what it raised.  :meth:`wait` reaps the child and returns its
-    exit status; on leaving the ``with`` block a child not yet reaped is killed
-    and reaped.  Until then, with two or more CPUs in this process's affinity
+    runs twice: with status 0 when ``run`` returns, or 1 after printing what it
+    raised, as one :func:`print_error` line for :data:`ONE_LINE_ERRORS` and as a
+    traceback otherwise.  :meth:`wait` reaps the child and returns its exit
+    status; on leaving the ``with`` block a child not yet reaped is killed and
+    reaped.  Until then, with two or more CPUs in this process's affinity
     set, the child runs on the last of them and this process on the rest: a
     scheduler that does not balance load (a cpuset with ``sched_load_balance``
     off) may otherwise keep both on one CPU.  Where ``sched_setaffinity`` is
@@ -291,12 +300,16 @@ def _run_worker(run) -> None:
     try:
         run()
         status = 0
+    except ONE_LINE_ERRORS as exc:
+        print_error(exc)
     except Exception:
         traceback.print_exc()
-        if sys.stderr is not None:
-            sys.stderr.flush()
     finally:
-        os._exit(status)
+        try:
+            if sys.stderr is not None:
+                sys.stderr.flush()
+        finally:  # also when the flush raises: the child must not run the parent's code
+            os._exit(status)
 
 
 @contextmanager

@@ -135,6 +135,12 @@ CHECKS = [
     ("ranker:feedback-misaligned",
      lambda: loss_user(init_model(2, 2, 1, seed=0), 0, [0, 1], [0], [0]),
      ContractViolation, "feedback vectors must align with the candidate list"),
+    ("ranker:user-out-of-range",
+     lambda: loss_user(init_model(2, 2, 1, seed=0), 2, [0, 1], [0, 0], [0, 0]),
+     IndexError, "proactive index out of range [0, 2)"),
+    ("ranker:candidate-out-of-range",
+     lambda: loss_user(init_model(2, 2, 1, seed=0), 0, [0, 2], [0, 0], [0, 0]),
+     IndexError, "reactive index out of range [0, 2)"),
     ("ranker:checkpoint-layout",
      _load_checkpoint_of_other_layout,
      DataFormatError, "checkpoint: malformed header: unsupported table layout"),

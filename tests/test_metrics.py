@@ -139,9 +139,6 @@ class TestGains:
         with pytest.raises(AssumptionViolationError, match=r"^theta_\w+ must lie in \(0, 1\]"):
             reject(theta)
 
-    def test_gain_ipw_floor_clips(self):
-        assert gain_ipw(1, 0, 0.01, 1.0, theta_floor=0.1) == pytest.approx(10.0)
-
     def test_array_inputs(self):
         out = gain_true(np.array([0, 1, 1]), np.array([1, 0, 1]))
         assert out.tolist() == [0.0, 1.0, 3.0]

@@ -1206,6 +1206,20 @@ class TestForkedWriters:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_failed_worker_prints_its_own_line(self, tmp_path, monkeypatch, capfd):
+        """The worker's ``OSError`` is its own ``error:`` line, without a traceback, as
+        in a serial run; then this process's line names preferences.csv."""
+        self._cores(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_FORK_PAIRS", 64)
+        out = tmp_path / "data"
+        (out / "preferences.csv").mkdir(parents=True)
+        capfd.readouterr()
+        assert cli_main(["gen-data", *self.SYNTH, "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and err.startswith("error: [Errno 21] Is a directory: ")
+        assert err.splitlines()[1:] == [
+            f"error: writing {out / 'preferences.csv'}: a worker exited with status 1"]
+
     def test_serial_while_another_thread_runs(self, tmp_path, monkeypatch):
         """A forked copy of a threaded process may deadlock on a lock another thread held."""
         default = self._main_in(tmp_path / "default", monkeypatch)
@@ -1316,6 +1330,22 @@ class TestWorkerPlacement:
                 assert sorted(os.sched_getaffinity(0)) == cores
         assert sorted(os.sched_getaffinity(0)) == cores
         assert ("RuntimeError: the worker fails" in capfd.readouterr().err) == (ending == "fail")
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), RuntimeError("the worker fails")])
+    def test_a_failure_is_one_line_or_a_traceback(self, error, capfd):
+        """What ``cli.main`` reports as one ``error:`` line is that line in a worker
+        too; anything else keeps its traceback.  ``capfd``, as the child writes to fd 2."""
+        def run():
+            raise error
+
+        capfd.readouterr()
+        with Worker(run) as worker:
+            assert worker.wait() == 1
+        err = capfd.readouterr().err
+        if isinstance(error, OSError):
+            assert err == "error: disk full\n"
+        else:
+            assert err.startswith("Traceback ") and err.endswith("RuntimeError: the worker fails\n")
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
     @pytest.mark.parametrize("setaffinity", ["raises", "missing", "one-cpu"])
